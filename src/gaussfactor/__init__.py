@@ -20,14 +20,11 @@ from .numtheory import (
 from .gausssums import (
     CharacterSpec,
     ContinuousSpec,
-    SumFamily,
-    SumResult,
     WeightProfile,
     character_eval,
     continuous_sum,
     continuous_sum_grid,
     discrete_sum,
-    evaluate,
     exponential_sum,
     finite_w,
     monte_carlo_sum,

@@ -72,6 +72,15 @@ class RunConfig:
         return WeightProfile(delta_m=self.delta_m, m_max=m_max)
 
 
+def _l_max(cfg: RunConfig) -> int:
+    """--l-max, or isqrt(N) when the flag is absent."""
+    if cfg.l_max is None:
+        return math.isqrt(cfg.n_target)
+    if cfg.l_max < 1:
+        raise ConfigError("--l-max must be >= 1")
+    return cfg.l_max
+
+
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.output_path is None:
         sys.stdout.write(text)
@@ -154,23 +163,13 @@ def _cmd_factor(cfg: RunConfig) -> int:
     elif cfg.scheme == "lines":
         report = factorizer.factor_lines_discrete(n, cfg.weight_profile())
     elif cfg.scheme == "reciprocate":
-        report = factorizer.factor_reciprocate(n, cfg.l_max or math.isqrt(n))
+        report = factorizer.factor_reciprocate(n, _l_max(cfg))
     elif cfg.scheme == "truncated":
         if cfg.m_terms is None:
             raise ConfigError("truncated scheme needs --m-terms")
-        report = factorizer.factor_truncated(
-            n, cfg.l_max or math.isqrt(n), cfg.m_terms, cfg.threshold
-        )
+        report = factorizer.factor_truncated(n, _l_max(cfg), cfg.m_terms, cfg.threshold)
     else:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    _emit(cfg, _report_text(cfg, report))
-    return 0
-
-
-def _cmd_lines(cfg: RunConfig) -> int:
-    if cfg.n_target is None:
-        raise ConfigError("lines needs --n")
-    report = factorizer.factor_lines_discrete(cfg.n_target, cfg.weight_profile())
     _emit(cfg, _report_text(cfg, report))
     return 0
 
@@ -178,8 +177,7 @@ def _cmd_lines(cfg: RunConfig) -> int:
 def _cmd_reciprocate(cfg: RunConfig) -> int:
     if cfg.n_target is None:
         raise ConfigError("reciprocate needs --n")
-    l_max = cfg.l_max or math.isqrt(cfg.n_target)
-    ls = np.arange(1, l_max + 1)
+    ls = np.arange(1, _l_max(cfg) + 1)
     if cfg.samples is not None:
         values = np.array(
             [
@@ -209,15 +207,12 @@ def _cmd_nslit(cfg: RunConfig) -> int:
     if cfg.l_talbot is not None:
         if cfg.xi_max <= cfg.xi_min:
             raise ConfigError("nslit pattern needs --xi-max > --xi-min")
-        count = int(math.floor((cfg.xi_max - cfg.xi_min) / cfg.step + 1e-9)) + 1
-        xis = cfg.xi_min + cfg.step * np.arange(count)
-        c = nslit.NSlitConfig(cfg.n_target, cfg.l_talbot, tuple(xis))
+        xis = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
+        c = nslit.NSlitConfig(cfg.n_target, cfg.l_talbot)
         values = np.array([nslit.green_sum(float(x), c) for x in xis])
         _emit(cfg, _csv_series(xis, values))
         return 0
-    rows = nslit.nslit_factor_test(
-        cfg.n_target, cfg.l_max or math.isqrt(cfg.n_target), cfg.spread_threshold
-    )
+    rows = nslit.nslit_factor_test(cfg.n_target, _l_max(cfg), cfg.spread_threshold)
     doc = {
         "n": cfg.n_target,
         "rows": [
@@ -234,7 +229,7 @@ def _cmd_ghost(cfg: RunConfig) -> int:
     if cfg.n_target is None or cfg.m_terms is None:
         raise ConfigError("ghost needs --n and --m-terms")
     census = factorizer.ghost_census(
-        cfg.n_target, cfg.m_terms, cfg.threshold, cfg.l_min, cfg.l_max
+        cfg.n_target, cfg.m_terms, cfg.threshold, cfg.l_min, _l_max(cfg)
     )
     doc = {
         "n": cfg.n_target,
@@ -264,54 +259,53 @@ def build_parser() -> _Parser:
     p = _Parser(prog="gaussfactor", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, weights=False, grid=False, lrange=False, out=True):
-        sp.add_argument("--n", dest="n_target", type=int)
-        if weights:
-            sp.add_argument("--dm", dest="delta_m", type=float, default=10.0)
-            sp.add_argument("--m-terms", dest="m_terms", type=int, default=None,
-                            help="truncation M (default ceil(4*dm))")
-        if grid:
-            sp.add_argument("--xi-min", type=float, default=0.0)
-            sp.add_argument("--xi-max", type=float, default=0.0)
-            sp.add_argument("--step", type=float, default=0.01)
-            sp.add_argument("--workers", type=int, default=1)
-        if lrange:
-            sp.add_argument("--l-min", type=int, default=2)
-            sp.add_argument("--l-max", type=int, default=None)
-        if out:
-            sp.add_argument("--output", dest="output_path", default=None)
-            sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    flags = {
+        "--n": dict(dest="n_target", type=int),
+        "--dm": dict(dest="delta_m", type=float, default=10.0),
+        "--m-terms": dict(dest="m_terms", type=int, default=None,
+                          help="truncation M (default ceil(4*dm))"),
+        "--xi-min": dict(type=float, default=0.0),
+        "--xi-max": dict(type=float, default=0.0),
+        "--step": dict(type=float, default=0.01),
+        "--workers": dict(type=int, default=1),
+        "--l-min": dict(type=int, default=2),
+        "--l-max": dict(type=int, default=None),
+        "--output": dict(dest="output_path", default=None),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+    }
+
+    def add(sp, *names):
+        for name in names:
+            sp.add_argument(name, **flags[name])
 
     sp = sub.add_parser("scan", help="continuous-sum scan over a xi grid")
-    common(sp, weights=True, grid=True)
+    add(sp, "--n", "--dm", "--m-terms", "--xi-min", "--xi-max", "--step", "--workers",
+        "--output", "--format")
     sp.add_argument("--a", dest="a_param", type=float, default=1.0)
     sp.add_argument("--b", dest="b_param", type=float, default=None)
 
     sp = sub.add_parser("factor", help="run a factor-extraction scheme")
-    common(sp, weights=True, grid=True, lrange=True)
+    add(sp, "--n", "--dm", "--m-terms", "--step", "--l-max", "--output", "--format")
     sp.add_argument("--scheme", choices=("continuous", "even", "lines", "reciprocate", "truncated"),
                     default="continuous")
     sp.add_argument("--peak-factor", type=float, default=factorizer.DEFAULT_PEAK_FACTOR)
     sp.add_argument("--zero-factor", type=float, default=factorizer.DEFAULT_ZERO_FACTOR)
     sp.add_argument("--threshold", type=float, default=factorizer.DEFAULT_GHOST_THRESHOLD)
 
-    sp = sub.add_parser("lines", help="discrete |S_N(l)|^2 line report")
-    common(sp, weights=True)
-
     sp = sub.add_parser("reciprocate", help="complete reciprocate series")
-    common(sp, lrange=True)
+    add(sp, "--n", "--l-max", "--output", "--format")
     sp.add_argument("--samples", type=int, default=None,
                     help="Monte-Carlo term count (default: complete sum)")
     sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("nslit", help="N-slit pattern or factor sweep")
-    common(sp, grid=True, lrange=True)
+    sp = sub.add_parser("nslit", help="N-slit pattern (CSV) or factor sweep (JSON)")
+    add(sp, "--n", "--xi-min", "--xi-max", "--step", "--l-max", "--output")
     sp.add_argument("--l", dest="l_talbot", type=int, default=None,
                     help="emit the intensity pattern at this Talbot distance")
     sp.add_argument("--spread-threshold", type=float, default=nslit.DEFAULT_SPREAD_THRESHOLD)
 
-    sp = sub.add_parser("ghost", help="ghost-factor census of the truncated sum")
-    common(sp, lrange=True)
+    sp = sub.add_parser("ghost", help="ghost-factor census of the truncated sum (JSON)")
+    add(sp, "--n", "--l-min", "--l-max", "--output")
     sp.add_argument("--m-terms", dest="m_terms", type=int, required=True)
     sp.add_argument("--threshold", type=float, default=factorizer.DEFAULT_GHOST_THRESHOLD)
 
@@ -324,7 +318,6 @@ def build_parser() -> _Parser:
 _COMMANDS = {
     "scan": _cmd_scan,
     "factor": _cmd_factor,
-    "lines": _cmd_lines,
     "reciprocate": _cmd_reciprocate,
     "nslit": _cmd_nslit,
     "ghost": _cmd_ghost,
@@ -336,6 +329,8 @@ def run(cfg: RunConfig) -> int:
     """Execute a configured command; deterministic for fixed config and seed."""
     if cfg.command not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
+    if cfg.n_target is not None and cfg.n_target < 1:
+        raise ConfigError("--n must be a positive integer")
     return _COMMANDS[cfg.command](cfg)
 
 

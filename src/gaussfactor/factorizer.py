@@ -12,7 +12,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class ScanSeries:
         if np.any(np.diff(self.xis) <= 0):
             raise ValueError("xi grid must be strictly increasing")
 
-    @property
-    def samples(self) -> list[tuple[float, complex]]:
-        return [(float(x), complex(v)) for x, v in zip(self.xis, self.values)]
-
     def abs2(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
@@ -112,6 +108,19 @@ class FactorReport:
         }
 
 
+def uniform_grid(xi_min: float, xi_max: float, step: float) -> np.ndarray:
+    """Points xi_min + k * step, k = 0, 1, ..., up to xi_max (with 1e-9 steps
+    of slack).  Points are index offsets, never accumulated sums."""
+    if not all(map(math.isfinite, (xi_min, xi_max, step))):
+        raise ValueError("grid bounds and step must be finite")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if xi_max < xi_min:
+        raise ValueError("empty scan range")
+    count = int(math.floor((xi_max - xi_min) / step + 1e-9)) + 1
+    return xi_min + step * np.arange(count)
+
+
 def scan_series(
     spec: ContinuousSpec,
     w: WeightProfile,
@@ -124,16 +133,11 @@ def scan_series(
 ) -> ScanSeries:
     """Evaluate the continuous sum on a uniform grid.
 
-    Grid points are built as index * step offsets (no accumulation), chunks
-    are evaluated by a worker pool, and assembly is ordered, so the output is
-    identical regardless of worker count.
+    Chunks are evaluated by a worker pool and assembled in order, so the
+    output is identical regardless of worker count.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if xi_max < xi_min:
-        raise ValueError("empty scan range")
-    count = int(math.floor((xi_max - xi_min) / step + 1e-9)) + 1
-    xis = xi_min + step * np.arange(count)
+    xis = uniform_grid(xi_min, xi_max, step)
+    count = len(xis)
     if workers <= 1 or count < 256:
         values = continuous_sum_grid(xis, spec, w)
     else:
@@ -180,51 +184,58 @@ def _classify_flagged(l: int, n_target: int) -> Classification:
     return Classification.GHOST
 
 
+_Rule = Callable[[int], tuple[float, float, Classification]]
+_KEPT = (Classification.FACTOR, Classification.ZERO_SIGNAL)
+
+
+def _classify(
+    n_target: int, scheme: str, ls: range, rule: _Rule, params: dict
+) -> FactorReport:
+    """Apply a scheme's rule l -> (measured, predicted, class) to every trial
+    argument.  A flag becomes a verified factor only when its class is
+    FACTOR or ZERO_SIGNAL and division confirms it."""
+    candidates = [Candidate(l, *rule(l)) for l in ls]
+    verified = [
+        c.l
+        for c in candidates
+        if c.classification in _KEPT and c.l >= 2 and n_target % c.l == 0
+    ]
+    return FactorReport(n_target, scheme, candidates, verified, params)
+
+
 def report_from_series(
     series: ScanSeries,
     scheme: str,
     peak_factor: float = DEFAULT_PEAK_FACTOR,
     zero_factor: float | None = None,
     window: float = DEFAULT_BACKGROUND_WINDOW,
-    l_values: list[int] | None = None,
 ) -> FactorReport:
     """Apply the peak (and optionally zero) criteria at every integer
     candidate l whose position l * unit_c lies inside the series."""
     n = series.n_label
     abs2 = series.abs2()
     c = series.unit_c
-    if l_values is None:
-        lo = int(math.ceil((series.xis[0] + 1e-9) / c))
-        hi = int(math.floor((series.xis[-1] - 1e-9) / c))
-        l_values = [l for l in range(max(lo, 2), min(hi, n - 1) + 1)]
+    lo = int(math.ceil((series.xis[0] + 1e-9) / c))
+    hi = int(math.floor((series.xis[-1] - 1e-9) / c))
     zero_level = zero_factor * float(abs2.max()) if zero_factor is not None else None
 
-    candidates = []
-    verified = []
-    for l in l_values:
+    def rule(l: int) -> tuple[float, float, Classification]:
         pos = l * c
-        idx = int(np.argmin(np.abs(series.xis - pos)))
-        measured = float(abs2[idx])
+        measured = float(abs2[int(np.argmin(np.abs(series.xis - pos)))])
         bg = envelope_background(series.xis, abs2, pos, window=window, candidate_unit=c)
         predicted = predict_discrete_modulus2(n, l).value
         if zero_level is not None and measured < zero_level:
-            cls = Classification.ZERO_SIGNAL
-            flagged = True
-        elif bg > 0 and measured >= peak_factor * bg:
-            cls = _classify_flagged(l, n)
-            flagged = True
-        else:
-            cls = Classification.NONFACTOR
-            flagged = False
-        candidates.append(Candidate(l, measured, predicted, cls))
-        if flagged and l >= 2 and n % l == 0:
-            verified.append(l)
-    return FactorReport(
-        n_target=n,
-        scheme=scheme,
-        candidates=candidates,
-        verified_factors=sorted(verified),
-        params={"unit_c": c, "peak_factor": peak_factor, "window": window},
+            return measured, predicted, Classification.ZERO_SIGNAL
+        if bg > 0 and measured >= peak_factor * bg:
+            return measured, predicted, _classify_flagged(l, n)
+        return measured, predicted, Classification.NONFACTOR
+
+    return _classify(
+        n,
+        scheme,
+        range(max(lo, 2), min(hi, n - 1) + 1),
+        rule,
+        {"unit_c": c, "peak_factor": peak_factor, "window": window},
     )
 
 
@@ -249,10 +260,9 @@ def factor_scan_continuous(
     if n_target < 3:
         raise ValueError("N must be >= 3")
     series = _scan_for(n_target, w, grid_step, window)
-    report = report_from_series(
+    return report_from_series(
         series, "continuous_odd", peak_factor=peak_factor, window=window
     )
-    return report
 
 
 def factor_scan_even(
@@ -296,9 +306,7 @@ def factor_lines_discrete(
         slopes.append(2.0 / n)
     zero_level = DEFAULT_ZERO_FACTOR / n
 
-    candidates = []
-    verified = []
-    for l in range(1, n + 1):
+    def rule(l: int) -> tuple[float, float, Classification]:
         measured = abs(discrete_sum(n, l, w)) ** 2
         predicted = predict_discrete_modulus2(n, l).value
         member = any(
@@ -310,15 +318,10 @@ def factor_lines_discrete(
             cls = Classification.ZERO_SIGNAL
         else:
             cls = Classification.NONFACTOR
-        candidates.append(Candidate(l, measured, predicted, cls))
-        if cls in (Classification.FACTOR, Classification.ZERO_SIGNAL) and n % l == 0 and l >= 2:
-            verified.append(l)
-    return FactorReport(
-        n_target=n,
-        scheme="discrete_lines",
-        candidates=candidates,
-        verified_factors=sorted(verified),
-        params={"abs_tol": abs_tol, "rel_tol": rel_tol},
+        return measured, predicted, cls
+
+    return _classify(
+        n, "discrete_lines", range(1, n + 1), rule, {"abs_tol": abs_tol, "rel_tol": rel_tol}
     )
 
 
@@ -329,9 +332,8 @@ def factor_reciprocate(n_target: int, l_max: int) -> FactorReport:
         raise ValueError("reciprocate scheme requires odd N")
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    candidates = []
-    verified = []
-    for l in range(1, l_max + 1):
+
+    def rule(l: int) -> tuple[float, float, Classification]:
         measured = abs(reciprocate_complete(n_target, l))
         pred = predict_reciprocate_modulus(n_target, l)
         if abs(measured - 1.0) < _RECIPROCATE_TOL:
@@ -342,16 +344,9 @@ def factor_reciprocate(n_target: int, l_max: int) -> FactorReport:
             cls = Classification.ZERO_SIGNAL
         else:
             cls = Classification.NONFACTOR
-        candidates.append(Candidate(l, measured, pred.value, cls))
-        if cls is Classification.FACTOR and l >= 2:
-            verified.append(l)
-    return FactorReport(
-        n_target=n_target,
-        scheme="reciprocate",
-        candidates=candidates,
-        verified_factors=sorted(verified),
-        params={"l_max": l_max},
-    )
+        return measured, pred.value, cls
+
+    return _classify(n_target, "reciprocate", range(1, l_max + 1), rule, {"l_max": l_max})
 
 
 def factor_truncated(
@@ -367,24 +362,20 @@ def factor_truncated(
     """
     if l_max < 2 or m_terms < 1:
         raise ValueError("need l_max >= 2 and m_terms >= 1")
-    candidates = []
-    verified = []
-    for l in range(2, l_max + 1):
+
+    def rule(l: int) -> tuple[float, float, Classification]:
         measured = abs(reciprocate_truncated(n_target, l, m_terms))
         predicted = 1.0 if n_target % l == 0 else abs(reciprocate_complete(n_target, l))
         if measured > threshold:
-            cls = _classify_flagged(l, n_target)
-        else:
-            cls = Classification.NONFACTOR
-        candidates.append(Candidate(l, measured, predicted, cls))
-        if cls is Classification.FACTOR:
-            verified.append(l)
-    return FactorReport(
-        n_target=n_target,
-        scheme="truncated",
-        candidates=candidates,
-        verified_factors=sorted(verified),
-        params={"m_terms": m_terms, "threshold": threshold},
+            return measured, predicted, _classify_flagged(l, n_target)
+        return measured, predicted, Classification.NONFACTOR
+
+    return _classify(
+        n_target,
+        "truncated",
+        range(2, l_max + 1),
+        rule,
+        {"m_terms": m_terms, "threshold": threshold},
     )
 
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
 
 import numpy as np
 
@@ -79,32 +77,6 @@ class ContinuousSpec:
     def __post_init__(self) -> None:
         if self.a_param <= 0 or self.b_param <= 0:
             raise ValueError("A and B must be strictly positive")
-
-
-class SumFamily(Enum):
-    CONTINUOUS = "continuous"
-    DISCRETE = "discrete"
-    STANDARD = "standard"
-    FINITE_W = "finite_w"
-    WTILDE = "wtilde"
-    RECIPROCATE_TRUNCATED = "reciprocate_truncated"
-    RECIPROCATE_COMPLETE = "reciprocate_complete"
-    EXPONENTIAL_J = "exponential_j"
-    MONTE_CARLO = "monte_carlo"
-    RING = "ring"
-
-
-@dataclass(frozen=True)
-class SumResult:
-    """A complex sum value with provenance."""
-
-    value: complex
-    family: SumFamily
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise ValueError("sum value must be finite")
 
 
 @dataclass(frozen=True)
@@ -296,24 +268,3 @@ def ring_gauss(chi: CharacterSpec, beta: int) -> complex:
     x = np.arange(n, dtype=np.int64)
     phases = np.exp(2j * np.pi * ((x * (beta % n)) % n) / n)
     return complex((_char_values(chi) * phases).sum())
-
-
-def evaluate(family: SumFamily, **params: Any) -> SumResult:
-    """Dispatch a sum evaluation by family, recording provenance."""
-    dispatch = {
-        SumFamily.CONTINUOUS: lambda: continuous_sum(**params),
-        SumFamily.DISCRETE: lambda: discrete_sum(**params),
-        SumFamily.STANDARD: lambda: standard_gauss(**params),
-        SumFamily.FINITE_W: lambda: finite_w(**params),
-        SumFamily.WTILDE: lambda: wtilde(**params),
-        SumFamily.RECIPROCATE_TRUNCATED: lambda: reciprocate_truncated(**params),
-        SumFamily.RECIPROCATE_COMPLETE: lambda: reciprocate_complete(**params),
-        SumFamily.EXPONENTIAL_J: lambda: exponential_sum(**params),
-        SumFamily.MONTE_CARLO: lambda: monte_carlo_sum(**params),
-        SumFamily.RING: lambda: ring_gauss(**params),
-    }
-    value = dispatch[family]()
-    readable = {
-        k: (v if isinstance(v, (int, float, str)) else repr(v)) for k, v in params.items()
-    }
-    return SumResult(value=value, family=family, params=readable)

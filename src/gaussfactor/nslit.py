@@ -21,23 +21,16 @@ DEFAULT_SPREAD_THRESHOLD = 1e-3
 
 @dataclass(frozen=True)
 class NSlitConfig:
-    """Grating with n_slits slits probed at dimensionless Talbot distance l_talbot.
-
-    xi_grid holds screen positions x/d for pattern emission; it may be empty
-    when only the spike criterion is wanted.
-    """
+    """Grating with n_slits slits probed at dimensionless Talbot distance l_talbot."""
 
     n_slits: int
     l_talbot: int
-    xi_grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n_slits < 1:
             raise ValueError("n_slits must be >= 1")
         if self.l_talbot < 1:
             raise ValueError("l_talbot must be >= 1")
-        if any(b <= a for a, b in zip(self.xi_grid, self.xi_grid[1:])):
-            raise ValueError("xi_grid must be strictly increasing")
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ class TestFactorCommand:
     def test_lines_command(self, tmp_path):
         rc, data = run_to_file(
             tmp_path,
-            ["lines", "--n", "39", "--dm", "28", "--format", "json"],
+            ["factor", "--n", "39", "--scheme", "lines", "--dm", "28", "--format", "json"],
             "lines.json",
         )
         assert rc == 0
@@ -223,3 +223,62 @@ class TestOutputDirEnv:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("xi,re,im,abs2\n")
+
+
+class TestInputContracts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ghost", "--n", "0", "--m-terms", "3"],
+            ["reciprocate", "--n", "0"],
+            ["factor", "--n", "0", "--scheme", "reciprocate"],
+            ["factor", "--n", "-5", "--scheme", "reciprocate"],
+            ["factor", "--n", "-5", "--scheme", "truncated", "--m-terms", "3"],
+            ["nslit", "--n", "-5"],
+            ["ghost", "--n", "-5", "--m-terms", "3"],
+            ["reciprocate", "--n", "-3"],
+        ],
+    )
+    def test_n_must_be_positive(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "--scheme", "reciprocate"],
+            ["factor", "--scheme", "truncated", "--m-terms", "3"],
+            ["reciprocate"],
+            ["nslit"],
+            ["ghost", "--m-terms", "3"],
+        ],
+    )
+    def test_explicit_l_max_below_one_rejected(self, argv, capsys):
+        assert cli.main(argv + ["--n", "15", "--l-max", "0"]) == 1
+        assert "--l-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["0", "-0.5"])
+    def test_nslit_pattern_step_must_be_positive(self, step, capsys):
+        argv = ["nslit", "--n", "15", "--l", "3", "--xi-min", "0", "--xi-max", "3", "--step", step]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "step must be positive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "--n", "33", "--workers", "2"],
+            ["factor", "--n", "33", "--l-min", "3"],
+            ["factor", "--n", "33", "--xi-min", "1"],
+            ["factor", "--n", "33", "--xi-max", "5"],
+            ["reciprocate", "--n", "15", "--l-min", "2"],
+            ["nslit", "--n", "15", "--l-min", "2"],
+            ["nslit", "--n", "15", "--workers", "2"],
+            ["nslit", "--n", "15", "--format", "json"],
+            ["ghost", "--n", "15", "--m-terms", "3", "--format", "json"],
+            ["lines", "--n", "39"],
+        ],
+    )
+    def test_removed_flags_and_commands_rejected(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "error" in capsys.readouterr().err

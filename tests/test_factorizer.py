@@ -20,6 +20,10 @@ def flagged_of(report):
     return [c.l for c in report.candidates if c.classification is not Classification.NONFACTOR]
 
 
+def proper_divisors(n: int) -> list[int]:
+    return [d for d in range(2, n) if n % d == 0]
+
+
 class TestScanSeries:
     def test_grid_and_validation(self):
         spec = gs.ContinuousSpec(1.0, 33.0)
@@ -37,10 +41,14 @@ class TestScanSeries:
         assert a.values.tobytes() == b.values.tobytes()
         assert a.xis.tobytes() == b.xis.tobytes()
 
-    def test_samples_property(self):
-        spec = gs.ContinuousSpec(1.0, 33.0)
-        s = fz.scan_series(spec, W10, 2.0, 2.5, 0.25, n_label=33)
-        assert s.samples[0] == (2.0, complex(s.values[0]))
+    @pytest.mark.parametrize(
+        "xi_min, xi_max, step",
+        [(0.0, 3.0, 0.0), (0.0, 3.0, -0.5), (3.0, 0.0, 0.5), (0.0, math.inf, 0.5),
+         (0.0, 3.0, math.nan)],
+    )
+    def test_uniform_grid_rejects_bad_input(self, xi_min, xi_max, step):
+        with pytest.raises(ValueError):
+            fz.uniform_grid(xi_min, xi_max, step)
 
 
 class TestContinuousScan:
@@ -218,6 +226,25 @@ class TestTruncatedScheme:
         assert ghosts, "the truncated scheme at this scale is ghost-prone"
         for g in ghosts:
             assert 100001 % g != 0
+
+
+class TestVerifiedEqualsDivisors:
+    """With margin-2 weights each signal scheme verifies exactly the divisors
+    of N in 2..N-1: no flag is lost and none survives without dividing N."""
+
+    @staticmethod
+    def mismatches(scheme, ns):
+        reports = {n: scheme(n, broad(n)).verified_factors for n in ns}
+        return {n: got for n, got in reports.items() if got != proper_divisors(n)}
+
+    def test_continuous_odd(self):
+        assert self.mismatches(fz.factor_scan_continuous, range(9, 50, 2)) == {}
+
+    def test_continuous_even(self):
+        assert self.mismatches(fz.factor_scan_even, range(10, 41, 2)) == {}
+
+    def test_discrete_lines(self):
+        assert self.mismatches(fz.factor_lines_discrete, range(4, 120)) == {}
 
 
 class TestFactorReport:

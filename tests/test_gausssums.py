@@ -290,10 +290,3 @@ class TestCharacterEval:
                     lhs = gs.character_eval(chi, x * y)
                     rhs = gs.character_eval(chi, x) * gs.character_eval(chi, y)
                     assert abs(lhs - rhs) < 1e-12
-
-
-def test_evaluate_dispatch_provenance():
-    res = gs.evaluate(gs.SumFamily.RECIPROCATE_COMPLETE, n_target=1911, l=21)
-    assert res.family is gs.SumFamily.RECIPROCATE_COMPLETE
-    assert abs(res.value - 1.0) < 1e-12
-    assert res.params["n_target"] == 1911

@@ -13,9 +13,7 @@ class TestConfig:
             nslit.NSlitConfig(0, 3)
         with pytest.raises(ValueError):
             nslit.NSlitConfig(15, 0)
-        with pytest.raises(ValueError):
-            nslit.NSlitConfig(15, 3, (0.0, 0.0))
-        nslit.NSlitConfig(15, 3, (0.0, 0.5, 1.0))
+        nslit.NSlitConfig(15, 3)
 
 
 class TestGreenSum:
