@@ -20,6 +20,7 @@ from .numtheory import (
 from .gausssums import (
     CharacterSpec,
     ContinuousSpec,
+    PrecisionError,
     WeightProfile,
     character_eval,
     continuous_sum,

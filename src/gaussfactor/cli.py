@@ -20,6 +20,7 @@ import numpy as np
 from . import factorizer, nslit, verify
 from .gausssums import (
     ContinuousSpec,
+    PrecisionError,
     WeightProfile,
     monte_carlo_sum,
     reciprocate_complete,
@@ -339,10 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = parser.parse_args(argv)
         return run(RunConfig(**vars(ns)))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gausssums import ContinuousSpec, WeightProfile, finite_w
+from .gausssums import ContinuousSpec, WeightProfile, _unit_phasors, finite_w
 
 _SHAPE_CUTOFF = 1e-14
 _INTEGRALITY_TOL = 1e-9
@@ -84,8 +84,7 @@ def _lattice_terms(m_values: np.ndarray, xi: float, spec: ContinuousSpec, w: Wei
         return 0j
     m = m_values.astype(np.longdouble)
     t = (m / np.longdouble(spec.a_param) + m * m / np.longdouble(spec.b_param)) * np.longdouble(xi)
-    t -= np.floor(t)
-    terms = w.raw_weight(m_values.astype(float)) * np.exp(2j * np.pi * t.astype(float))
+    terms = w.raw_weight(m_values.astype(float)) * _unit_phasors(t)
     return complex(terms.sum())
 
 

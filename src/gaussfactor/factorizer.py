@@ -9,6 +9,7 @@ candidates that actually divide the target (checked by integer division).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,6 +36,12 @@ DEFAULT_BACKGROUND_WINDOW = 1.0
 DEFAULT_BACKGROUND_CORE = 0.02
 DEFAULT_GHOST_THRESHOLD = 1.0 / math.sqrt(2.0)
 _RECIPROCATE_TOL = 1e-9
+
+
+def _check_threshold(threshold: float) -> None:
+    """The truncated-sum modulus lies in [0, 1], so only (0, 1) separates."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must lie in (0, 1)")
 
 
 class Classification(Enum):
@@ -134,15 +141,19 @@ def scan_series(
     """Evaluate the continuous sum on a uniform grid.
 
     Chunks are evaluated by a worker pool and assembled in order, so the
-    output is identical regardless of worker count.
+    output is identical regardless of worker count.  The pool has at most
+    one thread per CPU.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     xis = uniform_grid(xi_min, xi_max, step)
     count = len(xis)
-    if workers <= 1 or count < 256:
+    pool_size = min(workers, os.cpu_count() or 1)
+    if pool_size == 1 or count < 256:
         values = continuous_sum_grid(xis, spec, w)
     else:
-        chunks = np.array_split(np.arange(count), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        chunks = np.array_split(np.arange(count), pool_size)
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(lambda idx: continuous_sum_grid(xis[idx], spec, w), chunks))
         values = np.concatenate(parts)
     return ScanSeries(unit_c=unit_c, xis=xis, values=values, n_label=n_label)
@@ -362,6 +373,7 @@ def factor_truncated(
     """
     if l_max < 2 or m_terms < 1:
         raise ValueError("need l_max >= 2 and m_terms >= 1")
+    _check_threshold(threshold)
 
     def rule(l: int) -> tuple[float, float, Classification]:
         measured = abs(reciprocate_truncated(n_target, l, m_terms))
@@ -408,8 +420,9 @@ def ghost_census(
 ) -> GhostCensus:
     """Non-divisors l in [l_min, l_max] whose truncated sum modulus exceeds
     the threshold.  Default range is 2..floor(sqrt(N))."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
+    _check_threshold(threshold)
+    if l_min < 1:
+        raise ValueError("l_min must be >= 1")
     if l_max is None:
         l_max = math.isqrt(n_target)
     ghosts = [

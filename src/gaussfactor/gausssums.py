@@ -3,7 +3,9 @@
 Phase discipline: sums at integer arguments reduce the quadratic phase to an
 exact residue (numerator mod denominator) before the single floating-point
 exponential, so 17-digit moduli are handled without precision loss.  Sums at
-real arguments reduce the phase mod 1 in extended (80-bit) precision.
+real arguments reduce the phase mod 1 in extended (80-bit) precision, which
+is checked, not assumed: on a platform whose longdouble has a shorter
+mantissa they raise PrecisionError while the integer sums keep working.
 """
 
 from __future__ import annotations
@@ -22,6 +24,19 @@ TWO_PI = 2.0 * math.pi
 # int64 stays exact for (m*m) % b and the follow-up multiply when b is below
 # this bound; larger moduli take the Python-int path.
 _INT64_SAFE_MODULUS = 3_000_000_000
+
+# Phasors per row block of continuous_sum_grid: a block's arrays (about 56
+# bytes per phasor) stay near 2 MB whatever the grid length.
+_BLOCK_PHASORS = 1 << 15
+
+# Mantissa bits of the platform longdouble.  Real-argument phases run to
+# 1e5 turns and beyond; an 80-bit (63-bit mantissa) or wider format keeps
+# their fractional part 2^11 times more accurate than float64 would.
+_LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
+
+
+class PrecisionError(ArithmeticError):
+    """The platform longdouble is too short for the exact mod-1 reduction."""
 
 
 @dataclass(frozen=True)
@@ -114,6 +129,21 @@ def _phase_exp(residues: np.ndarray, modulus: int, sign: float = 1.0) -> np.ndar
     return np.exp(sign * 2j * np.pi * frac)
 
 
+def _unit_phasors(t: np.ndarray) -> np.ndarray:
+    """exp(2 pi i t) for a longdouble phase array t, reduced mod 1 in place.
+
+    np.mod and t - floor(t) are both exact here and give the same value and
+    sign bit; np.mod is the cheaper of the two on longdouble.
+    """
+    if _LONGDOUBLE_NMANT < 63:
+        raise PrecisionError(
+            "real-argument sums need an 80-bit longdouble (63 mantissa bits); "
+            f"this platform's has {_LONGDOUBLE_NMANT}"
+        )
+    np.mod(t, 1, out=t)
+    return np.exp(2j * np.pi * t.astype(float))
+
+
 def continuous_sum(xi: float, spec: ContinuousSpec, w: WeightProfile) -> complex:
     """Weighted sum over |m| <= M of exp[2 pi i (m/A + m^2/B) xi].
 
@@ -127,14 +157,21 @@ def continuous_sum_grid(
 ) -> np.ndarray:
     """Vectorized continuous_sum over a grid of arguments.
 
-    Each grid point is reduced independently (row-wise pairwise summation),
-    so results are bitwise identical however the grid is chunked.
+    The grid is processed in row blocks of about _BLOCK_PHASORS phasors, so
+    memory does not grow with the grid length.  Each grid point is reduced
+    independently (row-wise pairwise summation), so results are bitwise
+    identical however the grid is chunked.
     """
     m = w.indices().astype(np.longdouble)
     coeff = m / np.longdouble(spec.a_param) + m * m / np.longdouble(spec.b_param)
-    t = np.outer(np.asarray(xis, dtype=np.longdouble), coeff)
-    t -= np.floor(t)
-    return (np.exp(2j * np.pi * t.astype(float)) * w.weights()).sum(axis=1)
+    weights = w.weights()
+    xs = np.asarray(xis, dtype=np.longdouble)
+    out = np.empty(len(xs), dtype=complex)
+    rows = max(1, _BLOCK_PHASORS // len(coeff))
+    for start in range(0, len(xs), rows):
+        block = slice(start, start + rows)
+        out[block] = (_unit_phasors(np.outer(xs[block], coeff)) * weights).sum(axis=1)
+    return out
 
 
 def discrete_sum(n_target: int, l: int, w: WeightProfile) -> complex:

@@ -282,3 +282,29 @@ class TestInputContracts:
     def test_removed_flags_and_commands_rejected(self, argv, capsys):
         assert cli.main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("l_min", ["0", "-3"])
+    def test_ghost_l_min_below_one_rejected(self, l_min, capsys):
+        assert cli.main(["ghost", "--n", "15", "--m-terms", "3", "--l-min", l_min]) == 1
+        err = capsys.readouterr().err
+        assert "l_min" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("threshold", ["0", "1", "-0.5", "1.5", "nan"])
+    def test_truncated_threshold_outside_unit_interval_rejected(self, threshold, capsys):
+        argv = ["factor", "--n", "15", "--scheme", "truncated", "--m-terms", "3",
+                "--threshold", threshold]
+        assert cli.main(argv) == 1
+        assert "threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_scan_workers_below_one_rejected(self, workers, capsys):
+        argv = ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "10", "--workers", workers]
+        assert cli.main(argv) == 1
+        assert "workers" in capsys.readouterr().err
+
+    def test_short_longdouble_exits_cleanly(self, monkeypatch, capsys):
+        monkeypatch.setattr(gs, "_LONGDOUBLE_NMANT", 52)
+        assert cli.main(["scan", "--n", "33", "--xi-min", "2", "--xi-max", "3"]) == 1
+        assert "80-bit" in capsys.readouterr().err
+        assert cli.main(["factor", "--n", "15", "--scheme", "reciprocate"]) == 0
+        assert cli.main(["ghost", "--n", "15", "--m-terms", "3"]) == 0

@@ -100,6 +100,19 @@ class TestDecomposedSum:
         assert abs(direct - decomp) < 1e-6
 
 
+class TestLatticeTerms:
+    def test_bitwise_equal_to_floor_reduction(self):
+        spec = gs.ContinuousSpec(1.0, 33.0)
+        m_values = np.concatenate([np.arange(41, 121), np.arange(-120, -40)])
+        m = m_values.astype(np.longdouble)
+        for xi in (-7.25, -0.0, 0.0, 3.0, 3.01, 12345.678):
+            t = (m / np.longdouble(spec.a_param) + m * m / np.longdouble(spec.b_param)) * np.longdouble(xi)
+            t -= np.floor(t)
+            ref = (W10.raw_weight(m_values.astype(float)) * np.exp(2j * np.pi * t.astype(float))).sum()
+            got = dc._lattice_terms(m_values, xi, spec, W10)
+            assert np.array([got]).view(np.uint64).tolist() == np.array([ref]).view(np.uint64).tolist()
+
+
 class TestLocatePeaks:
     def test_n33_factors_present(self):
         peaks = dc.locate_peaks(gs.ContinuousSpec(1.0, 33.0), 11, W10)

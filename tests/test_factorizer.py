@@ -41,6 +41,28 @@ class TestScanSeries:
         assert a.values.tobytes() == b.values.tobytes()
         assert a.xis.tobytes() == b.xis.tobytes()
 
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_pool_capped_at_cpu_count(self, cpus, monkeypatch):
+        sizes = []
+
+        class RecordingPool(fz.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(fz, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(fz.os, "cpu_count", lambda: cpus)
+        spec = gs.ContinuousSpec(1.0, 33.0)
+        a = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1_000_000)
+        b = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1)
+        assert sizes == ([cpus] if cpus else [])
+        assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            fz.scan_series(gs.ContinuousSpec(1.0, 33.0), W10, 2.0, 3.0, 0.5, 33, workers=workers)
+
     @pytest.mark.parametrize(
         "xi_min, xi_max, step",
         [(0.0, 3.0, 0.0), (0.0, 3.0, -0.5), (3.0, 0.0, 0.5), (0.0, math.inf, 0.5),
@@ -217,8 +239,23 @@ class TestGhostCensus:
         with pytest.raises(ValueError):
             fz.ghost_census(100, 5, threshold=1.5)
 
+    @pytest.mark.parametrize("l_min", [0, -3])
+    def test_l_min_below_one_rejected(self, l_min):
+        with pytest.raises(ValueError, match="l_min"):
+            fz.ghost_census(15, 3, l_min=l_min)
+
+    def test_l_min_one_adds_no_ghost(self):
+        assert fz.ghost_census(15, 3, l_min=1) == fz.ghost_census(15, 3, l_min=2)
+
 
 class TestTruncatedScheme:
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_threshold_domain_matches_ghost_census(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            fz.factor_truncated(15, 3, 3, threshold=threshold)
+        with pytest.raises(ValueError, match="threshold"):
+            fz.ghost_census(15, 3, threshold=threshold)
+
     def test_flags_are_classified_honestly(self):
         rep = fz.factor_truncated(100001, 316, 10, threshold=0.7)
         assert 11 in rep.verified_factors

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,20 @@ SPEC33 = gs.ContinuousSpec(1.0, 33.0)
 
 def broad_profile(n: int, margin: float = 2.0) -> gs.WeightProfile:
     return gs.WeightProfile.for_width(recommend_weight_width(n, margin))
+
+
+def one_piece_grid(xis, spec, w):
+    """The unblocked kernel: the whole grid x terms phase matrix at once,
+    reduced with t - floor(t)."""
+    m = w.indices().astype(np.longdouble)
+    coeff = m / np.longdouble(spec.a_param) + m * m / np.longdouble(spec.b_param)
+    t = np.outer(np.asarray(xis, dtype=np.longdouble), coeff)
+    t -= np.floor(t)
+    return (np.exp(2j * np.pi * t.astype(float)) * w.weights()).sum(axis=1)
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 class TestWeightProfile:
@@ -75,6 +90,56 @@ class TestContinuousSum:
         grid = gs.continuous_sum_grid(xis, SPEC33, W10)
         for x, v in zip(xis, grid):
             assert v == gs.continuous_sum(float(x), SPEC33, W10)
+
+
+class TestBlockedKernel:
+    # signed zeros, negative and |xi| ~ 1e6 arguments, integers and halves
+    XIS = np.concatenate(
+        [[0.0, -0.0, -3.0, -2.5, -1e6 - 0.37, 1e6 + 0.123, 987654.321],
+         np.linspace(-40.0, 40.0, 1000)]
+    )
+
+    @pytest.mark.parametrize("budget", [1, 81 * 3, 1000, gs._BLOCK_PHASORS])
+    def test_bitwise_equal_to_one_piece(self, budget, monkeypatch):
+        # 1007 rows: never a whole number of blocks of 3, 12 or 404 rows
+        monkeypatch.setattr(gs, "_BLOCK_PHASORS", budget)
+        for spec in (SPEC33, gs.ContinuousSpec(33.0 / 7.0, 33.0)):
+            got = gs.continuous_sum_grid(self.XIS, spec, W10)
+            assert np.array_equal(bits(got), bits(one_piece_grid(self.XIS, spec, W10)))
+
+    def test_terms_above_budget(self):
+        w = gs.WeightProfile(5000.0, 20_000)
+        assert 2 * w.m_max + 1 > gs._BLOCK_PHASORS  # one row per block
+        xis = self.XIS[:7]
+        got = gs.continuous_sum_grid(xis, SPEC33, w)
+        assert np.array_equal(bits(got), bits(one_piece_grid(xis, SPEC33, w)))
+
+    def test_empty_grid(self):
+        assert gs.continuous_sum_grid(np.array([]), SPEC33, W10).shape == (0,)
+
+    def test_peak_memory_bounded_at_n201(self):
+        # the one-piece kernel peaks near 1 GB here (20001 x 1139 phases)
+        w = broad_profile(201)
+        xis = 1.0 + 0.01 * np.arange(20001)
+        tracemalloc.start()
+        try:
+            gs.continuous_sum_grid(xis, gs.ContinuousSpec(1.0, 201.0), w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2**20
+
+
+class TestPrecisionCheck:
+    def test_short_longdouble_refused_integer_sums_kept(self, monkeypatch):
+        monkeypatch.setattr(gs, "_LONGDOUBLE_NMANT", 52)
+        with pytest.raises(gs.PrecisionError, match="80-bit"):
+            gs.continuous_sum(1.0, SPEC33, W10)
+        with pytest.raises(gs.PrecisionError):
+            gs.continuous_sum_grid(np.array([1.0, 2.0]), SPEC33, W10)
+        assert abs(gs.reciprocate_complete(15, 5)) == pytest.approx(1.0)
+        assert gs.discrete_sum(39, 39, W10) == pytest.approx(1.0)
+        assert gs.standard_gauss(1, 4) == pytest.approx(2 + 2j)
 
 
 class TestDiscreteSum:
