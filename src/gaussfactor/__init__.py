@@ -32,6 +32,7 @@ from .gausssums import (
     reciprocate_complete,
     reciprocate_truncated,
     ring_gauss,
+    ring_gauss_sweep,
     standard_gauss,
     wtilde,
     wtilde_b_sweep,

@@ -206,11 +206,17 @@ def wtilde(a: int, b: int, c: int, r: int) -> complex:
     return complex(wtilde_b_sweep(a, c, r, np.array([b]))[0])
 
 
-def wtilde_b_sweep(a: int, c: int, r: int, b_values: np.ndarray | None = None) -> np.ndarray:
+def wtilde_b_sweep(a, c, r: int, b_values: np.ndarray | None = None) -> np.ndarray:
     """wtilde evaluated for every b in b_values (default: all b in [0, r)).
 
+    `a` and `c` may be integer arrays: they broadcast against each other and
+    give one row per (a, c) pair, so the result has shape
+    broadcast(a, c).shape + (len(b_values),); scalars give a 1-D array.
+
     The half-integer phase is reduced mod 2r exactly, so only one table of 2r
-    complex exponentials is ever built.
+    complex exponentials is ever built.  The sum over p is one matrix
+    product: phasor rows table[base_p] times the r x len(b_values) matrix
+    table[2 b p mod 2r].
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -218,12 +224,15 @@ def wtilde_b_sweep(a: int, c: int, r: int, b_values: np.ndarray | None = None) -
         b_values = np.arange(r)
     p = np.arange(r, dtype=np.int64)
     two_r = 2 * r
-    base = ((p * p) % two_r * (a % two_r) + p * (c % two_r)) % two_r
+    # reduced before the int64 cast, so Python-int coefficients of any size work
+    a_res = np.asarray(a % two_r, dtype=np.int64)[..., None]
+    c_res = np.asarray(c % two_r, dtype=np.int64)[..., None]
+    base = ((p * p) % two_r * a_res + p * c_res) % two_r
     table = np.exp(1j * np.pi * np.arange(two_r) / r)
     b_arr = np.asarray(b_values, dtype=np.int64) % r
-    # phase index (base_p + 2 b p) mod 2r for each (b, p)
-    idx = (base[None, :] + (2 * np.outer(b_arr, p)) % two_r) % two_r
-    return table[idx].sum(axis=1) / r
+    # phase index 2 b p mod 2r for each (p, b)
+    shift = table[(2 * np.outer(p, b_arr)) % two_r]
+    return table[base] @ shift / r
 
 
 def reciprocate_truncated(n_target: int, l: int, m_terms: int) -> complex:
@@ -297,6 +306,13 @@ def _char_values(chi: CharacterSpec) -> np.ndarray:
 def character_eval(chi: CharacterSpec, x: int) -> complex:
     """chi(x mod n); zero at x = 0."""
     return complex(_char_values(chi)[x % chi.modulus])
+
+
+def ring_gauss_sweep(chi: CharacterSpec) -> np.ndarray:
+    """ring_gauss(chi, beta) for every beta in [0, n): n times the inverse DFT
+    of the character table, since ifft(v)[beta] = (1/n) sum_x v[x] exp(2 pi i beta x / n).
+    """
+    return chi.modulus * np.fft.ifft(_char_values(chi))
 
 
 def ring_gauss(chi: CharacterSpec, beta: int) -> complex:

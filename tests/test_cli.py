@@ -1,9 +1,14 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from gaussfactor import cli
+from gaussfactor import cli, factorizer
 from gaussfactor import gausssums as gs
+
+SPEC33 = gs.ContinuousSpec(1.0, 33.0)
+W10 = gs.WeightProfile(10.0, 40)
 
 
 def run_to_file(tmp_path, args, name):
@@ -61,6 +66,46 @@ class TestScanCommand:
     def test_missing_range_is_config_error(self, capsys):
         assert cli.main(["scan", "--n", "33"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def joined_csv(xis, values) -> str:
+    """The CSV text built whole, as the emitter did before it streamed."""
+    lines = ["xi,re,im,abs2"]
+    for x, v in zip(xis, values):
+        lines.append(f"{x:.12g},{v.real:.12g},{v.imag:.12g},{abs(v) ** 2:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvStreaming:
+    SCAN = ["scan", "--n", "33", "--dm", "10", "--xi-min", "2", "--xi-max", "3", "--step", "0.01"]
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 101, 4096])
+    def test_blocks_give_the_joined_bytes(self, tmp_path, capsys, monkeypatch, block_rows):
+        series = factorizer.scan_series(SPEC33, W10, 2.0, 3.0, 0.01, n_label=33)
+        expect = joined_csv(series.xis, series.values).encode()
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        rc, data = run_to_file(tmp_path, self.SCAN, "s.csv")
+        assert rc == 0 and data == expect
+        assert cli.main(self.SCAN) == 0
+        assert capsys.readouterr().out.encode() == expect
+
+    def test_empty_series_is_header_only(self):
+        assert "".join(cli._csv_series([], [])) == joined_csv([], [])
+
+    def test_memory_does_not_hold_the_text(self, tmp_path):
+        xis = np.linspace(2.0, 1000.0, 40_000)
+        values = np.exp(1j * xis) * 0.3
+        cfg = cli.RunConfig(command="scan", output_path=str(tmp_path / "big.csv"))
+        tracemalloc.start()
+        try:
+            cli._emit(cfg, cli._csv_series(xis, values))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").read_bytes() == joined_csv(xis, values).encode()
+        # the whole text is about 1.9 MB, and building it whole held it
+        # about three times over (line list, joined text, encoded bytes)
+        assert peak < 2 * 2**20
 
 
 class TestFactorCommand:

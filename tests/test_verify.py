@@ -1,0 +1,201 @@
+"""The verify suites: each batched oracle still fails, at the exact point,
+when one identity is broken; the batched evaluators agree with the scalar
+ones; the suites keep bounded memory; and `run` runs each named suite once."""
+
+import cmath
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gaussfactor import cli, closedform, verify
+from gaussfactor import gausssums as gs
+
+HEADROOM = re.compile(r"ok, worst (\S+) of tolerance")
+
+
+def old_gab_brute(a, b):
+    """The per-a brute force G(a, b) the closedform suite used before batching."""
+    m2 = np.arange(b, dtype=np.int64)
+    m2 = (m2 * m2) % b
+    return np.exp(2j * np.pi * ((a * m2) % b) / b).sum()
+
+
+class TestBrokenIdentityFails:
+    def test_closedform_names_the_point(self, monkeypatch):
+        real = closedform.gab_closed
+
+        def off(a, b):
+            return real(a, b) + (1e-7 if (a, b) == (3, 7) else 0.0)
+
+        monkeypatch.setattr(closedform, "gab_closed", off)
+        r = verify.check_closedform()
+        assert not r.passed
+        assert r.detail == "gab mismatch at (a=3, b=7)"
+
+    def test_closedform_brute_force_bitwise_unchanged(self, monkeypatch):
+        # closed forms replaced by the exact values the brute force is
+        # compared with: every deviation of the suite must be exactly zero
+        monkeypatch.setattr(closedform, "gab_closed", old_gab_brute)
+        monkeypatch.setattr(closedform, "g1b_closed", lambda b: gs.standard_gauss(1, b))
+        monkeypatch.setattr(closedform, "factor_out", lambda a, b: (1, a, b))
+        r = verify.check_closedform()
+        assert r.passed
+        assert r.detail == "ok, worst 0 of tolerance"
+
+    def test_wtilde_names_the_points(self, monkeypatch):
+        real = gs.wtilde_b_sweep
+
+        def scaled(a, c, r, b_values=None):
+            out = real(a, c, r, b_values)
+            return out * 1.001 if r == 5 else out
+
+        monkeypatch.setattr(gs, "wtilde_b_sweep", scaled)
+        r = verify.check_wtilde()
+        assert not r.passed
+        assert r.detail == "; ".join(
+            f"wtilde theorem fails at (a=1, c={c}, r=5)" for c in (1, 3, 5, 7, 9)
+        )
+
+    def test_ring_names_the_character(self, monkeypatch):
+        real = gs._char_values
+        broken = gs.CharacterSpec(13, 4)
+
+        def negated(chi):
+            vals = real(chi)
+            if chi == broken:
+                vals = vals.copy()
+                vals[2] = -vals[2]
+            return vals
+
+        monkeypatch.setattr(gs, "_char_values", negated)
+        r = verify.check_ring()
+        assert not r.passed
+        messages = r.detail.split("; ")
+        assert len(messages) == 5
+        assert all("(n=13, k=4" in m for m in messages)
+
+    def test_ring_names_the_beta(self, monkeypatch):
+        real = gs.ring_gauss_sweep
+
+        def bumped(chi):
+            out = real(chi)
+            if chi == gs.CharacterSpec(13, 4):
+                out = out.copy()
+                out[5] *= 1.001
+            return out
+
+        monkeypatch.setattr(gs, "ring_gauss_sweep", bumped)
+        r = verify.check_ring()
+        assert not r.passed
+        assert r.detail == (
+            "|G| != sqrt(n) at (n=13, k=4, beta=5); "
+            "reduction identity fails at (n=13, k=4, beta=5)"
+        )
+
+
+class TestRingGaussSweep:
+    @pytest.mark.parametrize("n, ks", [(3, range(2)), (13, range(12)), (199, (0, 1, 2, 99, 197))])
+    def test_matches_scalar_ring_gauss(self, n, ks):
+        for k in ks:
+            chi = gs.CharacterSpec(n, k)
+            sweep = gs.ring_gauss_sweep(chi)
+            assert sweep.shape == (n,)
+            for beta in range(n):
+                assert abs(sweep[beta] - gs.ring_gauss(chi, beta)) < 1e-12, (n, k, beta)
+
+
+def wtilde_reference(a, b, c, r):
+    """cmath sum with the phase numerator reduced mod 2r as a Python int."""
+    return sum(
+        cmath.exp(1j * cmath.pi * ((p * p * a + 2 * b * p + p * c) % (2 * r)) / r)
+        for p in range(r)
+    ) / r
+
+
+class TestWtildeArrays:
+    def test_rows_match_scalar_and_reference(self):
+        r = 7
+        a = np.array([1, 3, 13])[:, None]
+        c = np.array([0, 5, 12, 20])[None, :]
+        b_values = np.array([0, 2, 6, 9])
+        out = gs.wtilde_b_sweep(a, c, r, b_values)
+        assert out.shape == (3, 4, 4)
+        for i, ai in enumerate(a[:, 0]):
+            for j, cj in enumerate(c[0]):
+                row = gs.wtilde_b_sweep(int(ai), int(cj), r, b_values)
+                assert np.max(np.abs(out[i, j] - row)) < 1e-14
+                for k, b in enumerate(b_values):
+                    ref = wtilde_reference(int(ai), int(b), int(cj), r)
+                    assert abs(out[i, j, k] - ref) < 1e-14
+
+    def test_scalars_give_one_dimension(self):
+        assert gs.wtilde_b_sweep(3, 1, 7).shape == (7,)
+        assert gs.wtilde_b_sweep(3, 1, 7, np.array([0, 4])).shape == (2,)
+        assert gs.wtilde_b_sweep(3, np.array([1, 3]), 7).shape == (2, 7)
+        assert isinstance(gs.wtilde(3, 2, 1, 7), complex)
+
+    def test_python_int_coefficients_reduced_exactly(self):
+        a, c = 10**20 + 1, 2**70 + 3
+        assert np.array_equal(gs.wtilde_b_sweep(a, c, 7), gs.wtilde_b_sweep(a % 14, c % 14, 7))
+
+
+@pytest.mark.parametrize("name", ["closedform", "wtilde", "ring"])
+def test_suite_memory_bounded(name):
+    tracemalloc.start()
+    try:
+        r = verify.SUITES[name]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.passed, r.detail
+    assert peak < 4 * 2**20
+
+
+def test_passing_detail_reports_headroom():
+    r = verify.check_decomposition()
+    assert r.passed
+    match = HEADROOM.fullmatch(r.detail)
+    assert match and 0 < float(match.group(1)) < 1
+
+
+class TestRunContract:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in verify.SUITES:
+            def fake(name=name):
+                calls.append(name)
+                return verify.SuiteResult(name, True, "ok", 0.0)
+
+            monkeypatch.setitem(verify.SUITES, name, fake)
+        return calls
+
+    def test_all_anywhere_runs_every_suite_once(self, calls):
+        verify.run(["decomposition", "all", "ring"])
+        assert calls == list(verify.SUITES)
+
+    def test_default_runs_every_suite(self, calls):
+        assert [r.name for r in verify.run()] == list(verify.SUITES)
+        assert calls == list(verify.SUITES)
+
+    def test_duplicates_run_once_in_first_order(self, calls):
+        verify.run(["ring", "decomposition", "ring"])
+        assert calls == ["ring", "decomposition"]
+
+    def test_unknown_suite_message(self, calls):
+        with pytest.raises(ValueError) as exc:
+            verify.run(["ring", "bogus", "all"])
+        assert str(exc.value) == "unknown suite(s): bogus"
+        assert calls == []
+
+    def test_cli_all_with_other_names(self, calls, capsys):
+        assert cli.main(["verify", "--suite", "all", "decomposition"]) == 0
+        assert calls == list(verify.SUITES)
+        assert cli.main(["verify", "--suite", "nslit", "nslit"]) == 0
+        assert calls[len(verify.SUITES):] == ["nslit"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            [name, "PASS"] for name in list(verify.SUITES) + ["nslit"]
+        ]
