@@ -14,7 +14,6 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +63,7 @@ class RunConfig:
     spread_threshold: float = nslit.DEFAULT_SPREAD_THRESHOLD
     seed: int = 0
     samples: int | None = None
-    workers: int = 1
+    workers: int | None = None
     suites: list[str] = field(default_factory=lambda: ["all"])
     output_path: str | None = None
     format: str = "csv"
@@ -105,13 +104,31 @@ def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
 
 def _csv_series(xis, values) -> Iterator[str]:
     """The CSV header, then the rows in blocks of _CSV_BLOCK_ROWS, so the
-    whole text is never held in memory."""
+    whole text is never held in memory.
+
+    Each block goes to Python floats and complexes in one tolist() call and
+    each row is one %-format.  abs(v) ** 2 stays per element: a vectorized
+    np.abs(values) ** 2 does not give the same bits.  Where |v|^2 leaves the
+    float range, Python's abs and ** raise OverflowError while NumPy's
+    scalars give inf, so such a block is formatted from NumPy scalars.
+    """
     yield "xi,re,im,abs2\n"
-    rows = zip(xis, values)
-    while block := list(islice(rows, _CSV_BLOCK_ROWS)):
-        yield "".join(
-            f"{x:.12g},{v.real:.12g},{v.imag:.12g},{abs(v) ** 2:.12g}\n" for x, v in block
-        )
+    xis = np.asarray(xis, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    for start in range(0, len(xis), _CSV_BLOCK_ROWS):
+        block = slice(start, start + _CSV_BLOCK_ROWS)
+        try:
+            text = "".join([
+                "%.12g,%.12g,%.12g,%.12g\n" % (x, v.real, v.imag, abs(v) ** 2)
+                for x, v in zip(xis[block].tolist(), values[block].tolist())
+            ])
+        except OverflowError:
+            with np.errstate(over="ignore"):
+                text = "".join([
+                    f"{x:.12g},{v.real:.12g},{v.imag:.12g},{abs(v) ** 2:.12g}\n"
+                    for x, v in zip(xis[block], values[block])
+                ])
+        yield text
 
 
 def _json_series(series: factorizer.ScanSeries) -> str:
@@ -279,7 +296,8 @@ def build_parser() -> _Parser:
         "--xi-min": dict(type=float, default=0.0),
         "--xi-max": dict(type=float, default=0.0),
         "--step": dict(type=float, default=0.01),
-        "--workers": dict(type=int, default=1),
+        "--workers": dict(type=int, default=None,
+                          help="worker threads, at most one per CPU (default: one per CPU)"),
         "--l-min": dict(type=int, default=2),
         "--l-max": dict(type=int, default=None),
         "--output": dict(dest="output_path", default=None),

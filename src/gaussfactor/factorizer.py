@@ -136,19 +136,22 @@ def scan_series(
     step: float,
     n_label: int,
     unit_c: float = 1.0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> ScanSeries:
     """Evaluate the continuous sum on a uniform grid.
 
     Chunks are evaluated by a worker pool and assembled in order, so the
     output is identical regardless of worker count.  The pool has at most
-    one thread per CPU.
+    one thread per CPU; workers=None asks for one per CPU.
     """
+    cpus = os.cpu_count() or 1
+    if workers is None:
+        workers = cpus
     if workers < 1:
         raise ValueError("workers must be >= 1")
     xis = uniform_grid(xi_min, xi_max, step)
     count = len(xis)
-    pool_size = min(workers, os.cpu_count() or 1)
+    pool_size = min(workers, cpus)
     if pool_size == 1 or count < 256:
         values = continuous_sum_grid(xis, spec, w)
     else:

@@ -141,7 +141,17 @@ def _unit_phasors(t: np.ndarray) -> np.ndarray:
             f"this platform's has {_LONGDOUBLE_NMANT}"
         )
     np.mod(t, 1, out=t)
-    return np.exp(2j * np.pi * t.astype(float))
+    # cos(y) + i sin(y) written into the two halves of one complex array.
+    # The argument of np.exp(2j * np.pi * t) has real part +0 and imaginary
+    # part exactly TWO_PI * t, so this gives the same bits without the
+    # complex exponential and its temporaries, as long as NumPy's sin/cos
+    # loops agree with its complex exp; TestUnitPhasorsBitwise checks that.
+    y = t.astype(float)
+    y *= TWO_PI
+    out = np.empty(y.shape, dtype=complex)
+    np.cos(y, out=out.real)
+    np.sin(y, out=out.imag)
+    return out
 
 
 def continuous_sum(xi: float, spec: ContinuousSpec, w: WeightProfile) -> complex:
@@ -220,19 +230,38 @@ def wtilde_b_sweep(a, c, r: int, b_values: np.ndarray | None = None) -> np.ndarr
     """
     if r < 1:
         raise ValueError("r must be positive")
-    if b_values is None:
-        b_values = np.arange(r)
     p = np.arange(r, dtype=np.int64)
     two_r = 2 * r
     # reduced before the int64 cast, so Python-int coefficients of any size work
     a_res = np.asarray(a % two_r, dtype=np.int64)[..., None]
     c_res = np.asarray(c % two_r, dtype=np.int64)[..., None]
     base = ((p * p) % two_r * a_res + p * c_res) % two_r
-    table = np.exp(1j * np.pi * np.arange(two_r) / r)
-    b_arr = np.asarray(b_values, dtype=np.int64) % r
-    # phase index 2 b p mod 2r for each (p, b)
-    shift = table[(2 * np.outer(p, b_arr)) % two_r]
+    table = _half_turn_table(r)
+    if b_values is None:
+        shift = _all_b_shift(r)
+    else:
+        b_arr = np.asarray(b_values, dtype=np.int64) % r
+        # phase index 2 b p mod 2r for each (p, b)
+        shift = table[(2 * np.outer(p, b_arr)) % two_r]
     return table[base] @ shift / r
+
+
+@lru_cache(maxsize=256)
+def _half_turn_table(r: int) -> np.ndarray:
+    """Read-only table exp(i pi k / r) for k in [0, 2r)."""
+    table = np.exp(1j * np.pi * np.arange(2 * r) / r)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=64)
+def _all_b_shift(r: int) -> np.ndarray:
+    """Read-only r x r shift matrix of wtilde_b_sweep for every b in [0, r):
+    the table at 2 b p mod 2r, with p and b both running over [0, r)."""
+    p = np.arange(r, dtype=np.int64)
+    shift = _half_turn_table(r)[(2 * np.outer(p, p)) % (2 * r)]
+    shift.flags.writeable = False
+    return shift
 
 
 def reciprocate_truncated(n_target: int, l: int, m_terms: int) -> complex:
@@ -315,9 +344,22 @@ def ring_gauss_sweep(chi: CharacterSpec) -> np.ndarray:
     return chi.modulus * np.fft.ifft(_char_values(chi))
 
 
+@lru_cache(maxsize=256)
+def _root_table(n: int) -> np.ndarray:
+    """Read-only table of the n-th roots of unity exp(2 pi i k / n), k in [0, n)."""
+    table = np.exp(2j * np.pi * np.arange(n) / n)
+    table.flags.writeable = False
+    return table
+
+
 def ring_gauss(chi: CharacterSpec, beta: int) -> complex:
-    """Gauss sum over Z/nZ: sum_x chi(x) exp(2 pi i beta x / n), n prime."""
+    """Gauss sum over Z/nZ: sum_x chi(x) exp(2 pi i beta x / n), n prime.
+
+    The phasors are gathered from the root table at the exact residues
+    beta x mod n (the same bits as exponentiating each residue), not from
+    ring_gauss_sweep, which this direct sum is checked against.
+    """
     n = chi.modulus
     x = np.arange(n, dtype=np.int64)
-    phases = np.exp(2j * np.pi * ((x * (beta % n)) % n) / n)
+    phases = _root_table(n)[(x * (beta % n)) % n]
     return complex((_char_values(chi) * phases).sum())

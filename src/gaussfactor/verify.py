@@ -34,10 +34,12 @@ class _Worst:
         self.ratio = 0.0
 
     def over(self, dev, tol: float):
-        """Record deviations (a number or an array) against tol; True where dev >= tol."""
+        """Record deviations (a number or an array) against tol; True where
+        dev is not below tol, so a NaN deviation fails too.  np.maximum keeps
+        a NaN in the ratio, where max() would drop it and report 0."""
         peak = dev.max(initial=0.0) if isinstance(dev, np.ndarray) else dev
-        self.ratio = max(self.ratio, peak / tol)
-        return dev >= tol
+        self.ratio = float(np.maximum(self.ratio, peak / tol))
+        return np.logical_not(dev < tol)
 
 
 def _result(name: str, failures: list[str], t0: float, worst: _Worst) -> SuiteResult:

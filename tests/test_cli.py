@@ -1,10 +1,11 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gaussfactor import cli, factorizer
+from gaussfactor import cli, factorizer, nslit
 from gaussfactor import gausssums as gs
 
 SPEC33 = gs.ContinuousSpec(1.0, 33.0)
@@ -91,6 +92,42 @@ class TestCsvStreaming:
 
     def test_empty_series_is_header_only(self):
         assert "".join(cli._csv_series([], [])) == joined_csv([], [])
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    def test_edge_values_give_the_f_string_bytes(self, monkeypatch, block_rows):
+        # signed zeros, negative and ~1e6 xi, tiny, huge and non-finite parts
+        xis = np.array([0.0, -0.0, -2.5, -1e6 - 0.37, 1e6 + 0.123, 987654.321, 5e-324,
+                        1e300, 0.1, 1.0 / 3.0, -7.0])
+        values = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+                           complex(math.inf, 1.0),
+                           -1.5e-300 + 2e-310j, 1e154 - 1e154j, 1e308 + 1e308j,
+                           complex(math.nan, 0.25), 0.3 - 0.7j, 1.0 / 3.0 + 0j,
+                           -0.123456789012345 + 9.87654321098765e-13j])
+        with np.errstate(over="ignore"):  # |v|^2 overflows to inf in two rows
+            expect = joined_csv(xis, values)
+        assert expect.splitlines()[2] == "-0,-0,0,0"
+        # a block that overflows must not change how the other blocks print
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        assert "".join(cli._csv_series(xis, values)) == expect
+
+    def test_reciprocate_csv_bytes(self, tmp_path):
+        args = ["reciprocate", "--n", "1911", "--l-max", "60"]
+        ls = np.arange(1, 61)
+        values = np.array([gs.reciprocate_complete(1911, int(l)) for l in ls])
+        rc, data = run_to_file(tmp_path, args, "r.csv")
+        assert rc == 0 and data == joined_csv(ls.astype(float), values).encode()
+        picks = np.array([gs.monte_carlo_sum(1911, int(l), min(10, int(l)), 3) for l in ls])
+        rc, data = run_to_file(tmp_path, args + ["--samples", "10", "--seed", "3"], "m.csv")
+        assert rc == 0 and data == joined_csv(ls.astype(float), picks).encode()
+
+    def test_nslit_pattern_csv_bytes(self, tmp_path):
+        xis = factorizer.uniform_grid(-2.0, 9.0, 0.01)
+        c = nslit.NSlitConfig(15, 3)
+        values = np.array([nslit.green_sum(float(x), c) for x in xis])
+        argv = ["nslit", "--n", "15", "--l", "3", "--xi-min", "-2", "--xi-max", "9",
+                "--step", "0.01"]
+        rc, data = run_to_file(tmp_path, argv, "n.csv")
+        assert rc == 0 and data == joined_csv(xis, values).encode()
 
     def test_memory_does_not_hold_the_text(self, tmp_path):
         xis = np.linspace(2.0, 1000.0, 40_000)

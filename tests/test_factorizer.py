@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from gaussfactor import cli
 from gaussfactor import factorizer as fz
 from gaussfactor import gausssums as gs
 from gaussfactor.decomposition import recommend_weight_width
@@ -58,6 +60,12 @@ class TestScanSeries:
         assert sizes == ([cpus] if cpus else [])
         assert a.values.tobytes() == b.values.tobytes()
 
+    def test_default_workers_match_one_worker(self):
+        spec = gs.ContinuousSpec(1.0, 33.0)
+        a = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33)
+        b = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1)
+        assert a.values.tobytes() == b.values.tobytes()
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -71,6 +79,33 @@ class TestScanSeries:
     def test_uniform_grid_rejects_bad_input(self, xi_min, xi_max, step):
         with pytest.raises(ValueError):
             fz.uniform_grid(xi_min, xi_max, step)
+
+
+class TestFactorSchemesUseEveryCpu:
+    """The continuous and even schemes scan on one thread per CPU, and the
+    report bytes do not depend on how many CPUs there are."""
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--scheme", "continuous", "--n", "33", "--dm", "10"],
+        ["factor", "--scheme", "even", "--n", "30", "--dm", "8"],
+    ])
+    def test_json_bytes_independent_of_cpu_count(self, argv, monkeypatch, capsys):
+        sizes = []
+
+        class RecordingPool(fz.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(fz, "ThreadPoolExecutor", RecordingPool)
+        out = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(fz.os, "cpu_count", lambda: cpus)
+            assert cli.main(argv + ["--format", "json"]) == 0
+            out[cpus] = capsys.readouterr().out.encode()
+        assert sizes == [4]
+        assert out[1] == out[4]
+        assert json.loads(out[1])["factors"]
 
 
 class TestContinuousScan:

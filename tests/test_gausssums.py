@@ -130,6 +130,50 @@ class TestBlockedKernel:
         assert peak < 25 * 2**20
 
 
+def kernel_phases(xis, spec, w):
+    """Row blocks of the kernel's unreduced longdouble phase matrix."""
+    m = w.indices().astype(np.longdouble)
+    coeff = m / np.longdouble(spec.a_param) + m * m / np.longdouble(spec.b_param)
+    xs = np.asarray(xis, dtype=np.longdouble)
+    rows = max(1, gs._BLOCK_PHASORS // len(coeff))
+    for start in range(0, len(xs), rows):
+        yield np.outer(xs[start:start + rows], coeff)
+
+
+class TestUnitPhasorsBitwise:
+    """cos/sin phasors must carry the same bits as np.exp(2j * pi * t).
+
+    NumPy picks its SIMD sin, cos and exp loops per build and CPU, so this
+    is checked on the kernel's real grids, not assumed: a build whose
+    sin/cos differ from its complex exp fails here, and the continuous
+    outputs would then move.
+    """
+
+    @staticmethod
+    def differing_words(xis, spec, w) -> int:
+        count = 0
+        for t in kernel_phases(xis, spec, w):
+            ref = np.mod(t, 1)
+            ref = np.exp(2j * np.pi * ref.astype(float))
+            got = gs._unit_phasors(t)
+            count += int(np.count_nonzero(bits(got) != bits(ref)))
+        return count
+
+    def test_n201_margin2_factor_grid(self):
+        # the grid of `factor --scheme continuous --n 201` with margin-2
+        # weights: 20001 x 1139 phasors
+        w = broad_profile(201)
+        xis = 1.0 + 0.01 * np.arange(20001)
+        assert self.differing_words(xis, gs.ContinuousSpec(1.0, 201.0), w) == 0
+
+    def test_33_term_scan_grid(self):
+        # the shape of `scan --n 1001 --dm 4`: 33 terms on a long fine grid
+        w = gs.WeightProfile.for_width(4.0)
+        assert 2 * w.m_max + 1 == 33
+        xis = 2.0 + 0.004 * np.arange(60_000)
+        assert self.differing_words(xis, gs.ContinuousSpec(1.0, 1001.0), w) == 0
+
+
 class TestPrecisionCheck:
     def test_short_longdouble_refused_integer_sums_kept(self, monkeypatch):
         monkeypatch.setattr(gs, "_LONGDOUBLE_NMANT", 52)
@@ -238,6 +282,29 @@ class TestWtilde:
             assert abs(sweep[b] - gs.wtilde(3, b, 1, 7)) < 1e-14
 
 
+class TestWtildeTables:
+    @pytest.mark.parametrize("r", [1, 2, 7, 64])
+    def test_cached_tables_give_the_exponentiated_bits(self, r):
+        # the cached phasor table and all-b shift matrix against building
+        # both afresh from exp, for the default and for explicit b values
+        table = np.exp(1j * np.pi * np.arange(2 * r) / r)
+        p = np.arange(r, dtype=np.int64)
+        for b_values in (None, np.array([0, 2 % r, r - 1, 5 * r + 3, -1])):
+            b_arr = np.arange(r) if b_values is None else b_values % r
+            shift = table[(2 * np.outer(p, b_arr)) % (2 * r)]
+            for a, c in ((1, 0), (3, 5), (2 * r - 1, 2 * r - 1)):
+                base = ((p * p) % (2 * r) * a + p * c) % (2 * r)
+                expect = table[base] @ shift / r
+                got = gs.wtilde_b_sweep(a, c, r, b_values)
+                assert bits(got).tolist() == bits(expect).tolist()
+
+    def test_cached_tables_are_read_only(self):
+        with pytest.raises(ValueError):
+            gs._half_turn_table(7)[0] = 0.0
+        with pytest.raises(ValueError):
+            gs._all_b_shift(7)[0, 0] = 0.0
+
+
 class TestReciprocate:
     def test_divisor_gives_unity(self):
         for n, l in ((15, 3), (1911, 21), (100, 10)):
@@ -339,6 +406,19 @@ class TestRingGauss:
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
             gs.CharacterSpec(15, 1)
+
+    def test_cached_roots_give_the_exponentiated_bits(self):
+        # the root-table gather against exponentiating each residue
+        for n in (3, 13, 199):
+            x = np.arange(n, dtype=np.int64)
+            for k in (1, n - 2):
+                chi = gs.CharacterSpec(n, k)
+                for beta in (-1, 0, 1, 2, n // 2, n + 3, 10**12 + 7):
+                    phases = np.exp(2j * np.pi * ((x * (beta % n)) % n) / n)
+                    expect = complex((gs._char_values(chi) * phases).sum())
+                    assert gs.ring_gauss(chi, beta) == expect
+        with pytest.raises(ValueError):
+            gs._root_table(13)[1] = 0.0
 
 
 class TestCharacterEval:

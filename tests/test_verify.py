@@ -3,13 +3,14 @@ when one identity is broken; the batched evaluators agree with the scalar
 ones; the suites keep bounded memory; and `run` runs each named suite once."""
 
 import cmath
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gaussfactor import cli, closedform, verify
+from gaussfactor import cli, closedform, decomposition, nslit, verify
 from gaussfactor import gausssums as gs
 
 HEADROOM = re.compile(r"ok, worst (\S+) of tolerance")
@@ -93,6 +94,50 @@ class TestBrokenIdentityFails:
             "|G| != sqrt(n) at (n=13, k=4, beta=5); "
             "reduction identity fails at (n=13, k=4, beta=5)"
         )
+
+
+def nan_at(real, hit):
+    """`real`, but NaN wherever hit(*args) holds."""
+    def patched(*args):
+        return complex(math.nan, 0.0) if hit(*args) else real(*args)
+    return patched
+
+
+class TestNonFiniteFails:
+    """A NaN from any evaluator fails its suite: `dev >= tol` is False for
+    NaN, so each check asks `not dev < tol` instead."""
+
+    CASES = {
+        "closedform": (closedform, "g1b_closed", lambda b: b == 5, "g1b mismatch at b=5"),
+        "reciprocity": (gs, "reciprocate_complete", lambda n, l: (n, l) == (9, 3),
+                        "reciprocate modulus mismatch at (N=9, l=3)"),
+        "wtilde": (gs, "finite_w", lambda q, r, m: (q, r, m) == (1, 4, 1),
+                   "parity table fails at (q=1, r=4, m=1)"),
+        "decomposition": (decomposition, "decomposed_sum",
+                          lambda xi, q, r, spec, w: (q, r) == (7, 35),
+                          "decomposition mismatch at (B=51, q=7, r=35, xi=9.700)"),
+        "nslit": (nslit, "relating_phase", lambda xi, cfg: (cfg.n_slits, cfg.l_talbot) == (46, 3),
+                  "green decomposition mismatch at (N=46, l=3, xi=2.613)"),
+        "ring": (gs, "ring_gauss", lambda chi, beta: chi == gs.CharacterSpec(13, 4),
+                 "|G| != sqrt(n) at (n=13, k=4)"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_nan_evaluator_fails_the_suite(self, name, monkeypatch):
+        module, attr, hit, first = self.CASES[name]
+        monkeypatch.setattr(module, attr, nan_at(getattr(module, attr), hit))
+        r = verify.SUITES[name]()
+        assert not r.passed
+        assert "worst" not in r.detail
+        assert r.detail.startswith(first)
+
+    def test_worst_keeps_nan_and_fails_inf(self):
+        worst = verify._Worst()
+        assert list(worst.over(np.array([0.5, math.nan, 2.0]), 1.0)) == [False, True, True]
+        assert math.isnan(worst.ratio)
+        assert not worst.over(0.5, 1.0) and math.isnan(worst.ratio)
+        assert verify._Worst().over(math.inf, 1.0)
+        assert verify._Worst().over(math.nan, 1.0)
 
 
 class TestRingGaussSweep:
