@@ -246,7 +246,14 @@ def wtilde_b_sweep(a, c, r: int, b_values: np.ndarray | None = None) -> np.ndarr
     return table[base] @ shift / r
 
 
-@lru_cache(maxsize=256)
+# The phasor tables below are cached for callers that sweep one modulus at a
+# time (the verify suites, the acceptance criteria), so a few entries give
+# every hit.  Keeping every modulus instead costs peak memory: all 64 shift
+# matrices of the window-sum suite alone hold 1.4 MB.
+_TABLE_CACHE = 4
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
 def _half_turn_table(r: int) -> np.ndarray:
     """Read-only table exp(i pi k / r) for k in [0, 2r)."""
     table = np.exp(1j * np.pi * np.arange(2 * r) / r)
@@ -254,7 +261,7 @@ def _half_turn_table(r: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_TABLE_CACHE)
 def _all_b_shift(r: int) -> np.ndarray:
     """Read-only r x r shift matrix of wtilde_b_sweep for every b in [0, r):
     the table at 2 b p mod 2r, with p and b both running over [0, r)."""
@@ -344,7 +351,7 @@ def ring_gauss_sweep(chi: CharacterSpec) -> np.ndarray:
     return chi.modulus * np.fft.ifft(_char_values(chi))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_TABLE_CACHE)
 def _root_table(n: int) -> np.ndarray:
     """Read-only table of the n-th roots of unity exp(2 pi i k / n), k in [0, n)."""
     table = np.exp(2j * np.pi * np.arange(n) / n)

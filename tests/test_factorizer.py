@@ -26,6 +26,20 @@ def proper_divisors(n: int) -> list[int]:
     return [d for d in range(2, n) if n % d == 0]
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every thread pool the factorizer opens."""
+    sizes = []
+
+    class RecordingPool(fz.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(fz, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestScanSeries:
     def test_grid_and_validation(self):
         spec = gs.ContinuousSpec(1.0, 33.0)
@@ -44,26 +58,20 @@ class TestScanSeries:
         assert a.xis.tobytes() == b.xis.tobytes()
 
     @pytest.mark.parametrize("cpus", [3, None])
-    def test_pool_capped_at_cpu_count(self, cpus, monkeypatch):
-        sizes = []
-
-        class RecordingPool(fz.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(fz, "ThreadPoolExecutor", RecordingPool)
+    def test_pool_capped_at_cpu_count(self, cpus, monkeypatch, pool_sizes):
         monkeypatch.setattr(fz.os, "cpu_count", lambda: cpus)
         spec = gs.ContinuousSpec(1.0, 33.0)
         a = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1_000_000)
         b = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1)
-        assert sizes == ([cpus] if cpus else [])
+        assert pool_sizes == ([cpus] if cpus else [])
         assert a.values.tobytes() == b.values.tobytes()
 
-    def test_default_workers_match_one_worker(self):
+    def test_default_workers_one_per_cpu(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(fz.os, "cpu_count", lambda: 4)
         spec = gs.ContinuousSpec(1.0, 33.0)
         a = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33)
         b = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1)
+        assert pool_sizes == [4]
         assert a.values.tobytes() == b.values.tobytes()
 
     @pytest.mark.parametrize("workers", [0, -1])
@@ -89,21 +97,13 @@ class TestFactorSchemesUseEveryCpu:
         ["factor", "--scheme", "continuous", "--n", "33", "--dm", "10"],
         ["factor", "--scheme", "even", "--n", "30", "--dm", "8"],
     ])
-    def test_json_bytes_independent_of_cpu_count(self, argv, monkeypatch, capsys):
-        sizes = []
-
-        class RecordingPool(fz.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(fz, "ThreadPoolExecutor", RecordingPool)
+    def test_json_bytes_independent_of_cpu_count(self, argv, monkeypatch, capsys, pool_sizes):
         out = {}
         for cpus in (1, 4):
             monkeypatch.setattr(fz.os, "cpu_count", lambda: cpus)
             assert cli.main(argv + ["--format", "json"]) == 0
             out[cpus] = capsys.readouterr().out.encode()
-        assert sizes == [4]
+        assert pool_sizes == [4]
         assert out[1] == out[4]
         assert json.loads(out[1])["factors"]
 
