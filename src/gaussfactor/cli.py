@@ -108,27 +108,17 @@ def _csv_series(xis, values) -> Iterator[str]:
 
     Each block goes to Python floats and complexes in one tolist() call and
     each row is one %-format.  abs(v) ** 2 stays per element: a vectorized
-    np.abs(values) ** 2 does not give the same bits.  Where |v|^2 leaves the
-    float range, Python's abs and ** raise OverflowError while NumPy's
-    scalars give inf, so such a block is formatted from NumPy scalars.
+    np.abs(values) ** 2 does not give the same bits.
     """
     yield "xi,re,im,abs2\n"
     xis = np.asarray(xis, dtype=float)
     values = np.asarray(values, dtype=complex)
     for start in range(0, len(xis), _CSV_BLOCK_ROWS):
         block = slice(start, start + _CSV_BLOCK_ROWS)
-        try:
-            text = "".join([
-                "%.12g,%.12g,%.12g,%.12g\n" % (x, v.real, v.imag, abs(v) ** 2)
-                for x, v in zip(xis[block].tolist(), values[block].tolist())
-            ])
-        except OverflowError:
-            with np.errstate(over="ignore"):
-                text = "".join([
-                    f"{x:.12g},{v.real:.12g},{v.imag:.12g},{abs(v) ** 2:.12g}\n"
-                    for x, v in zip(xis[block], values[block])
-                ])
-        yield text
+        yield "".join([
+            "%.12g,%.12g,%.12g,%.12g\n" % (x, v.real, v.imag, abs(v) ** 2)
+            for x, v in zip(xis[block].tolist(), values[block].tolist())
+        ])
 
 
 def _json_series(series: factorizer.ScanSeries) -> str:
@@ -297,7 +287,8 @@ def build_parser() -> _Parser:
         "--xi-max": dict(type=float, default=0.0),
         "--step": dict(type=float, default=0.01),
         "--workers": dict(type=int, default=None,
-                          help="worker threads, at most one per CPU (default: one per CPU)"),
+                          help="worker threads, at most one per usable CPU "
+                               "(default: one per usable CPU)"),
         "--l-min": dict(type=int, default=2),
         "--l-max": dict(type=int, default=None),
         "--output": dict(dest="output_path", default=None),

@@ -128,6 +128,14 @@ def uniform_grid(xi_min: float, xi_max: float, step: float) -> np.ndarray:
     return xi_min + step * np.arange(count)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, otherwise every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scan_series(
     spec: ContinuousSpec,
     w: WeightProfile,
@@ -142,9 +150,10 @@ def scan_series(
 
     Chunks are evaluated by a worker pool and assembled in order, so the
     output is identical regardless of worker count.  The pool has at most
-    one thread per CPU; workers=None asks for one per CPU.
+    one thread per usable CPU (_usable_cpus); workers=None asks for one per
+    usable CPU.
     """
-    cpus = os.cpu_count() or 1
+    cpus = _usable_cpus()
     if workers is None:
         workers = cpus
     if workers < 1:

@@ -238,18 +238,16 @@ def wtilde_b_sweep(a, c, r: int, b_values: np.ndarray | None = None) -> np.ndarr
     base = ((p * p) % two_r * a_res + p * c_res) % two_r
     table = _half_turn_table(r)
     if b_values is None:
-        shift = _all_b_shift(r)
-    else:
-        b_arr = np.asarray(b_values, dtype=np.int64) % r
-        # phase index 2 b p mod 2r for each (p, b)
-        shift = table[(2 * np.outer(p, b_arr)) % two_r]
+        b_values = np.arange(r)
+    b_arr = np.asarray(b_values, dtype=np.int64) % r
+    # phase index 2 b p mod 2r for each (p, b)
+    shift = table[(2 * np.outer(p, b_arr)) % two_r]
     return table[base] @ shift / r
 
 
 # The phasor tables below are cached for callers that sweep one modulus at a
 # time (the verify suites, the acceptance criteria), so a few entries give
-# every hit.  Keeping every modulus instead costs peak memory: all 64 shift
-# matrices of the window-sum suite alone hold 1.4 MB.
+# every hit and a caller's large modulus is not kept alive for long.
 _TABLE_CACHE = 4
 
 
@@ -259,16 +257,6 @@ def _half_turn_table(r: int) -> np.ndarray:
     table = np.exp(1j * np.pi * np.arange(2 * r) / r)
     table.flags.writeable = False
     return table
-
-
-@lru_cache(maxsize=_TABLE_CACHE)
-def _all_b_shift(r: int) -> np.ndarray:
-    """Read-only r x r shift matrix of wtilde_b_sweep for every b in [0, r):
-    the table at 2 b p mod 2r, with p and b both running over [0, r)."""
-    p = np.arange(r, dtype=np.int64)
-    shift = _half_turn_table(r)[(2 * np.outer(p, p)) % (2 * r)]
-    shift.flags.writeable = False
-    return shift
 
 
 def reciprocate_truncated(n_target: int, l: int, m_terms: int) -> complex:

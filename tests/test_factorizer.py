@@ -40,6 +40,13 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+def set_usable_cpus(monkeypatch, cpus: int) -> None:
+    """Let this process run on `cpus` CPUs of a 64-CPU host."""
+    monkeypatch.setattr(fz.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(fz.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
 class TestScanSeries:
     def test_grid_and_validation(self):
         spec = gs.ContinuousSpec(1.0, 33.0)
@@ -59,6 +66,8 @@ class TestScanSeries:
 
     @pytest.mark.parametrize("cpus", [3, None])
     def test_pool_capped_at_cpu_count(self, cpus, monkeypatch, pool_sizes):
+        # without an affinity call the host's CPU count is the cap
+        monkeypatch.delattr(fz.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(fz.os, "cpu_count", lambda: cpus)
         spec = gs.ContinuousSpec(1.0, 33.0)
         a = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1_000_000)
@@ -67,12 +76,22 @@ class TestScanSeries:
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_default_workers_one_per_cpu(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(fz.os, "cpu_count", lambda: 4)
+        set_usable_cpus(monkeypatch, 4)
         spec = gs.ContinuousSpec(1.0, 33.0)
         a = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33)
         b = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1)
         assert pool_sizes == [4]
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_pool_sized_by_cpu_affinity(self, monkeypatch, pool_sizes):
+        # a process allowed 2 of 64 CPUs opens 2 threads, by default and
+        # when asked for more, so threads and their working blocks do not
+        # grow with the host's core count
+        set_usable_cpus(monkeypatch, 2)
+        spec = gs.ContinuousSpec(1.0, 33.0)
+        fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33)
+        fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=64)
+        assert pool_sizes == [2, 2]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
@@ -100,7 +119,7 @@ class TestFactorSchemesUseEveryCpu:
     def test_json_bytes_independent_of_cpu_count(self, argv, monkeypatch, capsys, pool_sizes):
         out = {}
         for cpus in (1, 4):
-            monkeypatch.setattr(fz.os, "cpu_count", lambda: cpus)
+            set_usable_cpus(monkeypatch, cpus)
             assert cli.main(argv + ["--format", "json"]) == 0
             out[cpus] = capsys.readouterr().out.encode()
         assert pool_sizes == [4]
