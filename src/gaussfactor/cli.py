@@ -12,9 +12,11 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,13 +26,18 @@ from .gausssums import (
     PrecisionError,
     WeightProfile,
     monte_carlo_sum,
-    reciprocate_complete,
+    reciprocate_complete_sweep,
 )
 
 OUTDIR_ENV = "GAUSSFACTOR_OUTDIR"
 
 # CSV rows formatted and written per chunk: about 0.3 MB of text.
 _CSV_BLOCK_ROWS = 4096
+
+# JSON records formatted and written per chunk: about 35 KB of text.  The
+# 881-candidate reports of integer_schemes written as one chunk each (about
+# 115 KB) raised its peak RSS by 2.8 MB.
+_JSON_BLOCK_RECORDS = 256
 
 
 class ConfigError(Exception):
@@ -102,6 +109,11 @@ def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
             fh.write(chunk.encode())
 
 
+def _row_slices(count: int, size: int) -> Iterator[slice]:
+    """Consecutive slices of `size` rows covering `count` rows."""
+    return (slice(start, start + size) for start in range(0, count, size))
+
+
 def _csv_series(xis, values) -> Iterator[str]:
     """The CSV header, then the rows in blocks of _CSV_BLOCK_ROWS, so the
     whole text is never held in memory.
@@ -113,33 +125,85 @@ def _csv_series(xis, values) -> Iterator[str]:
     yield "xi,re,im,abs2\n"
     xis = np.asarray(xis, dtype=float)
     values = np.asarray(values, dtype=complex)
-    for start in range(0, len(xis), _CSV_BLOCK_ROWS):
-        block = slice(start, start + _CSV_BLOCK_ROWS)
+    for block in _row_slices(len(xis), _CSV_BLOCK_ROWS):
         yield "".join([
             "%.12g,%.12g,%.12g,%.12g\n" % (x, v.real, v.imag, abs(v) ** 2)
             for x, v in zip(xis[block].tolist(), values[block].tolist())
         ])
 
 
-def _json_series(series: factorizer.ScanSeries) -> str:
-    doc = {
-        "n": series.n_label,
-        "unit_c": series.unit_c,
-        "samples": [
-            {"xi": float(x), "re": v.real, "im": v.imag, "abs2": abs(v) ** 2}
-            for x, v in zip(series.xis, series.values)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+class _Records(NamedTuple):
+    """A JSON list of objects that all have `keys`, given as blocks of value
+    tuples, so the list is written one block at a time."""
+
+    keys: tuple[str, ...]
+    blocks: Iterable[Sequence[tuple]]
 
 
-def _report_text(cfg: RunConfig, report: factorizer.FactorReport) -> str:
+# stands in for the _Records value while json.dumps writes the rest of a doc
+_RECORDS_MARK = "\x00records"
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(value) -> str:
+    """A number, string, bool or None as json.dumps writes it."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NONFINITE.get(text, text)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """The text of json.dumps(doc, indent=2) + "\n" in chunks, for a doc
+    with one top-level _Records value.
+
+    json.dumps writes everything but the records, around a mark in their
+    place; each block of records is then formatted into one chunk, so the
+    records are never held as text (or as dicts) all at once.
+    """
+    key = next(k for k, v in doc.items() if isinstance(v, _Records))
+    records = doc[key]
+    text = json.dumps({**doc, key: _RECORDS_MARK}, indent=2)
+    head, tail = text.split(json.dumps(_RECORDS_MARK))
+    row = "\n    {" + ",".join(f"\n      {json.dumps(k)}: %s" for k in records.keys) + "\n    }"
+    yield head + "["
+    sep = ""
+    for block in records.blocks:
+        if len(block):
+            yield sep + ",".join([row % tuple(map(_json_scalar, r)) for r in block])
+            sep = ","
+    yield ("\n  ]" if sep else "]") + tail + "\n"
+
+
+def _scan_json(series: factorizer.ScanSeries) -> Iterator[str]:
+    """The scan as JSON samples.  Each sample is computed from NumPy scalars:
+    float(x), v.real, v.imag and abs(v) ** 2 on np.complex128 (a vectorized
+    np.abs(values) ** 2 gives other bits)."""
+    xis, values = series.xis, series.values
+    rows = (
+        [(float(x), v.real, v.imag, abs(v) ** 2) for x, v in zip(xis[b], values[b])]
+        for b in _row_slices(len(xis), _JSON_BLOCK_RECORDS)
+    )
+    samples = _Records(("xi", "re", "im", "abs2"), rows)
+    return _json_chunks({"n": series.n_label, "unit_c": series.unit_c, "samples": samples})
+
+
+def _report_chunks(cfg: RunConfig, report: factorizer.FactorReport) -> Iterable[str]:
     if cfg.format == "json":
-        return json.dumps(report.to_json_dict(), indent=2) + "\n"
+        doc = report.to_json_dict()
+        rows = [tuple(c.values()) for c in doc["candidates"]]
+        keys = tuple(doc["candidates"][0]) if rows else ()
+        blocks = (rows[b] for b in _row_slices(len(rows), _JSON_BLOCK_RECORDS))
+        doc["candidates"] = _Records(keys, blocks)
+        return _json_chunks(doc)
     lines = ["l,measured,predicted,class"]
     for c in sorted(report.candidates):
         lines.append(f"{c.l},{c.measured:.12g},{c.predicted:.12g},{c.classification.value}")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def _cmd_scan(cfg: RunConfig) -> int:
@@ -162,7 +226,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         _emit(cfg, _csv_series(series.xis, series.values))
     else:
-        _emit(cfg, [_json_series(series)])
+        _emit(cfg, _scan_json(series))
     return 0
 
 
@@ -192,7 +256,7 @@ def _cmd_factor(cfg: RunConfig) -> int:
         report = factorizer.factor_truncated(n, _l_max(cfg), cfg.m_terms, cfg.threshold)
     else:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    _emit(cfg, [_report_text(cfg, report)])
+    _emit(cfg, _report_chunks(cfg, report))
     return 0
 
 
@@ -208,16 +272,14 @@ def _cmd_reciprocate(cfg: RunConfig) -> int:
             ]
         )
     else:
-        values = np.array([reciprocate_complete(cfg.n_target, int(l)) for l in ls])
+        values = reciprocate_complete_sweep(cfg.n_target, ls)
     if cfg.format == "json":
-        doc = {
-            "n": cfg.n_target,
-            "samples": [
-                {"l": int(l), "re": v.real, "im": v.imag, "abs": abs(v)}
-                for l, v in zip(ls, values)
-            ],
-        }
-        _emit(cfg, [json.dumps(doc, indent=2) + "\n"])
+        rows = (
+            [(int(l), v.real, v.imag, abs(v)) for l, v in zip(ls[b], values[b])]
+            for b in _row_slices(len(ls), _JSON_BLOCK_RECORDS)
+        )
+        samples = _Records(("l", "re", "im", "abs"), rows)
+        _emit(cfg, _json_chunks({"n": cfg.n_target, "samples": samples}))
     else:
         _emit(cfg, _csv_series(ls.astype(float), values))
     return 0
@@ -237,13 +299,13 @@ def _cmd_nslit(cfg: RunConfig) -> int:
     rows = nslit.nslit_factor_test(cfg.n_target, _l_max(cfg), cfg.spread_threshold)
     doc = {
         "n": cfg.n_target,
-        "rows": [
-            {"l": r.l, "flag": r.is_factor_flag, "spread": r.relative_spread, "divides": r.divides}
-            for r in rows
-        ],
+        "rows": _Records(
+            ("l", "flag", "spread", "divides"),
+            [[(r.l, r.is_factor_flag, r.relative_spread, r.divides) for r in rows]],
+        ),
         "factors": [r.l for r in rows if r.is_factor_flag and r.divides],
     }
-    _emit(cfg, [json.dumps(doc, indent=2) + "\n"])
+    _emit(cfg, _json_chunks(doc))
     return 0
 
 
@@ -352,6 +414,8 @@ def run(cfg: RunConfig) -> int:
         raise ConfigError(f"unknown command {cfg.command!r}")
     if cfg.n_target is not None and cfg.n_target < 1:
         raise ConfigError("--n must be a positive integer")
+    if cfg.workers is not None and cfg.workers < 1:
+        raise ConfigError("workers must be >= 1")
     return _COMMANDS[cfg.command](cfg)
 
 

@@ -25,9 +25,9 @@ from .gausssums import (
     ContinuousSpec,
     WeightProfile,
     continuous_sum_grid,
-    discrete_sum,
-    reciprocate_complete,
-    reciprocate_truncated,
+    discrete_sweep,
+    reciprocate_complete_sweep,
+    reciprocate_truncated_sweep,
 )
 
 DEFAULT_PEAK_FACTOR = 2.0
@@ -328,9 +328,11 @@ def factor_lines_discrete(
     if n % 4 == 0:
         slopes.append(2.0 / n)
     zero_level = DEFAULT_ZERO_FACTOR / n
+    ls = range(1, n + 1)
+    values = dict(zip(ls, discrete_sweep(n, ls, w).tolist()))
 
     def rule(l: int) -> tuple[float, float, Classification]:
-        measured = abs(discrete_sum(n, l, w)) ** 2
+        measured = abs(values[l]) ** 2
         predicted = predict_discrete_modulus2(n, l).value
         member = any(
             abs(measured - s * l) < max(abs_tol, rel_tol * s * l) for s in slopes
@@ -343,9 +345,7 @@ def factor_lines_discrete(
             cls = Classification.NONFACTOR
         return measured, predicted, cls
 
-    return _classify(
-        n, "discrete_lines", range(1, n + 1), rule, {"abs_tol": abs_tol, "rel_tol": rel_tol}
-    )
+    return _classify(n, "discrete_lines", ls, rule, {"abs_tol": abs_tol, "rel_tol": rel_tol})
 
 
 def factor_reciprocate(n_target: int, l_max: int) -> FactorReport:
@@ -355,9 +355,11 @@ def factor_reciprocate(n_target: int, l_max: int) -> FactorReport:
         raise ValueError("reciprocate scheme requires odd N")
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
+    ls = range(1, l_max + 1)
+    values = dict(zip(ls, reciprocate_complete_sweep(n_target, ls).tolist()))
 
     def rule(l: int) -> tuple[float, float, Classification]:
-        measured = abs(reciprocate_complete(n_target, l))
+        measured = abs(values[l])
         pred = predict_reciprocate_modulus(n_target, l)
         if abs(measured - 1.0) < _RECIPROCATE_TOL:
             cls = Classification.FACTOR
@@ -369,7 +371,7 @@ def factor_reciprocate(n_target: int, l_max: int) -> FactorReport:
             cls = Classification.NONFACTOR
         return measured, pred.value, cls
 
-    return _classify(n_target, "reciprocate", range(1, l_max + 1), rule, {"l_max": l_max})
+    return _classify(n_target, "reciprocate", ls, rule, {"l_max": l_max})
 
 
 def factor_truncated(
@@ -386,20 +388,20 @@ def factor_truncated(
     if l_max < 2 or m_terms < 1:
         raise ValueError("need l_max >= 2 and m_terms >= 1")
     _check_threshold(threshold)
+    ls = range(2, l_max + 1)
+    truncated = dict(zip(ls, reciprocate_truncated_sweep(n_target, ls, m_terms).tolist()))
+    nondivisors = [l for l in ls if n_target % l]
+    complete = dict(zip(nondivisors, reciprocate_complete_sweep(n_target, nondivisors).tolist()))
 
     def rule(l: int) -> tuple[float, float, Classification]:
-        measured = abs(reciprocate_truncated(n_target, l, m_terms))
-        predicted = 1.0 if n_target % l == 0 else abs(reciprocate_complete(n_target, l))
+        measured = abs(truncated[l])
+        predicted = 1.0 if n_target % l == 0 else abs(complete[l])
         if measured > threshold:
             return measured, predicted, _classify_flagged(l, n_target)
         return measured, predicted, Classification.NONFACTOR
 
     return _classify(
-        n_target,
-        "truncated",
-        range(2, l_max + 1),
-        rule,
-        {"m_terms": m_terms, "threshold": threshold},
+        n_target, "truncated", ls, rule, {"m_terms": m_terms, "threshold": threshold}
     )
 
 
@@ -437,10 +439,7 @@ def ghost_census(
         raise ValueError("l_min must be >= 1")
     if l_max is None:
         l_max = math.isqrt(n_target)
-    ghosts = [
-        l
-        for l in range(l_min, l_max + 1)
-        if n_target % l != 0
-        and abs(reciprocate_truncated(n_target, l, m_terms)) > threshold
-    ]
+    nondivisors = [l for l in range(l_min, l_max + 1) if n_target % l != 0]
+    values = reciprocate_truncated_sweep(n_target, nondivisors, m_terms).tolist()
+    ghosts = [l for l, v in zip(nondivisors, values) if abs(v) > threshold]
     return GhostCensus(ghosts=ghosts, count=len(ghosts))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,11 @@ _INT64_SAFE_MODULUS = 3_000_000_000
 # Phasors per row block of continuous_sum_grid: a block's arrays (about 56
 # bytes per phasor) stay near 2 MB whatever the grid length.
 _BLOCK_PHASORS = 1 << 15
+
+# Phasors per block of the integer sweeps, so a block's complex arrays stay
+# at 128 KB, glibc malloc's default threshold for mapping a block apart from
+# its heap.  At 1 << 15 the integer_schemes peak RSS was 2.5 MB higher.
+_SWEEP_PHASORS = 1 << 13
 
 # Mantissa bits of the platform longdouble.  Real-argument phases run to
 # 1e5 turns and beyond; an 80-bit (63-bit mantissa) or wider format keeps
@@ -115,17 +121,32 @@ class CharacterSpec:
         return self.index == 0
 
 
-def _quad_residues(m: np.ndarray, coeff: int, modulus: int) -> np.ndarray:
-    """Exact residues (m^2 * coeff) mod modulus as a float array of fractions' numerators."""
-    c = coeff % modulus
-    if modulus <= _INT64_SAFE_MODULUS:
-        mm = np.asarray(m, dtype=np.int64)
-        return ((mm * mm) % modulus * c) % modulus
-    return np.array([((int(v) * int(v)) % modulus * c) % modulus for v in m], dtype=object)
+def _quad_residues(m, c, b) -> np.ndarray:
+    """Exact residues (m^2 * c) mod b, elementwise over broadcast arrays, for
+    coefficients c already reduced into [0, b).
+
+    int64 stays exact for (m*m) % b and the follow-up multiply while every
+    modulus is at most _INT64_SAFE_MODULUS; above it the same expression runs
+    on Python ints in an object array.
+    """
+    dtype = np.int64 if np.max(b) <= _INT64_SAFE_MODULUS else object
+    m, c, b = (np.asarray(x, dtype=dtype) for x in (m, c, b))
+    return ((m * m) % b * c) % b
 
 
-def _phase_exp(residues: np.ndarray, modulus: int, sign: float = 1.0) -> np.ndarray:
-    frac = np.asarray(residues, dtype=float) / modulus
+def _reduced(x, b) -> np.ndarray:
+    """x mod b elementwise, computed in Python ints (exact for integers of any
+    size) and returned in b's dtype, where the residues fit."""
+    return (np.asarray(x, dtype=object) % b).astype(np.asarray(b).dtype)
+
+
+def _phase_exp(residues, modulus, sign: float = 1.0) -> np.ndarray:
+    """exp(sign 2 pi i residues / modulus), elementwise over broadcast arrays.
+
+    Each element takes the same operations whatever the shape, so a phasor
+    is bitwise the same in a sweep as in a one-argument sum.
+    """
+    frac = np.asarray(residues, dtype=float) / np.asarray(modulus, dtype=float)
     return np.exp(sign * 2j * np.pi * frac)
 
 
@@ -184,19 +205,70 @@ def continuous_sum_grid(
     return out
 
 
+def _trial_arguments(ls) -> np.ndarray:
+    """Trial arguments as a 1-D integer array, all of them positive.
+
+    A sequence becomes int64, or an object array of Python ints when some
+    value does not fit (np.asarray would make such a list float64).
+    """
+    if not isinstance(ls, np.ndarray):
+        try:
+            ls = np.array(ls, dtype=np.int64)
+        except OverflowError:
+            ls = np.array(ls, dtype=object)
+    if ls.size and ls.min() < 1:
+        raise ValueError("l must be positive")
+    return ls
+
+
+def _blocks(sizes: Sequence[int]) -> Iterator[slice]:
+    """Runs of consecutive rows, of sizes[i] phasors each, that together hold
+    at most _SWEEP_PHASORS phasors; a longer row is a run of its own."""
+    start = total = 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > _SWEEP_PHASORS:
+            yield slice(start, i)
+            start, total = i, 0
+        total += size
+    if start < len(sizes):
+        yield slice(start, len(sizes))
+
+
 def discrete_sum(n_target: int, l: int, w: WeightProfile) -> complex:
     """Continuous sum restricted to the integer argument l: weighted exp[2 pi i m^2 l / N]."""
-    if n_target < 1 or l < 1:
+    return complex(discrete_sweep(n_target, [l], w)[0])
+
+
+def discrete_sweep(n_target: int, ls, w: WeightProfile) -> np.ndarray:
+    """discrete_sum(n_target, l, w) for every l in ls, bitwise the same.
+
+    Every l shares the modulus N.  When the sweep needs at least N phasors,
+    they are gathered from one table exp(2 pi i k / N), k in [0, N), whose
+    entries are the bits exponentiating each residue gives.  The rows of
+    2M+1 weighted terms are summed one by one (row-wise pairwise summation,
+    the order of a 1-D sum), _SWEEP_PHASORS phasors at a time.
+    """
+    if n_target < 1:
         raise ValueError("n_target and l must be positive")
-    res = _quad_residues(w.indices(), l, n_target)
-    return complex(np.sum(w.weights() * _phase_exp(res, n_target)))
+    ls = _trial_arguments(ls)
+    m = w.indices()
+    weights = w.weights()
+    table = None
+    if n_target <= min(_INT64_SAFE_MODULUS, len(ls) * len(m)):
+        table = _phase_exp(np.arange(n_target), n_target)
+    out = np.empty(len(ls), dtype=complex)
+    for block in _blocks([len(m)] * len(ls)):
+        res = _quad_residues(m, _reduced(ls[block, None], n_target), n_target)
+        phasors = _phase_exp(res, n_target) if table is None else table[res]
+        out[block] = (weights * phasors).sum(axis=1)
+    return out
 
 
 def standard_gauss(a: int, b: int) -> complex:
     """Standard quadratic Gauss sum: sum over one period b of exp(2 pi i m^2 a / b)."""
     if b < 1:
         raise ValueError("b must be positive")
-    res = _quad_residues(np.arange(b), a, b)
+    res = _quad_residues(np.arange(b), a % b, b)
     return complex(_phase_exp(res, b).sum())
 
 
@@ -261,19 +333,59 @@ def _half_turn_table(r: int) -> np.ndarray:
 
 def reciprocate_truncated(n_target: int, l: int, m_terms: int) -> complex:
     """Truncated reciprocate sum: (1/(M+1)) sum_{m=0}^{M} exp(-2 pi i m^2 N / l)."""
-    if l < 1:
-        raise ValueError("l must be positive")
+    return complex(reciprocate_truncated_sweep(n_target, [l], m_terms)[0])
+
+
+def reciprocate_truncated_sweep(n_target: int, ls, m_terms: int) -> np.ndarray:
+    """reciprocate_truncated(n_target, l, m_terms) for every l in ls, bitwise
+    the same: rows of m_terms phasors, each row summed on its own,
+    _SWEEP_PHASORS phasors at a time."""
+    ls = _trial_arguments(ls)
     if m_terms < 1:
         raise ValueError("m_terms must be >= 1")
-    res = _quad_residues(np.arange(m_terms), n_target, l)
-    return complex(_phase_exp(res, l, sign=-1.0).sum() / m_terms)
+    m = np.arange(m_terms)
+    out = np.empty(len(ls), dtype=complex)
+    for block in _blocks([m_terms] * len(ls)):
+        b = ls[block, None]
+        res = _quad_residues(m, _reduced(n_target, b), b)
+        out[block] = _phase_exp(res, b, sign=-1.0).sum(axis=1) / m_terms
+    return out
 
 
 def reciprocate_complete(n_target: int, l: int) -> complex:
     """Complete reciprocate sum: all l terms, (1/l) sum exp(-2 pi i m^2 N / l)."""
-    if l < 1:
-        raise ValueError("l must be positive")
-    return reciprocate_truncated(n_target, l, l)
+    return complex(reciprocate_complete_sweep(n_target, [l])[0])
+
+
+def reciprocate_complete_sweep(n_target: int, ls) -> np.ndarray:
+    """reciprocate_complete(n_target, l) for every l in ls, bitwise the same.
+
+    Term l - m has the residue of term m, since (l - m)^2 = m^2 (mod l), so
+    only the terms m <= l // 2 are exponentiated, for runs of l holding
+    _SWEEP_PHASORS of them.  Each l's terms are then laid out in the order
+    m = 0 .. l-1 (its half, then the half mirrored) and summed on their own,
+    so every sum keeps the pairwise order of a 1-D sum over its l terms.
+    """
+    ls = _trial_arguments(ls)
+    halves = (ls // 2 + 1).astype(np.int64)
+    out = np.empty(len(ls), dtype=complex)
+    for block in _blocks(halves.tolist()):
+        b, h = ls[block], halves[block]
+        starts = np.cumsum(h) - h
+        moduli = np.repeat(b, h)
+        m = np.arange(len(moduli)) - np.repeat(starts, h)
+        q = _phase_exp(_quad_residues(m, np.repeat(_reduced(n_target, b), h), moduli),
+                       moduli, sign=-1.0)
+        terms = np.empty(int(b.max()), dtype=complex)
+        sums = np.empty(len(b), dtype=complex)
+        for i, (l, a, k) in enumerate(zip(b.tolist(), starts.tolist(), h.tolist())):
+            row = terms[:l]
+            row[:k] = q[a:a + k]
+            # m = k .. l-1 take the phasor of l - m = l-k .. 1
+            row[k:] = q[a + l - k:a:-1]
+            sums[i] = row.sum()
+        out[block] = sums / b.astype(float)
+    return out
 
 
 def exponential_sum(n_target: int, l: int, j: int, m_terms: int) -> complex:
@@ -299,7 +411,7 @@ def monte_carlo_sum(n_target: int, l: int, sample_count: int, seed: int) -> comp
     if not 1 <= sample_count <= l:
         raise ValueError("sample_count must be in [1, l]")
     picks = sorted(random.Random(seed).sample(range(l), sample_count))
-    res = _quad_residues(np.array(picks), n_target, l)
+    res = _quad_residues(np.array(picks), n_target % l, l)
     return complex(_phase_exp(res, l, sign=-1.0).sum() / sample_count)
 
 

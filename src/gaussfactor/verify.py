@@ -107,23 +107,19 @@ def check_reciprocity(pairs: int = 500, seed: int = 11) -> SuiteResult:
         if worst.over(diff, 1e-8):
             failures.append(f"reciprocity mismatch at (N={n}, l={l}): {diff:.2e}")
     # modulus predictor against brute force: full sweep for small odd N,
-    # sampled arguments for every odd N up to 2001
+    # sampled arguments for every odd N up to 2001, one sum sweep per N
+    def check_moduli(n: int, ls: list[int]) -> None:
+        sums = gausssums.reciprocate_complete_sweep(n, ls).tolist()
+        for l, value in zip(ls, sums):
+            diff = abs(abs(value) - closedform.predict_reciprocate_modulus(n, l).value)
+            if worst.over(diff, 1e-9):
+                failures.append(f"reciprocate modulus mismatch at (N={n}, l={l})")
+
     for n in range(3, 202, 2):
-        for l in range(1, n + 1):
-            diff = abs(
-                abs(gausssums.reciprocate_complete(n, l))
-                - closedform.predict_reciprocate_modulus(n, l).value
-            )
-            if worst.over(diff, 1e-9):
-                failures.append(f"reciprocate modulus mismatch at (N={n}, l={l})")
+        check_moduli(n, list(range(1, n + 1)))
     for n in range(203, 2002, 2):
-        for l in {rng.randint(1, n) for _ in range(8)} | {d for d in range(2, min(n, 60)) if n % d == 0}:
-            diff = abs(
-                abs(gausssums.reciprocate_complete(n, l))
-                - closedform.predict_reciprocate_modulus(n, l).value
-            )
-            if worst.over(diff, 1e-9):
-                failures.append(f"reciprocate modulus mismatch at (N={n}, l={l})")
+        check_moduli(n, list({rng.randint(1, n) for _ in range(8)}
+                             | {d for d in range(2, min(n, 60)) if n % d == 0}))
     return _result("reciprocity", failures, t0, worst)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,6 +146,103 @@ class TestCsvStreaming:
         # the whole text is about 1.9 MB, and building it whole held it
         # about three times over (line list, joined text, encoded bytes)
         assert peak < 2 * 2**20
+
+
+def joined_json_series(series) -> str:
+    """The scan JSON built whole, as the emitter did before it streamed."""
+    doc = {
+        "n": series.n_label,
+        "unit_c": series.unit_c,
+        "samples": [
+            {"xi": float(x), "re": v.real, "im": v.imag, "abs2": abs(v) ** 2}
+            for x, v in zip(series.xis, series.values)
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# signed zeros, non-finite parts, tiny and huge values, and three N=1001 scan
+# values (the ones whose vectorized |v|^2 differs from the per-sample one)
+EDGE_XIS = np.array([0.0, -0.0, -2.5, -1e6 - 0.37, 1e6 + 0.123, 987654.321, 5e-324,
+                     1e300, math.inf, 104.336, 298.196, 301.364])
+EDGE_VALUES = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+                        complex(math.inf, 1.0), complex(-math.inf, math.nan),
+                        complex(math.nan, 0.25), 0.3 - 0.7j, 1.0 / 3.0 + 0j,
+                        -0.123456789012345 + 9.87654321098765e-13j,
+                        0.2755038366525746 - 0.14337390695716395j,
+                        0.004677147680939389 + 0.0259181401611918j,
+                        0.02057342196203753 - 0.12828256517634012j])
+
+
+class TestJsonStreaming:
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    def test_edge_values_give_the_json_dumps_bytes(self, monkeypatch, block_rows):
+        series = SimpleNamespace(n_label=1001, unit_c=0.5, xis=EDGE_XIS, values=EDGE_VALUES)
+        expect = joined_json_series(series)
+        assert "NaN" in expect and "-Infinity" in expect and "-0.0" in expect
+        monkeypatch.setattr(cli, "_JSON_BLOCK_RECORDS", block_rows)
+        assert "".join(cli._scan_json(series)) == expect
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 4096])
+    def test_scan_json_bytes(self, tmp_path, capsys, monkeypatch, block_rows):
+        argv = ["scan", "--n", "1001", "--dm", "4", "--xi-min", "2", "--xi-max", "6",
+                "--step", "0.004", "--format", "json"]
+        spec = gs.ContinuousSpec(1.0, 1001.0)
+        series = factorizer.scan_series(spec, gs.WeightProfile(4.0, 16), 2.0, 6.0, 0.004,
+                                        n_label=1001)
+        expect = joined_json_series(series).encode()
+        monkeypatch.setattr(cli, "_JSON_BLOCK_RECORDS", block_rows)
+        rc, data = run_to_file(tmp_path, argv, "s.json")
+        assert rc == 0 and data == expect
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == expect
+
+    def test_empty_scan_json(self):
+        series = SimpleNamespace(n_label=9, unit_c=1.0, xis=np.zeros(0), values=np.zeros(0, complex))
+        assert "".join(cli._scan_json(series)) == joined_json_series(series)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 4096])
+    def test_reports_give_the_json_dumps_bytes(self, monkeypatch, block_rows):
+        odd = factorizer.Candidate(4, math.nan, math.inf, factorizer.Classification.GHOST)
+        reports = [
+            factorizer.factor_reciprocate(1911, 60),
+            factorizer.factor_truncated(777777, 40, 20),
+            factorizer.factor_lines_discrete(42, gs.WeightProfile.for_width(2 * 42 / math.sqrt(8))),
+            factorizer.factor_scan_even(2, W10),
+            factorizer.FactorReport(15, "made_up", [odd, odd._replace(l=3, measured=-0.0)], [3],
+                                    {"flag": True, "none": None, "neg": -math.inf}),
+        ]
+        monkeypatch.setattr(cli, "_JSON_BLOCK_RECORDS", block_rows)
+        cfg = cli.RunConfig(command="factor", format="json")
+        for report in reports:
+            expect = json.dumps(report.to_json_dict(), indent=2) + "\n"
+            assert "".join(cli._report_chunks(cfg, report)) == expect
+
+    def test_reciprocate_json_bytes(self, tmp_path):
+        ls = np.arange(1, 61)
+        values = np.array([gs.reciprocate_complete(1911, int(l)) for l in ls])
+        doc = {"n": 1911, "samples": [{"l": int(l), "re": v.real, "im": v.imag, "abs": abs(v)}
+                                      for l, v in zip(ls, values)]}
+        rc, data = run_to_file(
+            tmp_path, ["reciprocate", "--n", "1911", "--l-max", "60", "--format", "json"], "r.json"
+        )
+        assert rc == 0 and data == (json.dumps(doc, indent=2) + "\n").encode()
+
+    def test_memory_does_not_hold_the_text(self, tmp_path):
+        xis = np.linspace(2.0, 1000.0, 40_000)
+        series = SimpleNamespace(n_label=1001, unit_c=1.0, xis=xis, values=np.exp(1j * xis) * 0.3)
+        cfg = cli.RunConfig(command="scan", output_path=str(tmp_path / "big.json"))
+        tracemalloc.start()
+        try:
+            cli._emit(cfg, cli._scan_json(series))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = (tmp_path / "big.json").read_bytes()
+        assert data == joined_json_series(series).encode()
+        # the text is about 5 MB, and building the document whole peaked
+        # near 47 MB
+        assert len(data) > 4.5 * 2**20 and peak < 2**20
 
 
 class TestFactorCommand:
@@ -384,7 +482,14 @@ class TestInputContracts:
     def test_scan_workers_below_one_rejected(self, workers, capsys):
         argv = ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "10", "--workers", workers]
         assert cli.main(argv) == 1
-        assert "workers" in capsys.readouterr().err
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan", "factor", "reciprocate", "nslit", "ghost", "verify"])
+    def test_workers_below_one_rejected_for_every_command(self, command):
+        cfg = cli.RunConfig(command=command, n_target=33, m_terms=3, workers=0, format="json",
+                            xi_min=2.0, xi_max=3.0)
+        with pytest.raises(cli.ConfigError, match="workers must be >= 1"):
+            cli.run(cfg)
 
     def test_short_longdouble_exits_cleanly(self, monkeypatch, capsys):
         monkeypatch.setattr(gs, "_LONGDOUBLE_NMANT", 52)

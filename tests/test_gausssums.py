@@ -1,9 +1,12 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussfactor import gausssums as gs
 from gaussfactor.decomposition import recommend_weight_width
@@ -433,3 +436,152 @@ class TestCharacterEval:
                     lhs = gs.character_eval(chi, x * y)
                     rhs = gs.character_eval(chi, x) * gs.character_eval(chi, y)
                     assert abs(lhs - rhs) < 1e-12
+
+
+# -- integer sweeps ----------------------------------------------------------
+#
+# The per-argument expressions the sweeps replaced, kept as the reference:
+# residues reduced exactly (int64 up to the switch, Python ints above it),
+# one exponential per residue, one 1-D sum per argument.
+
+
+def per_l_residues(m, coeff, modulus):
+    c = coeff % modulus
+    if modulus <= gs._INT64_SAFE_MODULUS:
+        mm = np.asarray(m, dtype=np.int64)
+        return ((mm * mm) % modulus * c) % modulus
+    return np.array([((int(v) * int(v)) % modulus * c) % modulus for v in m], dtype=object)
+
+
+def per_l_phasors(residues, modulus, sign=1.0):
+    frac = np.asarray(residues, dtype=float) / modulus
+    return np.exp(sign * 2j * np.pi * frac)
+
+
+def per_l_truncated(n, l, m_terms):
+    res = per_l_residues(np.arange(m_terms), n, l)
+    return complex(per_l_phasors(res, l, sign=-1.0).sum() / m_terms)
+
+
+def per_l_discrete(n, l, w):
+    res = per_l_residues(w.indices(), l, n)
+    return complex(np.sum(w.weights() * per_l_phasors(res, n)))
+
+
+# six odd N in [1e5, 1e6] (a prime, a prime power, smooth and two-factor
+# numbers) plus the paper's 15, 1911 and the 881-argument 777777
+SWEEP_NS = (15, 1911, 100001, 100003, 250001, 531441, 739375, 777777, 999999)
+BLOCKS = (1, 7, gs._SWEEP_PHASORS)
+
+
+class TestIntegerSweepsBitwise:
+    @pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b}")
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(gs, "_SWEEP_PHASORS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n", SWEEP_NS)
+    def test_complete_and_truncated(self, n, block):
+        ls = range(1, math.isqrt(n) + 1)
+        expect = [per_l_truncated(n, l, l) for l in ls]
+        assert np.array_equal(bits(gs.reciprocate_complete_sweep(n, ls)), bits(np.array(expect)))
+        for m_terms in (1, 3, 20, 33):
+            expect = [per_l_truncated(n, l, m_terms) for l in ls]
+            got = gs.reciprocate_truncated_sweep(n, ls, m_terms)
+            assert np.array_equal(bits(got), bits(np.array(expect))), m_terms
+
+    @pytest.mark.parametrize("n", (39, 42, 200, 401, 598))
+    def test_lines_with_margin2_weights(self, n, block):
+        w = broad_profile(n)
+        ls = range(1, n + 1)
+        expect = np.array([per_l_discrete(n, l, w) for l in ls])
+        assert np.array_equal(bits(gs.discrete_sweep(n, ls, w)), bits(expect))
+
+    def test_unsorted_and_repeated_arguments(self, block):
+        ls = [9, 1, 30, 9, 2, 17]
+        expect = np.array([per_l_truncated(1911, l, l) for l in ls])
+        assert np.array_equal(bits(gs.reciprocate_complete_sweep(1911, ls)), bits(expect))
+
+    def test_empty_ranges(self, block):
+        for got in (gs.reciprocate_complete_sweep(15, range(1, 1)),
+                    gs.reciprocate_truncated_sweep(15, [], 3),
+                    gs.discrete_sweep(15, range(0), W10)):
+            assert got.shape == (0,) and got.dtype == complex
+
+    def test_per_l_functions_are_one_element_sweeps(self):
+        w = broad_profile(42)
+        assert gs.reciprocate_complete(1911, 12) == per_l_truncated(1911, 12, 12)
+        assert gs.reciprocate_truncated(1911, 12, 5) == per_l_truncated(1911, 12, 5)
+        assert gs.discrete_sum(42, 5, w) == per_l_discrete(42, 5, w)
+
+    @pytest.mark.parametrize("call", [
+        lambda: gs.reciprocate_complete_sweep(15, [3, 0]),
+        lambda: gs.reciprocate_truncated_sweep(15, [-1], 3),
+        lambda: gs.reciprocate_truncated_sweep(15, [3], 0),
+        lambda: gs.discrete_sweep(0, [1], W10),
+        lambda: gs.discrete_sweep(15, [2, 0], W10),
+    ])
+    def test_bad_arguments_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+
+def reference_phasors(n, l, ms, sign):
+    """exp(sign 2 pi i m^2 n / l) from Python-int residues and exact
+    fractions; float(Fraction(r, l)) is r / l correctly rounded, which the
+    float64 division gives too for r and l below 2^53."""
+    fracs = np.array([float(Fraction(int(m) ** 2 * n % l, l)) for m in ms])
+    return np.exp(sign * 2j * np.pi * fracs)
+
+
+SWITCH = gs._INT64_SAFE_MODULUS
+# moduli on both sides of the int64 / Python-int switch, and far above it
+moduli = (st.integers(1, 60) | st.integers(SWITCH - 40, SWITCH + 40)
+          | st.integers(SWITCH, 2**52))
+targets = st.integers(1, 10**19)
+
+
+class TestSweepsAgainstExactResidues:
+    @given(n=targets, ls=st.lists(moduli, max_size=6), m_terms=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_truncated(self, n, ls, m_terms):
+        expect = [complex(reference_phasors(n, l, range(m_terms), -1.0).sum() / m_terms)
+                  for l in ls]
+        got = gs.reciprocate_truncated_sweep(n, ls, m_terms)
+        assert np.array_equal(bits(got), bits(np.array(expect, dtype=complex)))
+
+    @given(n=targets, ls=st.lists(st.integers(1, 300), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_complete(self, n, ls):
+        expect = [complex(reference_phasors(n, l, range(l), -1.0).sum() / l) for l in ls]
+        got = gs.reciprocate_complete_sweep(n, ls)
+        assert np.array_equal(bits(got), bits(np.array(expect, dtype=complex)))
+
+    @given(n=moduli, ls=st.lists(st.integers(1, 10**19), max_size=6),
+           m_max=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_discrete(self, n, ls, m_max):
+        w = gs.WeightProfile(m_max / 4, m_max)
+        expect = [complex(np.sum(w.weights() * reference_phasors(l, n, w.indices(), 1.0)))
+                  for l in ls]
+        got = gs.discrete_sweep(n, ls, w)
+        assert np.array_equal(bits(got), bits(np.array(expect, dtype=complex)))
+
+    def test_python_int_route_above_the_switch(self):
+        l = 5_000_000_007
+        assert l > SWITCH
+        expect = complex(reference_phasors(1911, l, range(20), -1.0).sum() / 20)
+        assert gs.reciprocate_truncated(1911, l, 20) == expect
+
+
+class TestPackageExports:
+    def test_all_is_explicit_and_exports_no_modules(self):
+        import types
+
+        import gaussfactor
+
+        assert len(set(gaussfactor.__all__)) == len(gaussfactor.__all__)
+        for name in gaussfactor.__all__:
+            assert not isinstance(getattr(gaussfactor, name), types.ModuleType), name
+        assert {"discrete_sweep", "reciprocate_complete_sweep",
+                "reciprocate_truncated_sweep"} <= set(gaussfactor.__all__)

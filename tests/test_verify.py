@@ -103,13 +103,22 @@ def nan_at(real, hit):
     return patched
 
 
+def nan_in_sweep(real, hit):
+    """The sweep `real(n, ls)`, but NaN at each l where hit(n, l) holds."""
+    def patched(n, ls):
+        out = real(n, ls)
+        out[[hit(n, l) for l in ls]] = complex(math.nan, 0.0)
+        return out
+    return patched
+
+
 class TestNonFiniteFails:
     """A NaN from any evaluator fails its suite: `dev >= tol` is False for
     NaN, so each check asks `not dev < tol` instead."""
 
     CASES = {
         "closedform": (closedform, "g1b_closed", lambda b: b == 5, "g1b mismatch at b=5"),
-        "reciprocity": (gs, "reciprocate_complete", lambda n, l: (n, l) == (9, 3),
+        "reciprocity": (gs, "reciprocate_complete_sweep", lambda n, l: (n, l) == (9, 3),
                         "reciprocate modulus mismatch at (N=9, l=3)"),
         "wtilde": (gs, "finite_w", lambda q, r, m: (q, r, m) == (1, 4, 1),
                    "parity table fails at (q=1, r=4, m=1)"),
@@ -125,7 +134,8 @@ class TestNonFiniteFails:
     @pytest.mark.parametrize("name", list(CASES))
     def test_nan_evaluator_fails_the_suite(self, name, monkeypatch):
         module, attr, hit, first = self.CASES[name]
-        monkeypatch.setattr(module, attr, nan_at(getattr(module, attr), hit))
+        patch = nan_in_sweep if attr.endswith("_sweep") else nan_at
+        monkeypatch.setattr(module, attr, patch(getattr(module, attr), hit))
         r = verify.SUITES[name]()
         assert not r.passed
         assert "worst" not in r.detail
