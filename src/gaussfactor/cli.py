@@ -427,6 +427,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # NumPy refuses a grid larger than the address space at once.
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -136,30 +136,3 @@ def predict_reciprocate_modulus(n_target: int, l: int) -> ModulusPrediction:
     }[cls]
     rule = f"coprime-M{cls.k}" if s == 1 else f"shared-M{cls.k}"
     return ModulusPrediction(value, rule, shared_factor=s if s > 1 else None)
-
-
-def wtilde_modulus2(a: int, c: int, r: int, m: int) -> float:
-    """|wtilde(a, b, c, r)|^2 where the closed form is known.
-
-    Main theorem: 1/r whenever gcd(a, r) = 1 and a*r - c is even, for every b.
-    Specialization a = 2q, c = 0 with even r: (1/r)(1 + cos(pi (qr/2 + m))),
-    i.e. 0 or 2/r by the parity of qr/2 + m.
-    """
-    if r < 1:
-        raise ValueError("r must be positive")
-    if math.gcd(a, r) == 1 and (a * r - c) % 2 == 0:
-        return 1.0 / r
-    if a % 2 == 0 and c == 0 and r % 2 == 0 and math.gcd(a // 2, r) == 1:
-        q = a // 2
-        return 0.0 if ((q * r) // 2 + m) % 2 == 1 else 2.0 / r
-    raise ValueError(
-        f"no closed form for (a={a}, c={c}, r={r}): requires gcd(a,r)=1 with "
-        f"a*r-c even, or the a=2q, c=0, even-r specialization"
-    )
-
-
-def predict_nonfactor_baseline(n_target: int) -> float:
-    """Coprime-argument baseline of |S_N|^2: 2/N, 1/N or 0 by N's class."""
-    if n_target < 1:
-        raise ValueError("n_target must be positive")
-    return _CLASS_WEIGHT[residue_class(n_target)] / n_target

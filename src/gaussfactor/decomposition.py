@@ -1,6 +1,6 @@
 """Poisson-summation representation of the continuous sum near rational
 multiples of B: S = sum_m W_m^(r) I_m^(r), with complex-Gaussian shape
-functions, peak localization, and the weight-width rule.
+functions, the geometry of each peak, and the weight-width rule.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from .gausssums import ContinuousSpec, WeightProfile, _unit_phasors, finite_w
 
 _SHAPE_CUTOFF = 1e-14
-_INTEGRALITY_TOL = 1e-9
 
 
 def recommend_weight_width(n_target: int, margin: float = 3.0) -> float:
@@ -31,8 +30,7 @@ def recommend_weight_width(n_target: int, margin: float = 3.0) -> float:
 class PeakDescriptor:
     """Geometry of the candidate peak at xi = (q/r) B + delta.
 
-    locate_peaks emits reduced fractions q/r; direct construction accepts any
-    integer pair, since the representation itself does not require reducedness.
+    q/r need not be reduced: the representation itself does not require it.
     """
 
     q: int
@@ -60,11 +58,6 @@ class PeakDescriptor:
         d_coef = 4.0 * math.pi * w.delta_m**2 / b
         sigma = sigma0 * math.sqrt(1.0 + (d_coef * delta) ** 2)
         return cls(q, r, q * b / r, delta, m_bar, sigma0, d_coef, sigma)
-
-    @property
-    def m_bar_is_integral(self) -> bool:
-        """Maximum condition: m0 = q B / A lands on an integer at delta = 0."""
-        return abs(self.m_bar - round(self.m_bar)) < _INTEGRALITY_TOL
 
 
 def shape_function(m: int, peak: PeakDescriptor, spec: ContinuousSpec, w: WeightProfile) -> complex:
@@ -116,31 +109,3 @@ def decomposed_sum(xi: float, q: int, r: int, spec: ContinuousSpec, w: WeightPro
     )
     total -= _lattice_terms(tail_idx, xi, spec, w)
     return total / w.norm
-
-
-def locate_peaks(
-    spec: ContinuousSpec, r_max: int, w: WeightProfile | None = None
-) -> list[PeakDescriptor]:
-    """All candidate peaks xi = (q/r) B for reduced q/r with 1 <= q < r <= r_max.
-
-    Factor peaks require B/A integral; otherwise the maximum condition cannot
-    be met and the list is empty.  Each descriptor's m_bar_is_integral
-    property reports the condition m0 = q B / A for its own q.  The optional
-    profile fixes the peak geometry (sigma0, D); the default is the margin-1
-    recommended width for N = B.
-    """
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    ratio = spec.b_param / spec.a_param
-    if abs(ratio - round(ratio)) > _INTEGRALITY_TOL:
-        return []
-    if w is None:
-        w = WeightProfile.for_width(recommend_weight_width(max(round(spec.b_param), 1), 1.0))
-    peaks = []
-    for r in range(2, r_max + 1):
-        for q in range(1, r):
-            if math.gcd(q, r) != 1:
-                continue
-            peaks.append(PeakDescriptor.at(q * spec.b_param / r, q, r, spec, w))
-    peaks.sort(key=lambda p: p.location_xi)
-    return peaks

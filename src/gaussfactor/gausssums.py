@@ -116,10 +116,6 @@ class CharacterSpec:
         if not 0 <= self.index < max(self.modulus - 1, 1):
             raise ValueError("character index out of range")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.index == 0
-
 
 def _quad_residues(m, c, b) -> np.ndarray:
     """Exact residues (m^2 * c) mod b, elementwise over broadcast arrays, for
@@ -295,8 +291,8 @@ def wtilde_b_sweep(a, c, r: int, b_values: np.ndarray | None = None) -> np.ndarr
     give one row per (a, c) pair, so the result has shape
     broadcast(a, c).shape + (len(b_values),); scalars give a 1-D array.
 
-    The half-integer phase is reduced mod 2r exactly, so only one table of 2r
-    complex exponentials is ever built.  The sum over p is one matrix
+    The half-integer phase is reduced mod 2r exactly, so its phasors all come
+    from one table, the 2r-th roots of unity.  The sum over p is one matrix
     product: phasor rows table[base_p] times the r x len(b_values) matrix
     table[2 b p mod 2r].
     """
@@ -308,27 +304,13 @@ def wtilde_b_sweep(a, c, r: int, b_values: np.ndarray | None = None) -> np.ndarr
     a_res = np.asarray(a % two_r, dtype=np.int64)[..., None]
     c_res = np.asarray(c % two_r, dtype=np.int64)[..., None]
     base = ((p * p) % two_r * a_res + p * c_res) % two_r
-    table = _half_turn_table(r)
+    table = _root_table(two_r)
     if b_values is None:
         b_values = np.arange(r)
     b_arr = np.asarray(b_values, dtype=np.int64) % r
     # phase index 2 b p mod 2r for each (p, b)
     shift = table[(2 * np.outer(p, b_arr)) % two_r]
     return table[base] @ shift / r
-
-
-# The phasor tables below are cached for callers that sweep one modulus at a
-# time (the verify suites, the acceptance criteria), so a few entries give
-# every hit and a caller's large modulus is not kept alive for long.
-_TABLE_CACHE = 4
-
-
-@lru_cache(maxsize=_TABLE_CACHE)
-def _half_turn_table(r: int) -> np.ndarray:
-    """Read-only table exp(i pi k / r) for k in [0, 2r)."""
-    table = np.exp(1j * np.pi * np.arange(2 * r) / r)
-    table.flags.writeable = False
-    return table
 
 
 def reciprocate_truncated(n_target: int, l: int, m_terms: int) -> complex:
@@ -388,17 +370,6 @@ def reciprocate_complete_sweep(n_target: int, ls) -> np.ndarray:
     return out
 
 
-def exponential_sum(n_target: int, l: int, j: int, m_terms: int) -> complex:
-    """Generalized sum with phases m^j: (1/(M+1)) sum exp(-2 pi i m^j N / l)."""
-    if l < 1 or m_terms < 1:
-        raise ValueError("l and m_terms must be positive")
-    if j < 1:
-        raise ValueError("exponent j must be >= 1")
-    c = n_target % l
-    res = [(pow(m, j, l) * c) % l for m in range(m_terms)]
-    return complex(_phase_exp(np.array(res), l, sign=-1.0).sum() / m_terms)
-
-
 def monte_carlo_sum(n_target: int, l: int, sample_count: int, seed: int) -> complex:
     """Average of exp(-2 pi i m^2 N / l) over sample_count indices drawn
     uniformly without replacement from [0, l); deterministic for a given seed.
@@ -449,6 +420,13 @@ def ring_gauss_sweep(chi: CharacterSpec) -> np.ndarray:
     of the character table, since ifft(v)[beta] = (1/n) sum_x v[x] exp(2 pi i beta x / n).
     """
     return chi.modulus * np.fft.ifft(_char_values(chi))
+
+
+# The root table is cached for callers that sweep one modulus at a time (the
+# ring and window-sum verify suites, the acceptance criteria), so a few
+# entries give every hit and a caller's large modulus is not kept alive for
+# long.
+_TABLE_CACHE = 4
 
 
 @lru_cache(maxsize=_TABLE_CACHE)

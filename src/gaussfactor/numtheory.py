@@ -1,5 +1,5 @@
-"""Integer arithmetic substrate: gcd, residue classes mod 4, quadratic-residue
-symbols, primality, primitive roots, and exact modular phase reduction.
+"""Integer arithmetic substrate: residue classes mod 4, the Jacobi symbol,
+primality and primitive roots.
 
 All functions are pure and operate on Python ints, so nothing here loses
 precision for moduli in the 13-17 digit range.
@@ -7,10 +7,7 @@ precision for moduli in the 13-17 digit range.
 
 from __future__ import annotations
 
-import math
 from enum import IntEnum
-from fractions import Fraction
-from functools import lru_cache
 
 
 class ResidueClass(IntEnum):
@@ -32,15 +29,6 @@ class SymbolValue(IntEnum):
     NON_RESIDUE = -1
     DIVISOR = 0
     RESIDUE = 1
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, not both zero."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd arguments must be nonnegative")
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 def residue_class(n: int) -> ResidueClass:
@@ -71,27 +59,6 @@ def jacobi_symbol(a: int, b: int) -> SymbolValue:
     if b != 1:
         return SymbolValue.DIVISOR
     return SymbolValue(result)
-
-
-@lru_cache(maxsize=256)
-def _squares_mod(b: int) -> frozenset[int]:
-    return frozenset((x * x) % b for x in range(b))
-
-
-def qr_indicator(a: int, b: int) -> SymbolValue:
-    """Literal existence-of-x quadratic-residue indicator.
-
-    +1 when some x satisfies b | (a - x^2) and gcd(a, b) = 1, 0 when b | a,
-    -1 otherwise.  Exhaustive over x in [0, b); serves as an independent
-    oracle for jacobi_symbol on prime b.
-    """
-    if b < 1:
-        raise ValueError("b must be positive")
-    if a % b == 0:
-        return SymbolValue.DIVISOR
-    if (a % b) in _squares_mod(b) and math.gcd(a, b) == 1:
-        return SymbolValue.RESIDUE
-    return SymbolValue.NON_RESIDUE
 
 
 # Witnesses giving a deterministic Miller-Rabin test below 2^64.
@@ -167,16 +134,3 @@ def primitive_root(n: int) -> int:
         if all(pow(g, order // p, n) != 1 for p in prime_divs):
             return g
     raise AssertionError("unreachable: every prime has a primitive root")
-
-
-def mod_mul_phase(m: int, c: int, d: int) -> Fraction:
-    """Exact phase fraction ((m^2 * c) mod d) / d in [0, 1).
-
-    Keeps quadratic phases exact for arbitrarily large arguments; the only
-    rounding happens in the final complex exponential taken by the caller.
-    """
-    if d < 1:
-        raise ValueError("modulus must be positive")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return Fraction(((m * m) % d) * (c % d) % d, d)

@@ -497,3 +497,18 @@ class TestInputContracts:
         assert "80-bit" in capsys.readouterr().err
         assert cli.main(["factor", "--n", "15", "--scheme", "reciprocate"]) == 0
         assert cli.main(["ghost", "--n", "15", "--m-terms", "3"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 7 and 2 PiB grids: past the address space, so refused at once
+            ["scan", "--n", "33", "--xi-min", "0", "--xi-max", "1e15", "--step", "1"],
+            ["factor", "--n", "33", "--step", "1e-13"],
+        ],
+    )
+    def test_grid_too_large_to_allocate_exits_cleanly(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "memory" in captured.err
+        assert "Traceback" not in captured.err

@@ -148,13 +148,11 @@ class TestReciprocatePredictor:
 
 class TestWtildeModulus2:
     def test_examples(self):
-        assert abs(cf.wtilde_modulus2(1, 1, 3, 0) - 1 / 3) < 1e-15
-        assert abs(cf.wtilde_modulus2(2, 0, 2, 1) - 1.0) < 1e-15
-        assert abs(cf.wtilde_modulus2(1, 1, 5, 0) - abs(gs.wtilde(1, 2, 1, 5)) ** 2) < 1e-10
-
-    def test_unsupported_combination_reported(self):
-        with pytest.raises(ValueError):
-            cf.wtilde_modulus2(3, 1, 6, 0)  # gcd(3,6)>1 and not the even specialization
+        # |wtilde|^2 = 1/r when gcd(a, r) = 1 and a*r - c is even; with
+        # a = 2q, c = 0 and even r it is 0 or 2/r by the parity of qr/2 + b
+        assert abs(abs(gs.wtilde(1, 0, 1, 3)) ** 2 - 1 / 3) < 1e-15
+        assert abs(abs(gs.wtilde(2, 1, 0, 2)) ** 2 - 1.0) < 1e-15
+        assert abs(abs(gs.wtilde(1, 2, 1, 5)) ** 2 - 1 / 5) < 1e-15
 
     def test_b_independence_matches_brute(self):
         for r in range(1, 25):
@@ -163,10 +161,4 @@ class TestWtildeModulus2:
                     continue
                 for c in (a * r % 2, a * r % 2 + 2):
                     vals = np.abs(gs.wtilde_b_sweep(a, c, r)) ** 2
-                    assert np.max(np.abs(vals - cf.wtilde_modulus2(a, c, r, 0))) < 1e-10
-
-
-def test_nonfactor_baseline_examples():
-    assert abs(cf.predict_nonfactor_baseline(39) - 1 / 39) < 1e-15
-    assert abs(cf.predict_nonfactor_baseline(40) - 1 / 20) < 1e-15
-    assert cf.predict_nonfactor_baseline(42) == 0.0
+                    assert np.max(np.abs(vals - 1 / r)) < 1e-10

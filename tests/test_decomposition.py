@@ -49,7 +49,7 @@ class TestShapeFunction:
     def test_unity_at_center(self):
         spec = gs.ContinuousSpec(1.0, 33.0)
         pk = dc.PeakDescriptor.at(3.0, 1, 11, spec, W10)
-        assert pk.m_bar_is_integral
+        assert pk.m_bar == 33.0
         assert abs(dc.shape_function(33, pk, spec, W10) - 1.0) < 1e-12
 
     def test_gaussian_tail(self):
@@ -81,7 +81,7 @@ class TestDecomposedSum:
         spec = gs.ContinuousSpec(1.0, 51.0)
         xi = 10.2
         pk = dc.PeakDescriptor.at(xi, 1, 5, spec, W10)
-        assert pk.sigma0 < 0.3 and pk.m_bar_is_integral
+        assert pk.sigma0 < 0.3 and pk.m_bar == 51.0
         single = gs.finite_w(1, 5, 51) * dc.shape_function(51, pk, spec, W10)
         full = dc.decomposed_sum(xi, 1, 5, spec, W10)
         assert abs(single - full) < 0.01 * abs(full)
@@ -111,22 +111,6 @@ class TestLatticeTerms:
             ref = (W10.raw_weight(m_values.astype(float)) * np.exp(2j * np.pi * t.astype(float))).sum()
             got = dc._lattice_terms(m_values, xi, spec, W10)
             assert np.array([got]).view(np.uint64).tolist() == np.array([ref]).view(np.uint64).tolist()
-
-
-class TestLocatePeaks:
-    def test_n33_factors_present(self):
-        peaks = dc.locate_peaks(gs.ContinuousSpec(1.0, 33.0), 11, W10)
-        locs = {round(p.location_xi, 9) for p in peaks}
-        assert 3.0 in locs and 11.0 in locs
-        assert all(p.m_bar_is_integral for p in peaks)
-        assert all(math.gcd(p.q, p.r) == 1 for p in peaks)
-
-    def test_non_integral_ratio_empty(self):
-        assert dc.locate_peaks(gs.ContinuousSpec(8.0, 33.0), 11) == []
-
-    def test_rational_a_flagged(self):
-        peaks = dc.locate_peaks(gs.ContinuousSpec(33.0 / 7.0, 33.0), 11, W10)
-        assert peaks and all(p.m_bar_is_integral for p in peaks)
 
 
 class TestRecommendWeightWidth:

@@ -329,10 +329,10 @@ class TestVerifiedEqualsDivisors:
         return {n: got for n, got in reports.items() if got != proper_divisors(n)}
 
     def test_continuous_odd(self):
-        assert self.mismatches(fz.factor_scan_continuous, range(9, 50, 2)) == {}
+        assert self.mismatches(fz.factor_scan_continuous, range(9, 80, 2)) == {}
 
     def test_continuous_even(self):
-        assert self.mismatches(fz.factor_scan_even, range(10, 41, 2)) == {}
+        assert self.mismatches(fz.factor_scan_even, range(10, 59, 2)) == {}
 
     def test_discrete_lines(self):
         assert self.mismatches(fz.factor_lines_discrete, range(4, 120)) == {}

@@ -19,6 +19,11 @@ def broad_profile(n: int, margin: float = 2.0) -> gs.WeightProfile:
     return gs.WeightProfile.for_width(recommend_weight_width(n, margin))
 
 
+def mod_mul_phase(m: int, c: int, d: int) -> Fraction:
+    """Exact phase fraction ((m^2 * c) mod d) / d in [0, 1), in Python ints."""
+    return Fraction(((m * m) % d) * (c % d) % d, d)
+
+
 def one_piece_grid(xis, spec, w):
     """The unblocked kernel: the whole grid x terms phase matrix at once,
     reduced with t - floor(t)."""
@@ -207,8 +212,6 @@ class TestDiscreteSum:
             assert gs.discrete_sum(39, l, W10) == gs.discrete_sum(39, l + 39, W10)
 
     def test_17_digit_modulus_via_exact_phase_oracle(self):
-        from gaussfactor.numtheory import mod_mul_phase
-
         n = 10**17 + 9
         w = gs.WeightProfile(3.0, 12)
         for l in (3, 12345678901234567):
@@ -286,10 +289,10 @@ class TestWtilde:
 
 
 class TestWtildeTables:
-    @pytest.mark.parametrize("r", [1, 2, 7, 64])
+    @pytest.mark.parametrize("r", [1, 2, 7, 64, 1000, 2999])
     def test_cached_tables_give_the_exponentiated_bits(self, r):
-        # the cached phasor table against building it afresh from exp, for
-        # the default and for explicit b values
+        # the cached root table of order 2r against the half-turn table
+        # exp(i pi k / r) built afresh, for the default and explicit b values
         table = np.exp(1j * np.pi * np.arange(2 * r) / r)
         p = np.arange(r, dtype=np.int64)
         for b_values in (None, np.array([0, 2 % r, r - 1, 5 * r + 3, -1])):
@@ -303,7 +306,7 @@ class TestWtildeTables:
 
     def test_cached_table_is_read_only(self):
         with pytest.raises(ValueError):
-            gs._half_turn_table(7)[0] = 0.0
+            gs._root_table(14)[0] = 0.0
 
 
 class TestReciprocate:
@@ -332,23 +335,6 @@ class TestReciprocate:
     def test_rejects_zero_l(self):
         with pytest.raises(ValueError):
             gs.reciprocate_truncated(15, 0, 3)
-
-
-class TestExponentialSum:
-    def test_j2_is_reciprocate(self):
-        for n, l, m in ((1911, 12, 7), (39, 5, 11)):
-            assert gs.exponential_sum(n, l, 2, m) == gs.reciprocate_truncated(n, l, m)
-
-    def test_divisor_any_power(self):
-        assert gs.exponential_sum(100, 10, 5, 12) == 1.0
-
-    def test_15_4_cubic_hand_sum(self):
-        expect = sum(
-            cmath.exp(-2j * cmath.pi * (pow(m, 3, 4) * 15 % 4) / 4) for m in range(4)
-        ) / 4
-        got = gs.exponential_sum(15, 4, 3, 4)
-        assert abs(got - expect) < 1e-12
-        assert abs(got - 0.5) < 1e-12
 
 
 class TestMonteCarlo:

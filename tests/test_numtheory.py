@@ -1,22 +1,28 @@
 import math
-from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from gaussfactor import numtheory as nt
 
 
-def test_gcd_examples():
-    assert nt.gcd(0, 7) == 7
-    assert nt.gcd(12, 1911) == 3
-    assert nt.gcd(35, 51) == 1
+@lru_cache(maxsize=256)
+def _squares_mod(b: int) -> frozenset[int]:
+    return frozenset((x * x) % b for x in range(b))
 
 
-def test_gcd_rejects_double_zero_and_negatives():
-    with pytest.raises(ValueError):
-        nt.gcd(0, 0)
-    with pytest.raises(ValueError):
-        nt.gcd(-4, 6)
+def qr_indicator(a: int, b: int) -> nt.SymbolValue:
+    """Literal existence-of-x quadratic-residue indicator, the brute-force
+    oracle for jacobi_symbol on prime b.
+
+    +1 when some x satisfies b | (a - x^2) and gcd(a, b) = 1, 0 when b | a,
+    -1 otherwise.  Exhaustive over x in [0, b).
+    """
+    if a % b == 0:
+        return nt.SymbolValue.DIVISOR
+    if (a % b) in _squares_mod(b) and math.gcd(a, b) == 1:
+        return nt.SymbolValue.RESIDUE
+    return nt.SymbolValue.NON_RESIDUE
 
 
 def test_residue_class_examples():
@@ -60,21 +66,21 @@ def test_jacobi_matches_qr_indicator_on_primes_to_2000():
         if not nt.is_prime(b):
             continue
         for a in range(b):
-            assert nt.jacobi_symbol(a, b) == nt.qr_indicator(a, b), (a, b)
+            assert nt.jacobi_symbol(a, b) == qr_indicator(a, b), (a, b)
 
 
 def test_qr_indicator_examples():
     for b in (2, 3, 10, 17, 100):
-        assert nt.qr_indicator(1, b) == 1
-    assert nt.qr_indicator(2, 5) == -1  # squares mod 5 are {0, 1, 4}
-    assert nt.qr_indicator(10, 5) == 0
+        assert qr_indicator(1, b) == 1
+    assert qr_indicator(2, 5) == -1  # squares mod 5 are {0, 1, 4}
+    assert qr_indicator(10, 5) == 0
 
 
 def test_qr_indicator_matches_exhaustive_definition():
     for b in range(1, 60):
         squares = {(x * x) % b for x in range(b)}
         for a in range(-b, 2 * b):
-            got = nt.qr_indicator(a, b)
+            got = qr_indicator(a, b)
             if a % b == 0:
                 assert got == 0
             elif (a % b) in squares and math.gcd(a, b) == 1:
@@ -127,20 +133,3 @@ def test_primitive_root_generates_full_group():
             seen.add(acc)
             acc = (acc * g) % n
         assert seen == set(range(1, n))
-
-
-def test_mod_mul_phase_examples():
-    assert nt.mod_mul_phase(2, 15, 5) == 0
-    assert nt.mod_mul_phase(3, 1, 7) == Fraction(2, 7)
-    d = 10**13 + 1
-    assert nt.mod_mul_phase(10**6, 1, d) == Fraction(10**12 % d, d)
-
-
-def test_mod_mul_phase_range_and_exactness():
-    for m in range(0, 50, 7):
-        for c in range(-20, 21, 3):
-            for d in (1, 2, 7, 97):
-                f = nt.mod_mul_phase(m, c, d)
-                assert 0 <= f < 1
-                assert (f * d) % 1 == 0
-                assert f == ((m * m * c) % d) / Fraction(d)
