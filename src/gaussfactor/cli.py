@@ -14,6 +14,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -76,8 +77,8 @@ class RunConfig:
     format: str = "csv"
 
     def weight_profile(self) -> WeightProfile:
-        if self.delta_m <= 0:
-            raise ConfigError("--dm must be positive")
+        if not 0 < self.delta_m < math.inf:
+            raise ConfigError("--dm must be finite and positive")
         m_max = self.m_terms if self.m_terms is not None else math.ceil(4 * self.delta_m)
         if m_max < 1:
             raise ConfigError("--m-terms must be >= 1")
@@ -336,7 +337,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if all_ok else 2
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process and shared by every main call;
+    parsing leaves no state behind in it."""
     p = _Parser(prog="gaussfactor", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

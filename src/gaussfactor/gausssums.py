@@ -59,8 +59,8 @@ class WeightProfile:
     m_max: int
 
     def __post_init__(self) -> None:
-        if self.delta_m <= 0:
-            raise ValueError("delta_m must be positive")
+        if not 0 < self.delta_m < math.inf:
+            raise ValueError("delta_m must be finite and positive")
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
 
@@ -96,7 +96,7 @@ class ContinuousSpec:
     b_param: float
 
     def __post_init__(self) -> None:
-        if self.a_param <= 0 or self.b_param <= 0:
+        if not (self.a_param > 0 and self.b_param > 0):  # NaN fails too
             raise ValueError("A and B must be strictly positive")
 
 
@@ -133,7 +133,7 @@ def _quad_residues(m, c, b) -> np.ndarray:
 def _reduced(x, b) -> np.ndarray:
     """x mod b elementwise, computed in Python ints (exact for integers of any
     size) and returned in b's dtype, where the residues fit."""
-    return (np.asarray(x, dtype=object) % b).astype(np.asarray(b).dtype)
+    return np.asarray(np.asarray(x, dtype=object) % b, dtype=np.asarray(b).dtype)
 
 
 def _phase_exp(residues, modulus, sign: float = 1.0) -> np.ndarray:
@@ -260,41 +260,46 @@ def discrete_sweep(n_target: int, ls, w: WeightProfile) -> np.ndarray:
     return out
 
 
-def standard_gauss(a: int, b: int) -> complex:
-    """Standard quadratic Gauss sum: sum over one period b of exp(2 pi i m^2 a / b)."""
+def standard_gauss(a, b: int) -> complex | np.ndarray:
+    """Standard quadratic Gauss sum G(a, b): sum over one period b of exp(2 pi i m^2 a / b).
+
+    `a` may be an integer array; the result then has a's shape, one sum per
+    element.  The phasors are gathered from one table exp(2 pi i k / b) at
+    the exact residues (a m^2) mod b and each row of b terms is summed on
+    its own, _SWEEP_PHASORS phasors at a time, so every sum has the bits of
+    a scalar call.
+    """
     if b < 1:
         raise ValueError("b must be positive")
-    res = _quad_residues(np.arange(b), a % b, b)
-    return complex(_phase_exp(res, b).sum())
+    coeffs = _reduced(a, b).reshape(-1)
+    m = np.arange(b)
+    table = _phase_exp(m, b)
+    out = np.empty(len(coeffs), dtype=complex)
+    for block in _blocks([b] * len(coeffs)):
+        out[block] = table[_quad_residues(m, coeffs[block, None], b)].sum(axis=1)
+    return complex(out[0]) if np.ndim(a) == 0 else out.reshape(np.shape(a))
 
 
 def finite_w(q: int, r: int, m: int) -> complex:
-    """Finite Gauss sum (1/r) sum_p exp[2 pi i (q p^2 + m p) / r]."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    p = np.arange(r, dtype=np.int64)
-    res = ((p * p) % r * (q % r) + p * (m % r)) % r
-    return complex(_phase_exp(res, r).sum() / r)
+    """Finite Gauss sum (1/r) sum_p exp[2 pi i (q p^2 + m p) / r] = wtilde(2q, m, 0, r)."""
+    return complex(wtilde_b_sweep(2 * q, 0, r, [m])[0])
 
 
 def wtilde(a: int, b: int, c: int, r: int) -> complex:
     """Half-integer-phase sum (1/r) sum_p exp[(i pi / r)(p^2 a + 2 b p + p c)]."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    return complex(wtilde_b_sweep(a, c, r, np.array([b]))[0])
+    return complex(wtilde_b_sweep(a, c, r, [b])[0])
 
 
-def wtilde_b_sweep(a, c, r: int, b_values: np.ndarray | None = None) -> np.ndarray:
+def wtilde_b_sweep(a, c, r: int, b_values=None) -> np.ndarray:
     """wtilde evaluated for every b in b_values (default: all b in [0, r)).
 
     `a` and `c` may be integer arrays: they broadcast against each other and
     give one row per (a, c) pair, so the result has shape
     broadcast(a, c).shape + (len(b_values),); scalars give a 1-D array.
 
-    The half-integer phase is reduced mod 2r exactly, so its phasors all come
-    from one table, the 2r-th roots of unity.  The sum over p is one matrix
-    product: phasor rows table[base_p] times the r x len(b_values) matrix
-    table[2 b p mod 2r].
+    The half-integer phase is reduced mod 2r exactly, so its phasors f_p all
+    come from one table, the 2r-th roots of unity.  The sum over p is then an
+    inverse DFT: (1/r) sum_p f_p exp(2 pi i b p / r) = ifft(f)[b].
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -304,13 +309,8 @@ def wtilde_b_sweep(a, c, r: int, b_values: np.ndarray | None = None) -> np.ndarr
     a_res = np.asarray(a % two_r, dtype=np.int64)[..., None]
     c_res = np.asarray(c % two_r, dtype=np.int64)[..., None]
     base = ((p * p) % two_r * a_res + p * c_res) % two_r
-    table = _root_table(two_r)
-    if b_values is None:
-        b_values = np.arange(r)
-    b_arr = np.asarray(b_values, dtype=np.int64) % r
-    # phase index 2 b p mod 2r for each (p, b)
-    shift = table[(2 * np.outer(p, b_arr)) % two_r]
-    return table[base] @ shift / r
+    sums = np.fft.ifft(_root_table(two_r)[base], axis=-1)
+    return sums if b_values is None else sums[..., _reduced(b_values, r)]
 
 
 def reciprocate_truncated(n_target: int, l: int, m_terms: int) -> complex:
@@ -422,17 +422,18 @@ def ring_gauss_sweep(chi: CharacterSpec) -> np.ndarray:
     return chi.modulus * np.fft.ifft(_char_values(chi))
 
 
-# The root table is cached for callers that sweep one modulus at a time (the
-# ring and window-sum verify suites, the acceptance criteria), so a few
-# entries give every hit and a caller's large modulus is not kept alive for
-# long.
+# The root table is cached for callers that sweep one modulus at a time
+# (ring_gauss and wtilde_b_sweep, in the ring and window-sum verify suites
+# and the acceptance criteria), so a few entries give every hit and a
+# caller's large modulus is not kept alive for long.
 _TABLE_CACHE = 4
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
 def _root_table(n: int) -> np.ndarray:
-    """Read-only table of the n-th roots of unity exp(2 pi i k / n), k in [0, n)."""
-    table = np.exp(2j * np.pi * np.arange(n) / n)
+    """Read-only table of the n-th roots of unity exp(2 pi i k / n), k in [0, n),
+    each entry the bits _phase_exp gives for its residue k."""
+    table = _phase_exp(np.arange(n), n)
     table.flags.writeable = False
     return table
 

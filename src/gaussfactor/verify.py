@@ -55,32 +55,13 @@ def check_closedform() -> SuiteResult:
     for b in range(1, 1001):
         if worst.over(abs(gausssums.standard_gauss(1, b) - closedform.g1b_closed(b)), 1e-8):
             failures.append(f"g1b mismatch at b={b}")
-    # brute-force G(a, b) for every coprime a at once: rows of one table of b
-    # phasors, gathered at the exact residues (a m^2) mod b and summed per row,
-    # in blocks of at most _BLOCK_PHASORS phasors.  Every block reuses the same
-    # two buffers, so the sweep allocates (and page-faults) no per-block arrays.
-    res_buf = np.empty(gausssums._BLOCK_PHASORS, dtype=np.int64)
-    phasor_buf = np.empty(gausssums._BLOCK_PHASORS, dtype=complex)
+    # brute-force G(a, b) for every coprime a at once, one sweep per b
     for b in range(1, 502, 2):
-        m = np.arange(b, dtype=np.int64)
-        m2 = (m * m) % b
-        table = np.exp(2j * np.pi * m / b)
-        coprime = np.array([a for a in range(1, b) if math.gcd(a, b) == 1], dtype=np.int64)
-        rows = max(1, gausssums._BLOCK_PHASORS // b)
-        for start in range(0, len(coprime), rows):
-            block = coprime[start:start + rows]
-            shape = (len(block), b)
-            residues = res_buf[:block.size * b].reshape(shape)
-            np.multiply.outer(block, m2, out=residues)
-            residues %= b
-            # residues lie in [0, b), so mode="clip" changes no index; it only
-            # skips the copy that the default mode makes when out= is given
-            phasors = np.take(table, residues, out=phasor_buf[:residues.size].reshape(shape),
-                              mode="clip")
-            brute = phasors.sum(axis=1)
-            closed = np.array([closedform.gab_closed(int(a), b) for a in block])
-            for i in np.flatnonzero(worst.over(np.abs(brute - closed), 1e-8)):
-                failures.append(f"gab mismatch at (a={block[i]}, b={b})")
+        coprime = [a for a in range(1, b) if math.gcd(a, b) == 1]
+        brute = gausssums.standard_gauss(np.array(coprime, dtype=np.int64), b)
+        closed = np.array([closedform.gab_closed(a, b) for a in coprime])
+        for i in np.flatnonzero(worst.over(np.abs(brute - closed), 1e-8)):
+            failures.append(f"gab mismatch at (a={coprime[i]}, b={b})")
     rng = random.Random(20)
     for _ in range(300):
         b = rng.randint(1, 400)
@@ -141,11 +122,11 @@ def check_wtilde() -> SuiteResult:
         for q in range(1, r):
             if math.gcd(q, r) != 1:
                 continue
-            for m in range(r):
-                brute = abs(gausssums.finite_w(q, r, m))
-                pred = closedform.predict_finite_w_modulus(q, r, m)
-                if worst.over(abs(brute - pred), 1e-9):
-                    failures.append(f"parity table fails at (q={q}, r={r}, m={m})")
+            # finite_w(q, r, m) for every m is the row wtilde(2q, m, 0, r)
+            brute = np.abs(gausssums.wtilde_b_sweep(2 * q, 0, r))
+            pred = np.array([closedform.predict_finite_w_modulus(q, r, m) for m in range(r)])
+            for m in np.flatnonzero(worst.over(np.abs(brute - pred), 1e-9)):
+                failures.append(f"parity table fails at (q={q}, r={r}, m={m})")
     return _result("wtilde", failures, t0, worst)
 
 

@@ -390,6 +390,24 @@ class TestRunConfigApi:
             cli.run(cli.RunConfig(command="bogus"))
 
 
+class TestParserCache:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_error_exits_leave_the_parser_unchanged(self, monkeypatch, capsys):
+        argv = ["reciprocate", "--n", "15", "--format", "json"]
+        bad = (["factor", "--n", "x"], ["scan", "--bogus"],
+               ["factor", "--n", "15", "--scheme", "nope"], ["factor", "--n", "33", "--dm", "nan"])
+        for argv_bad in bad:
+            assert cli.main(argv_bad) == 1
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        cached = capsys.readouterr()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == cached
+
+
 class TestOutputDirEnv:
     def test_relative_path_uses_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
@@ -497,6 +515,30 @@ class TestInputContracts:
         assert "80-bit" in capsys.readouterr().err
         assert cli.main(["factor", "--n", "15", "--scheme", "reciprocate"]) == 0
         assert cli.main(["ghost", "--n", "15", "--m-terms", "3"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--n", "33", "--dm", "inf", "--xi-min", "2", "--xi-max", "3"],
+            ["scan", "--n", "33", "--dm", "nan", "--xi-min", "2", "--xi-max", "3"],
+            ["factor", "--n", "33", "--dm", "inf"],
+            ["factor", "--n", "33", "--dm", "nan"],
+            ["factor", "--n", "33", "--scheme", "lines", "--dm", "inf", "--m-terms", "5"],
+        ],
+    )
+    def test_non_finite_dm_rejected(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --dm must be finite and positive\n"
+
+    @pytest.mark.parametrize("params", [["--b", "nan"], ["--b", "nan", "--n", "33"],
+                                        ["--a", "nan", "--n", "33"]])
+    def test_nan_scan_parameters_rejected(self, params, capsys):
+        assert cli.main(["scan", *params, "--xi-min", "2", "--xi-max", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: A and B must be strictly positive\n"
 
     @pytest.mark.parametrize(
         "argv",

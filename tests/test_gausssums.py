@@ -59,6 +59,16 @@ class TestWeightProfile:
         with pytest.raises(ValueError):
             gs.WeightProfile(5.0, 0)
 
+    @pytest.mark.parametrize("dm", [math.inf, -math.inf, math.nan])
+    def test_non_finite_width_rejected(self, dm):
+        with pytest.raises(ValueError, match="finite and positive"):
+            gs.WeightProfile(dm, 10)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 33.0), (1.0, math.nan)])
+    def test_nan_continuous_parameters_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            gs.ContinuousSpec(a, b)
+
 
 class TestContinuousSum:
     def test_zero_argument_is_one(self):
@@ -238,6 +248,34 @@ class TestStandardGauss:
         for a, b in ((1, 7), (3, 12), (5, 9), (0, 4)):
             assert gs.standard_gauss(a + b, b) == gs.standard_gauss(a, b)
 
+    @pytest.mark.parametrize("b", [1, 2, 7, 12, 101, 8200])
+    def test_array_matches_scalar_bits(self, b):
+        # 8200 > _SWEEP_PHASORS, so each row is a block of its own
+        a = np.array([[0, 1, 2, 3], [b - 1, b + 5, -7, 10**6 + 3]])
+        got = gs.standard_gauss(a, b)
+        assert got.shape == a.shape and got.dtype == complex
+        expect = np.array([[gs.standard_gauss(int(x), b) for x in row] for row in a])
+        assert bits(got).tolist() == bits(expect).tolist()
+
+    def test_array_keeps_shape_and_scalars_give_complex(self):
+        assert gs.standard_gauss(np.arange(6).reshape(2, 3, 1), 5).shape == (2, 3, 1)
+        assert gs.standard_gauss(np.array([], dtype=np.int64), 5).shape == (0,)
+        assert isinstance(gs.standard_gauss(3, 5), complex)
+        assert isinstance(gs.standard_gauss(np.int64(3), 5), complex)
+
+    def test_python_int_coefficients_reduced_exactly(self):
+        a = np.array([10**20 + 1, 2**70 + 3], dtype=object)
+        assert gs.standard_gauss(a, 13).tolist() == [
+            gs.standard_gauss((10**20 + 1) % 13, 13), gs.standard_gauss((2**70 + 3) % 13, 13)
+        ]
+
+    @pytest.mark.parametrize("b", [0, -3])
+    def test_rejects_b_below_one(self, b):
+        with pytest.raises(ValueError, match="b must be positive"):
+            gs.standard_gauss(1, b)
+        with pytest.raises(ValueError, match="b must be positive"):
+            gs.standard_gauss(np.array([1, 2]), b)
+
     def test_huge_modulus_phases_exact(self):
         # same residue pattern as a small case; values must agree
         n = 10**15
@@ -288,21 +326,44 @@ class TestWtilde:
             assert abs(sweep[b] - gs.wtilde(3, b, 1, 7)) < 1e-14
 
 
+def wtilde_brute(a, c, r, b_values):
+    """wtilde at each b, summed term by term: (1/r) sum_p exp(i pi k / r) with
+    the phase numerator k reduced mod 2r in int64."""
+    p = np.arange(r, dtype=np.int64)
+    return np.array([
+        np.exp(1j * np.pi * ((p * p * a + 2 * b * p + p * c) % (2 * r)) / r).sum() / r
+        for b in b_values
+    ])
+
+
 class TestWtildeTables:
     @pytest.mark.parametrize("r", [1, 2, 7, 64, 1000, 2999])
     def test_cached_tables_give_the_exponentiated_bits(self, r):
-        # the cached root table of order 2r against the half-turn table
-        # exp(i pi k / r) built afresh, for the default and explicit b values
-        table = np.exp(1j * np.pi * np.arange(2 * r) / r)
-        p = np.arange(r, dtype=np.int64)
+        # the cached root table of order 2r is exponentiating each residue,
+        # and the inverse-DFT sweep stays within rounding of the term sums
+        expect = np.exp(2j * np.pi * (np.arange(2 * r) / (2 * r)))
+        assert bits(gs._root_table(2 * r)).tolist() == bits(expect).tolist()
         for b_values in (None, np.array([0, 2 % r, r - 1, 5 * r + 3, -1])):
-            b_arr = np.arange(r) if b_values is None else b_values % r
-            shift = table[(2 * np.outer(p, b_arr)) % (2 * r)]
+            b_list = range(r) if b_values is None else b_values
             for a, c in ((1, 0), (3, 5), (2 * r - 1, 2 * r - 1)):
-                base = ((p * p) % (2 * r) * a + p * c) % (2 * r)
-                expect = table[base] @ shift / r
                 got = gs.wtilde_b_sweep(a, c, r, b_values)
-                assert bits(got).tolist() == bits(expect).tolist()
+                assert np.max(np.abs(got - wtilde_brute(a, c, r, b_list))) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 14, 5998])
+    def test_root_table_is_the_phase_exp_bits(self, n):
+        expect = gs._phase_exp(np.arange(n), n)
+        assert bits(gs._root_table(n)).tolist() == bits(expect).tolist()
+
+    def test_sweep_memory_is_linear_in_r(self):
+        # an r x r shift matrix at r = 2999 alone is 144 MB
+        gs._root_table.cache_clear()
+        tracemalloc.start()
+        try:
+            gs.wtilde_b_sweep(1, 0, 2999)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_cached_table_is_read_only(self):
         with pytest.raises(ValueError):
@@ -401,7 +462,7 @@ class TestRingGauss:
             for k in (1, n - 2):
                 chi = gs.CharacterSpec(n, k)
                 for beta in (-1, 0, 1, 2, n // 2, n + 3, 10**12 + 7):
-                    phases = np.exp(2j * np.pi * ((x * (beta % n)) % n) / n)
+                    phases = np.exp(2j * np.pi * (((x * (beta % n)) % n) / n))
                     expect = complex((gs._char_values(chi) * phases).sum())
                     assert gs.ring_gauss(chi, beta) == expect
         with pytest.raises(ValueError):

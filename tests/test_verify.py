@@ -17,10 +17,11 @@ HEADROOM = re.compile(r"ok, worst (\S+) of tolerance")
 
 
 def old_gab_brute(a, b):
-    """The per-a brute force G(a, b) the closedform suite used before batching."""
+    """The per-a brute force G(a, b): each exact residue (a m^2) mod b
+    exponentiated on its own, as the closedform suite did before batching."""
     m2 = np.arange(b, dtype=np.int64)
     m2 = (m2 * m2) % b
-    return np.exp(2j * np.pi * ((a * m2) % b) / b).sum()
+    return np.exp(2j * np.pi * (((a * m2) % b) / b)).sum()
 
 
 class TestBrokenIdentityFails:
@@ -112,6 +113,17 @@ def nan_in_sweep(real, hit):
     return patched
 
 
+def nan_in_b_sweep(real, hit):
+    """The sweep `real(a, c, r)` over every b, but NaN at each b where
+    hit(a, c, r, b) holds; rows for arrays of c are left as they are."""
+    def patched(a, c, r, b_values=None):
+        out = real(a, c, r, b_values)
+        if b_values is None and np.ndim(c) == 0:
+            out[[hit(a, c, r, b) for b in range(r)]] = complex(math.nan, 0.0)
+        return out
+    return patched
+
+
 class TestNonFiniteFails:
     """A NaN from any evaluator fails its suite: `dev >= tol` is False for
     NaN, so each check asks `not dev < tol` instead."""
@@ -120,7 +132,7 @@ class TestNonFiniteFails:
         "closedform": (closedform, "g1b_closed", lambda b: b == 5, "g1b mismatch at b=5"),
         "reciprocity": (gs, "reciprocate_complete_sweep", lambda n, l: (n, l) == (9, 3),
                         "reciprocate modulus mismatch at (N=9, l=3)"),
-        "wtilde": (gs, "finite_w", lambda q, r, m: (q, r, m) == (1, 4, 1),
+        "wtilde": (gs, "wtilde_b_sweep", lambda a, c, r, b: (a, c, r, b) == (2, 0, 4, 1),
                    "parity table fails at (q=1, r=4, m=1)"),
         "decomposition": (decomposition, "decomposed_sum",
                           lambda xi, q, r, spec, w: (q, r) == (7, 35),
@@ -134,7 +146,8 @@ class TestNonFiniteFails:
     @pytest.mark.parametrize("name", list(CASES))
     def test_nan_evaluator_fails_the_suite(self, name, monkeypatch):
         module, attr, hit, first = self.CASES[name]
-        patch = nan_in_sweep if attr.endswith("_sweep") else nan_at
+        patch = {"reciprocate_complete_sweep": nan_in_sweep,
+                 "wtilde_b_sweep": nan_in_b_sweep}.get(attr, nan_at)
         monkeypatch.setattr(module, attr, patch(getattr(module, attr), hit))
         r = verify.SUITES[name]()
         assert not r.passed
