@@ -27,18 +27,16 @@ class ModulusPrediction:
             raise ValueError("predicted modulus must be nonnegative")
 
 
+# G(1, b) / sqrt(b) for b = 0, 1, 2, 3 mod 4 (the classes M0 .. M3)
+_G1B_UNIT = (1 + 1j, 1 + 0j, 0j, 1j)
+
+
 def g1b_closed(b: int) -> complex:
     """Elementary Gauss sum G(1, b) by residue class of b:
     (1+i)sqrt(b), sqrt(b), 0, i*sqrt(b) for b in M0, M1, M2, M3."""
     if b < 1:
         raise ValueError("b must be positive")
-    root = math.sqrt(b)
-    return {
-        ResidueClass.M0: complex(root, root),
-        ResidueClass.M1: complex(root, 0.0),
-        ResidueClass.M2: 0j,
-        ResidueClass.M3: complex(0.0, root),
-    }[residue_class(b)]
+    return _G1B_UNIT[b % 4] * math.sqrt(b)
 
 
 def gab_closed(a: int, b: int) -> complex:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gausssums import ContinuousSpec, WeightProfile, _unit_phasors, finite_w
+from .gausssums import ContinuousSpec, WeightProfile, _real_sums, wtilde_b_sweep
 
 _SHAPE_CUTOFF = 1e-14
 
@@ -70,17 +70,6 @@ def shape_function(m: int, peak: PeakDescriptor, spec: ContinuousSpec, w: Weight
     return norm * cmath.exp(-z)
 
 
-def _lattice_terms(m_values: np.ndarray, xi: float, spec: ContinuousSpec, w: WeightProfile) -> complex:
-    """Direct sum of weighted phase terms at the given integer indices, with
-    the continuous (unnormalized) weight extension."""
-    if len(m_values) == 0:
-        return 0j
-    m = m_values.astype(np.longdouble)
-    t = (m / np.longdouble(spec.a_param) + m * m / np.longdouble(spec.b_param)) * np.longdouble(xi)
-    terms = w.raw_weight(m_values.astype(float)) * _unit_phasors(t)
-    return complex(terms.sum())
-
-
 def decomposed_sum(xi: float, q: int, r: int, spec: ContinuousSpec, w: WeightProfile) -> complex:
     """Evaluate the continuous sum near xi ~ (q/r)B through the representation
     sum_m W_m^(r) I_m^(r), truncating the m-sum where |I_m| < 1e-14.
@@ -92,6 +81,8 @@ def decomposed_sum(xi: float, q: int, r: int, spec: ContinuousSpec, w: WeightPro
     truncation and normalization.
     """
     peak = PeakDescriptor.at(xi, q, r, spec, w)
+    # W_m^(r) = finite_w(q, r, m) for every m, from one window-sum row
+    w_row = wtilde_b_sweep(2 * q, 0, r).tolist()
     total = 0j
     center = round(peak.m_bar)
     for direction in (1, -1):
@@ -100,12 +91,11 @@ def decomposed_sum(xi: float, q: int, r: int, spec: ContinuousSpec, w: WeightPro
             i_m = shape_function(m, peak, spec, w)
             if abs(i_m) < _SHAPE_CUTOFF:
                 break
-            total += finite_w(q, r, m) * i_m
+            total += w_row[m % r] * i_m
             m += direction
 
     m_ext = w.m_max + math.ceil(8 * w.delta_m)
-    tail_idx = np.concatenate(
-        [np.arange(w.m_max + 1, m_ext + 1), np.arange(-m_ext, -w.m_max)]
-    )
-    total -= _lattice_terms(tail_idx, xi, spec, w)
+    tail = np.concatenate([np.arange(w.m_max + 1, m_ext + 1), np.arange(-m_ext, -w.m_max)])
+    # the lattice terms beyond the window, with the unnormalized weight extension
+    total -= complex(_real_sums([xi], spec, tail, w.raw_weight(tail.astype(float)))[0])
     return total / w.norm

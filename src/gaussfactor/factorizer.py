@@ -36,6 +36,8 @@ DEFAULT_BACKGROUND_WINDOW = 1.0
 DEFAULT_BACKGROUND_CORE = 0.02
 DEFAULT_GHOST_THRESHOLD = 1.0 / math.sqrt(2.0)
 _RECIPROCATE_TOL = 1e-9
+# discrete-scheme line membership: absolute tolerance, and relative to s * l
+_LINE_ABS_TOL, _LINE_REL_TOL = 0.005, 0.05
 
 
 def _check_threshold(threshold: float) -> None:
@@ -143,10 +145,9 @@ def scan_series(
     xi_max: float,
     step: float,
     n_label: int,
-    unit_c: float = 1.0,
     workers: int | None = None,
 ) -> ScanSeries:
-    """Evaluate the continuous sum on a uniform grid.
+    """Evaluate the continuous sum on a uniform grid, in units unit_c = 1.
 
     Chunks are evaluated by a worker pool and assembled in order, so the
     output is identical regardless of worker count.  The pool has at most
@@ -168,27 +169,26 @@ def scan_series(
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(lambda idx: continuous_sum_grid(xis[idx], spec, w), chunks))
         values = np.concatenate(parts)
-    return ScanSeries(unit_c=unit_c, xis=xis, values=values, n_label=n_label)
+    return ScanSeries(unit_c=1.0, xis=xis, values=values, n_label=n_label)
 
 
 def envelope_background(
     xis: np.ndarray,
     abs2: np.ndarray,
     center: float,
-    window: float = DEFAULT_BACKGROUND_WINDOW,
-    core: float = DEFAULT_BACKGROUND_CORE,
     candidate_unit: float = 1.0,
 ) -> float:
     """Background level near a candidate point: the median height of the
-    local maxima of the oscillating signal, sampled away from candidate cores.
+    local maxima of the oscillating signal within DEFAULT_BACKGROUND_WINDOW
+    units, sampled more than DEFAULT_BACKGROUND_CORE away from candidates.
 
     The interference background passes through zero between fringes, so a
     plain median is dragged down by the nulls; the fringe-top median is the
     stable notion of "background level" the peak criterion compares against.
     """
-    near = np.abs(xis - center) <= window * candidate_unit + 1e-12
+    near = np.abs(xis - center) <= DEFAULT_BACKGROUND_WINDOW * candidate_unit + 1e-12
     ratio = xis[near] / candidate_unit
-    off_core = np.abs(ratio - np.round(ratio)) > core
+    off_core = np.abs(ratio - np.round(ratio)) > DEFAULT_BACKGROUND_CORE
     v = abs2[near][off_core]
     if len(v) < 3:
         return float(np.median(abs2[near])) if near.any() else 0.0
@@ -231,7 +231,6 @@ def report_from_series(
     scheme: str,
     peak_factor: float = DEFAULT_PEAK_FACTOR,
     zero_factor: float | None = None,
-    window: float = DEFAULT_BACKGROUND_WINDOW,
 ) -> FactorReport:
     """Apply the peak (and optionally zero) criteria at every integer
     candidate l whose position l * unit_c lies inside the series."""
@@ -245,7 +244,7 @@ def report_from_series(
     def rule(l: int) -> tuple[float, float, Classification]:
         pos = l * c
         measured = float(abs2[int(np.argmin(np.abs(series.xis - pos)))])
-        bg = envelope_background(series.xis, abs2, pos, window=window, candidate_unit=c)
+        bg = envelope_background(series.xis, abs2, pos, candidate_unit=c)
         predicted = predict_discrete_modulus2(n, l).value
         if zero_level is not None and measured < zero_level:
             return measured, predicted, Classification.ZERO_SIGNAL
@@ -258,14 +257,14 @@ def report_from_series(
         scheme,
         range(max(lo, 2), min(hi, n - 1) + 1),
         rule,
-        {"unit_c": c, "peak_factor": peak_factor, "window": window},
+        {"unit_c": c, "peak_factor": peak_factor, "window": DEFAULT_BACKGROUND_WINDOW},
     )
 
 
-def _scan_for(n_target: int, w: WeightProfile, grid_step: float, window: float) -> ScanSeries:
+def _scan_for(n_target: int, w: WeightProfile, grid_step: float) -> ScanSeries:
     spec = ContinuousSpec(a_param=1.0, b_param=float(n_target))
-    lo = max(2.0 - window, 0.5)
-    hi = (n_target - 1.0) + window
+    lo = max(2.0 - DEFAULT_BACKGROUND_WINDOW, 0.5)
+    hi = (n_target - 1.0) + DEFAULT_BACKGROUND_WINDOW
     return scan_series(spec, w, lo, hi, grid_step, n_label=n_target)
 
 
@@ -274,7 +273,6 @@ def factor_scan_continuous(
     w: WeightProfile,
     grid_step: float = 0.01,
     peak_factor: float = DEFAULT_PEAK_FACTOR,
-    window: float = DEFAULT_BACKGROUND_WINDOW,
 ) -> FactorReport:
     """Odd-N continuous scheme: integers where |S_N|^2 spikes above the local
     fringe background carry a factor or a multiple of one."""
@@ -282,10 +280,8 @@ def factor_scan_continuous(
         raise ValueError("continuous odd scheme requires odd N; use factor_scan_even")
     if n_target < 3:
         raise ValueError("N must be >= 3")
-    series = _scan_for(n_target, w, grid_step, window)
-    return report_from_series(
-        series, "continuous_odd", peak_factor=peak_factor, window=window
-    )
+    series = _scan_for(n_target, w, grid_step)
+    return report_from_series(series, "continuous_odd", peak_factor=peak_factor)
 
 
 def factor_scan_even(
@@ -294,7 +290,6 @@ def factor_scan_even(
     grid_step: float = 0.01,
     peak_factor: float = DEFAULT_PEAK_FACTOR,
     zero_factor: float = DEFAULT_ZERO_FACTOR,
-    window: float = DEFAULT_BACKGROUND_WINDOW,
 ) -> FactorReport:
     """Even-N continuous scheme: both spikes and parity-forced zeros of
     |S_N|^2 at integers carry factor information."""
@@ -302,22 +297,13 @@ def factor_scan_even(
         raise ValueError("even scheme requires even N")
     if n_target < 4:
         return FactorReport(n_target, "continuous_even", [], [], params={})
-    series = _scan_for(n_target, w, grid_step, window)
+    series = _scan_for(n_target, w, grid_step)
     return report_from_series(
-        series,
-        "continuous_even",
-        peak_factor=peak_factor,
-        zero_factor=zero_factor,
-        window=window,
+        series, "continuous_even", peak_factor=peak_factor, zero_factor=zero_factor
     )
 
 
-def factor_lines_discrete(
-    n_target: int,
-    w: WeightProfile,
-    abs_tol: float = 0.005,
-    rel_tol: float = 0.05,
-) -> FactorReport:
+def factor_lines_discrete(n_target: int, w: WeightProfile) -> FactorReport:
     """Discrete scheme: |S_N(l)|^2 for l in [1, N]; points on the line l/N
     (also 2l/N for N in M0) are divisors, up to coincidences filtered by the
     divisibility check."""
@@ -335,7 +321,7 @@ def factor_lines_discrete(
         measured = abs(values[l]) ** 2
         predicted = predict_discrete_modulus2(n, l).value
         member = any(
-            abs(measured - s * l) < max(abs_tol, rel_tol * s * l) for s in slopes
+            abs(measured - s * l) < max(_LINE_ABS_TOL, _LINE_REL_TOL * s * l) for s in slopes
         )
         if member and 1 < l < n:
             cls = Classification.FACTOR if n % l == 0 else Classification.GHOST
@@ -345,7 +331,8 @@ def factor_lines_discrete(
             cls = Classification.NONFACTOR
         return measured, predicted, cls
 
-    return _classify(n, "discrete_lines", ls, rule, {"abs_tol": abs_tol, "rel_tol": rel_tol})
+    params = {"abs_tol": _LINE_ABS_TOL, "rel_tol": _LINE_REL_TOL}
+    return _classify(n, "discrete_lines", ls, rule, params)
 
 
 def factor_reciprocate(n_target: int, l_max: int) -> FactorReport:

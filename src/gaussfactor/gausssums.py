@@ -96,8 +96,8 @@ class ContinuousSpec:
     b_param: float
 
     def __post_init__(self) -> None:
-        if not (self.a_param > 0 and self.b_param > 0):  # NaN fails too
-            raise ValueError("A and B must be strictly positive")
+        if not (0 < self.a_param < math.inf and 0 < self.b_param < math.inf):
+            raise ValueError("A and B must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,11 @@ def _quad_residues(m, c, b) -> np.ndarray:
     coefficients c already reduced into [0, b).
 
     int64 stays exact for (m*m) % b and the follow-up multiply while every
-    modulus is at most _INT64_SAFE_MODULUS; above it the same expression runs
-    on Python ints in an object array.
+    modulus and every |m| is at most _INT64_SAFE_MODULUS; otherwise the same
+    expression runs on Python ints in an object array.
     """
-    dtype = np.int64 if np.max(b) <= _INT64_SAFE_MODULUS else object
+    small = np.max(b) <= _INT64_SAFE_MODULUS and np.max(np.abs(m)) <= _INT64_SAFE_MODULUS
+    dtype = np.int64 if small else object
     m, c, b = (np.asarray(x, dtype=dtype) for x in (m, c, b))
     return ((m * m) % b * c) % b
 
@@ -136,14 +137,48 @@ def _reduced(x, b) -> np.ndarray:
     return np.asarray(np.asarray(x, dtype=object) % b, dtype=np.asarray(b).dtype)
 
 
+def _phasors(turns, sign: float = 1.0) -> np.ndarray:
+    """exp(sign 2 pi i turns) for float64 turns: cos and sin written into the
+    two halves of one complex array, the writer of every phasor here.  An
+    array of turns is scaled in place, so callers pass one they own.
+
+    The argument of np.exp(sign * 2j * np.pi * turns) is +0 + i sign TWO_PI
+    turns, with a +0 (not -0) imaginary part at turn 0, so this gives its
+    bits as long as NumPy's sin/cos loops agree with its complex exp;
+    TestPhaseExpBitwise and TestUnitPhasorsBitwise check that.
+    """
+    y = turns
+    y *= sign * TWO_PI
+    if sign < 0:
+        y += 0.0  # -0 becomes +0
+    out = np.empty(y.shape, dtype=complex)
+    np.cos(y, out=out.real)
+    np.sin(y, out=out.imag)
+    return out
+
+
 def _phase_exp(residues, modulus, sign: float = 1.0) -> np.ndarray:
     """exp(sign 2 pi i residues / modulus), elementwise over broadcast arrays.
 
     Each element takes the same operations whatever the shape, so a phasor
     is bitwise the same in a sweep as in a one-argument sum.
     """
-    frac = np.asarray(residues, dtype=float) / np.asarray(modulus, dtype=float)
-    return np.exp(sign * 2j * np.pi * frac)
+    return _phasors(np.asarray(residues, dtype=float) / np.asarray(modulus, dtype=float), sign)
+
+
+# Callers sweep one modulus at a time (the verify suites and acceptance
+# criteria), so a few cached tables give every hit and a caller's large
+# modulus is not kept alive for long.
+_TABLE_CACHE = 4
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _root_table(n: int) -> np.ndarray:
+    """Read-only table of the n-th roots of unity exp(2 pi i k / n), k in [0, n),
+    each entry the bits _phase_exp gives for its residue k."""
+    table = _phase_exp(np.arange(n), n)
+    table.flags.writeable = False
+    return table
 
 
 def _unit_phasors(t: np.ndarray) -> np.ndarray:
@@ -158,16 +193,25 @@ def _unit_phasors(t: np.ndarray) -> np.ndarray:
             f"this platform's has {_LONGDOUBLE_NMANT}"
         )
     np.mod(t, 1, out=t)
-    # cos(y) + i sin(y) written into the two halves of one complex array.
-    # The argument of np.exp(2j * np.pi * t) has real part +0 and imaginary
-    # part exactly TWO_PI * t, so this gives the same bits without the
-    # complex exponential and its temporaries, as long as NumPy's sin/cos
-    # loops agree with its complex exp; TestUnitPhasorsBitwise checks that.
-    y = t.astype(float)
-    y *= TWO_PI
-    out = np.empty(y.shape, dtype=complex)
-    np.cos(y, out=out.real)
-    np.sin(y, out=out.imag)
+    return _phasors(t.astype(float))
+
+
+def _real_sums(xis, spec: ContinuousSpec, m, weights) -> np.ndarray:
+    """Row sums sum_j weights[j] exp[2 pi i (m_j/A + m_j^2/B) xi], one per
+    real argument xi, with phases reduced mod 1 in 80-bit precision.
+
+    Rows run in blocks of about _BLOCK_PHASORS phasors, so memory does not
+    grow with the grid, and each row is summed on its own, so results are
+    bitwise identical however the grid is chunked.
+    """
+    m = np.asarray(m, dtype=np.longdouble)
+    coeff = m / np.longdouble(spec.a_param) + m * m / np.longdouble(spec.b_param)
+    xs = np.asarray(xis, dtype=np.longdouble)
+    out = np.empty(len(xs), dtype=complex)
+    rows = max(1, _BLOCK_PHASORS // len(coeff))
+    for start in range(0, len(xs), rows):
+        block = slice(start, start + rows)
+        out[block] = (_unit_phasors(np.outer(xs[block], coeff)) * weights).sum(axis=1)
     return out
 
 
@@ -182,23 +226,9 @@ def continuous_sum(xi: float, spec: ContinuousSpec, w: WeightProfile) -> complex
 def continuous_sum_grid(
     xis: np.ndarray, spec: ContinuousSpec, w: WeightProfile
 ) -> np.ndarray:
-    """Vectorized continuous_sum over a grid of arguments.
-
-    The grid is processed in row blocks of about _BLOCK_PHASORS phasors, so
-    memory does not grow with the grid length.  Each grid point is reduced
-    independently (row-wise pairwise summation), so results are bitwise
-    identical however the grid is chunked.
-    """
-    m = w.indices().astype(np.longdouble)
-    coeff = m / np.longdouble(spec.a_param) + m * m / np.longdouble(spec.b_param)
-    weights = w.weights()
-    xs = np.asarray(xis, dtype=np.longdouble)
-    out = np.empty(len(xs), dtype=complex)
-    rows = max(1, _BLOCK_PHASORS // len(coeff))
-    for start in range(0, len(xs), rows):
-        block = slice(start, start + rows)
-        out[block] = (_unit_phasors(np.outer(xs[block], coeff)) * weights).sum(axis=1)
-    return out
+    """Vectorized continuous_sum over a grid of arguments: one _real_sums row
+    of the 2M+1 normalized weights per grid point."""
+    return _real_sums(xis, spec, w.indices(), w.weights())
 
 
 def _trial_arguments(ls) -> np.ndarray:
@@ -230,53 +260,51 @@ def _blocks(sizes: Sequence[int]) -> Iterator[slice]:
         yield slice(start, len(sizes))
 
 
+def _quad_sums(m, coeffs, moduli, sign: float = 1.0, weights=None) -> np.ndarray:
+    """Row sums sum_j weights[j] exp(sign 2 pi i m_j^2 c / n), one per residue
+    coefficient c in coeffs, with one modulus n per row or one shared by all.
+
+    Each row is summed on its own (the pairwise order of a 1-D sum),
+    _SWEEP_PHASORS phasors at a time.  With a shared modulus, a positive
+    sign and at least n phasors to make, they are gathered from
+    _root_table(n) (the bits exponentiating each residue gives).
+    """
+    shared = np.ndim(moduli) == 0
+    table = None
+    if shared and sign > 0 and moduli <= min(_INT64_SAFE_MODULUS, len(coeffs) * len(m)):
+        table = _root_table(moduli)
+    out = np.empty(len(coeffs), dtype=complex)
+    for block in _blocks([len(m)] * len(coeffs)):
+        b = moduli if shared else moduli[block, None]
+        res = _quad_residues(m, coeffs[block, None], b)
+        phasors = _phase_exp(res, b, sign) if table is None else table[res]
+        out[block] = (phasors if weights is None else weights * phasors).sum(axis=1)
+    return out
+
+
 def discrete_sum(n_target: int, l: int, w: WeightProfile) -> complex:
     """Continuous sum restricted to the integer argument l: weighted exp[2 pi i m^2 l / N]."""
     return complex(discrete_sweep(n_target, [l], w)[0])
 
 
 def discrete_sweep(n_target: int, ls, w: WeightProfile) -> np.ndarray:
-    """discrete_sum(n_target, l, w) for every l in ls, bitwise the same.
-
-    Every l shares the modulus N.  When the sweep needs at least N phasors,
-    they are gathered from one table exp(2 pi i k / N), k in [0, N), whose
-    entries are the bits exponentiating each residue gives.  The rows of
-    2M+1 weighted terms are summed one by one (row-wise pairwise summation,
-    the order of a 1-D sum), _SWEEP_PHASORS phasors at a time.
-    """
+    """discrete_sum(n_target, l, w) for every l in ls, bitwise the same: one
+    _quad_sums row of 2M+1 weighted terms per l, all of modulus N."""
     if n_target < 1:
         raise ValueError("n_target and l must be positive")
-    ls = _trial_arguments(ls)
-    m = w.indices()
-    weights = w.weights()
-    table = None
-    if n_target <= min(_INT64_SAFE_MODULUS, len(ls) * len(m)):
-        table = _phase_exp(np.arange(n_target), n_target)
-    out = np.empty(len(ls), dtype=complex)
-    for block in _blocks([len(m)] * len(ls)):
-        res = _quad_residues(m, _reduced(ls[block, None], n_target), n_target)
-        phasors = _phase_exp(res, n_target) if table is None else table[res]
-        out[block] = (weights * phasors).sum(axis=1)
-    return out
+    coeffs = _reduced(_trial_arguments(ls), n_target)
+    return _quad_sums(w.indices(), coeffs, n_target, weights=w.weights())
 
 
 def standard_gauss(a, b: int) -> complex | np.ndarray:
     """Standard quadratic Gauss sum G(a, b): sum over one period b of exp(2 pi i m^2 a / b).
 
     `a` may be an integer array; the result then has a's shape, one sum per
-    element.  The phasors are gathered from one table exp(2 pi i k / b) at
-    the exact residues (a m^2) mod b and each row of b terms is summed on
-    its own, _SWEEP_PHASORS phasors at a time, so every sum has the bits of
-    a scalar call.
+    element, each a _quad_sums row of b terms with the bits of a scalar call.
     """
     if b < 1:
         raise ValueError("b must be positive")
-    coeffs = _reduced(a, b).reshape(-1)
-    m = np.arange(b)
-    table = _phase_exp(m, b)
-    out = np.empty(len(coeffs), dtype=complex)
-    for block in _blocks([b] * len(coeffs)):
-        out[block] = table[_quad_residues(m, coeffs[block, None], b)].sum(axis=1)
+    out = _quad_sums(np.arange(b), _reduced(a, b).reshape(-1), b)
     return complex(out[0]) if np.ndim(a) == 0 else out.reshape(np.shape(a))
 
 
@@ -320,18 +348,12 @@ def reciprocate_truncated(n_target: int, l: int, m_terms: int) -> complex:
 
 def reciprocate_truncated_sweep(n_target: int, ls, m_terms: int) -> np.ndarray:
     """reciprocate_truncated(n_target, l, m_terms) for every l in ls, bitwise
-    the same: rows of m_terms phasors, each row summed on its own,
-    _SWEEP_PHASORS phasors at a time."""
+    the same: one _quad_sums row of m_terms phasors per l."""
     ls = _trial_arguments(ls)
     if m_terms < 1:
         raise ValueError("m_terms must be >= 1")
-    m = np.arange(m_terms)
-    out = np.empty(len(ls), dtype=complex)
-    for block in _blocks([m_terms] * len(ls)):
-        b = ls[block, None]
-        res = _quad_residues(m, _reduced(n_target, b), b)
-        out[block] = _phase_exp(res, b, sign=-1.0).sum(axis=1) / m_terms
-    return out
+    coeffs = _reduced(n_target, ls)
+    return _quad_sums(np.arange(m_terms), coeffs, ls, sign=-1.0) / m_terms
 
 
 def reciprocate_complete(n_target: int, l: int) -> complex:
@@ -382,8 +404,8 @@ def monte_carlo_sum(n_target: int, l: int, sample_count: int, seed: int) -> comp
     if not 1 <= sample_count <= l:
         raise ValueError("sample_count must be in [1, l]")
     picks = sorted(random.Random(seed).sample(range(l), sample_count))
-    res = _quad_residues(np.array(picks), n_target % l, l)
-    return complex(_phase_exp(res, l, sign=-1.0).sum() / sample_count)
+    row = _quad_sums(np.array(picks), np.array([n_target % l]), l, sign=-1.0)
+    return complex(row[0] / sample_count)
 
 
 @lru_cache(maxsize=128)
@@ -400,13 +422,13 @@ def _dlog_table(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=256)
 def _char_values(chi: CharacterSpec) -> np.ndarray:
+    """chi(x) for every x in [0, n): zero at x = 0, and at x = g^t the root
+    exp(2 pi i k t / (n-1)) gathered from _root_table(n-1) at the exact
+    residue (k t) mod (n-1)."""
     n = chi.modulus
+    t = np.array(_dlog_table(n)[1:], dtype=np.int64)
     vals = np.zeros(n, dtype=complex)
-    if n == 2:
-        vals[1] = 1.0
-        return vals
-    t = np.array(_dlog_table(n)[1:], dtype=float)
-    vals[1:] = np.exp(2j * np.pi * chi.index * t / (n - 1))
+    vals[1:] = _root_table(n - 1)[(chi.index * t) % (n - 1)]
     return vals
 
 
@@ -420,22 +442,6 @@ def ring_gauss_sweep(chi: CharacterSpec) -> np.ndarray:
     of the character table, since ifft(v)[beta] = (1/n) sum_x v[x] exp(2 pi i beta x / n).
     """
     return chi.modulus * np.fft.ifft(_char_values(chi))
-
-
-# The root table is cached for callers that sweep one modulus at a time
-# (ring_gauss and wtilde_b_sweep, in the ring and window-sum verify suites
-# and the acceptance criteria), so a few entries give every hit and a
-# caller's large modulus is not kept alive for long.
-_TABLE_CACHE = 4
-
-
-@lru_cache(maxsize=_TABLE_CACHE)
-def _root_table(n: int) -> np.ndarray:
-    """Read-only table of the n-th roots of unity exp(2 pi i k / n), k in [0, n),
-    each entry the bits _phase_exp gives for its residue k."""
-    table = _phase_exp(np.arange(n), n)
-    table.flags.writeable = False
-    return table
 
 
 def ring_gauss(chi: CharacterSpec, beta: int) -> complex:

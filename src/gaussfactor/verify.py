@@ -74,12 +74,16 @@ def check_closedform() -> SuiteResult:
     return _result("closedform", failures, t0, worst)
 
 
-def check_reciprocity(pairs: int = 500, seed: int = 11) -> SuiteResult:
+# number of random (N, l) pairs of the reciprocity check, and their seed
+_RECIPROCITY_PAIRS, _RECIPROCITY_SEED = 500, 11
+
+
+def check_reciprocity() -> SuiteResult:
     t0 = time.perf_counter()
     failures = []
     worst = _Worst()
-    rng = random.Random(seed)
-    for _ in range(pairs):
+    rng = random.Random(_RECIPROCITY_SEED)
+    for _ in range(_RECIPROCITY_PAIRS):
         n = rng.randint(2, 2000)
         l = rng.randint(1, n)
         diff = abs(

@@ -533,12 +533,14 @@ class TestInputContracts:
         assert captured.err == "error: --dm must be finite and positive\n"
 
     @pytest.mark.parametrize("params", [["--b", "nan"], ["--b", "nan", "--n", "33"],
-                                        ["--a", "nan", "--n", "33"]])
+                                        ["--a", "nan", "--n", "33"], ["--b", "inf"],
+                                        ["--b", "inf", "--n", "33"], ["--a", "inf", "--n", "33"]])
     def test_nan_scan_parameters_rejected(self, params, capsys):
+        # infinite A or B too: labelling a scan by round(inf) used to raise
         assert cli.main(["scan", *params, "--xi-min", "2", "--xi-max", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: A and B must be strictly positive\n"
+        assert captured.err == "error: A and B must be finite and positive\n"
 
     @pytest.mark.parametrize(
         "argv",

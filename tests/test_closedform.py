@@ -7,6 +7,7 @@ import pytest
 from gaussfactor import closedform as cf
 from gaussfactor import gausssums as gs
 from gaussfactor.decomposition import recommend_weight_width
+from gaussfactor.numtheory import ResidueClass, residue_class
 
 
 def brute_gab(a: int, b: int) -> complex:
@@ -23,6 +24,25 @@ class TestG1b:
     def test_sweep_small(self):
         for b in range(1, 300):
             assert abs(cf.g1b_closed(b) - gs.standard_gauss(1, b)) < 1e-8
+
+
+def g1b_by_class(b: int) -> complex:
+    """The enum-keyed expression g1b_closed replaced."""
+    root = math.sqrt(b)
+    return {
+        ResidueClass.M0: complex(root, root),
+        ResidueClass.M1: complex(root, 0.0),
+        ResidueClass.M2: 0j,
+        ResidueClass.M3: complex(0.0, root),
+    }[residue_class(b)]
+
+
+class TestG1bBitwise:
+    def test_same_bits_as_the_class_table(self):
+        bs = list(range(1, 20_001)) + [10**17 + k for k in range(8)] + [2**61 - 1]
+        got = np.array([cf.g1b_closed(b) for b in bs])
+        expect = np.array([g1b_by_class(b) for b in bs])
+        assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
 
 
 class TestGab:

@@ -64,9 +64,10 @@ class TestWeightProfile:
         with pytest.raises(ValueError, match="finite and positive"):
             gs.WeightProfile(dm, 10)
 
-    @pytest.mark.parametrize("a, b", [(math.nan, 33.0), (1.0, math.nan)])
+    @pytest.mark.parametrize("a, b", [(math.nan, 33.0), (1.0, math.nan), (math.inf, 33.0),
+                                      (1.0, math.inf), (1.0, -33.0)])
     def test_nan_continuous_parameters_rejected(self, a, b):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="A and B must be finite and positive"):
             gs.ContinuousSpec(a, b)
 
 
@@ -190,6 +191,45 @@ class TestUnitPhasorsBitwise:
         assert 2 * w.m_max + 1 == 33
         xis = 2.0 + 0.004 * np.arange(60_000)
         assert self.differing_words(xis, gs.ContinuousSpec(1.0, 1001.0), w) == 0
+
+
+class TestPhaseExpBitwise:
+    """Every integer-argument phasor comes from _phase_exp's cos/sin writer;
+    it must carry the bits of the complex exponential it replaced, for both
+    signs.  At residue 0 with sign -1 the complex product gives the argument
+    a +0 imaginary part, which the writer reproduces by adding +0.0; without
+    that step the phasor there has a -0 imaginary part."""
+
+    @staticmethod
+    def differing_words(moduli, sign) -> int:
+        n = np.repeat(moduli, moduli)
+        k = np.arange(len(n)) - np.repeat(np.cumsum(moduli) - moduli, moduli)
+        got = gs._phase_exp(k, n, sign)
+        ref = np.exp(sign * 2j * np.pi * (k / n))
+        return int(np.count_nonzero(bits(got) != bits(ref)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_residue_below_3000(self, sign):
+        for start in range(1, 3000, 300):
+            assert self.differing_words(np.arange(start, min(start + 300, 3000)), sign) == 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_moduli_above_1e5(self, sign):
+        assert self.differing_words(np.array([100_003, 262_144, 531_441, 999_983]), sign) == 0
+
+
+class TestQuadResidues:
+    def test_indices_past_the_int64_square_take_python_ints(self):
+        # m * m wraps in int64 once |m| passes about 3.04e9, whatever the modulus
+        m = np.array([3_100_000_000, -3_100_000_000, 2**40, -(2**40) - 1, 5, 0])
+        for b in (7, 1_000_003, gs._INT64_SAFE_MODULUS):
+            c = 123_456_789 % b
+            expect = [(int(v) ** 2 % b) * c % b for v in m]
+            assert gs._quad_residues(m, c, b).tolist() == expect
+
+    def test_small_arguments_stay_int64(self):
+        res = gs._quad_residues(np.arange(-5, 6), 3, gs._INT64_SAFE_MODULUS)
+        assert res.dtype == np.int64
 
 
 class TestPrecisionCheck:
