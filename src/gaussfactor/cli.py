@@ -294,8 +294,7 @@ def _cmd_nslit(cfg: RunConfig) -> int:
             raise ConfigError("nslit pattern needs --xi-max > --xi-min")
         xis = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
         c = nslit.NSlitConfig(cfg.n_target, cfg.l_talbot)
-        values = np.array([nslit.green_sum(float(x), c) for x in xis])
-        _emit(cfg, _csv_series(xis, values))
+        _emit(cfg, _csv_series(xis, nslit.green_sum(xis, c)))
         return 0
     rows = nslit.nslit_factor_test(cfg.n_target, _l_max(cfg), cfg.spread_threshold)
     doc = {
@@ -420,6 +419,10 @@ def run(cfg: RunConfig) -> int:
         raise ConfigError("--n must be a positive integer")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    for flag, value in (("--peak-factor", cfg.peak_factor), ("--zero-factor", cfg.zero_factor),
+                        ("--spread-threshold", cfg.spread_threshold)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{flag} must be finite and positive")
     return _COMMANDS[cfg.command](cfg)
 
 

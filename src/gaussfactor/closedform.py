@@ -10,8 +10,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numtheory import ResidueClass, jacobi_symbol, residue_class
-from .gausssums import standard_gauss
+from .gausssums import _reduced, _trial_arguments, standard_gauss
 
 
 @dataclass(frozen=True)
@@ -31,21 +33,40 @@ class ModulusPrediction:
 _G1B_UNIT = (1 + 1j, 1 + 0j, 0j, 1j)
 
 
-def g1b_closed(b: int) -> complex:
+def g1b_closed(b):
     """Elementary Gauss sum G(1, b) by residue class of b:
-    (1+i)sqrt(b), sqrt(b), 0, i*sqrt(b) for b in M0, M1, M2, M3."""
+    (1+i)sqrt(b), sqrt(b), 0, i*sqrt(b) for b in M0, M1, M2, M3.
+
+    An integer array of b gives one value per element, with the bits of a
+    scalar call.
+    """
+    if np.ndim(b):
+        b = np.asarray(b)
+        if np.any(b < 1):
+            raise ValueError("b must be positive")
+        unit = np.array(_G1B_UNIT)[np.asarray(b % 4, dtype=np.int64)]
+        return unit * np.sqrt(np.asarray(b, dtype=float))
     if b < 1:
         raise ValueError("b must be positive")
     return _G1B_UNIT[b % 4] * math.sqrt(b)
 
 
-def gab_closed(a: int, b: int) -> complex:
-    """G(a, b) = (a/b) G(1, b) for odd b coprime to a."""
-    if b < 1 or b % 2 == 0:
+def gab_closed(a, b):
+    """G(a, b) = (a/b) G(1, b) for odd b coprime to a.
+
+    Integer arrays of a and b broadcast and give one value per element, with
+    the bits of a scalar call.
+    """
+    if np.ndim(a) or np.ndim(b):
+        a, b = np.broadcast_arrays(a, b)
+        valid, coprime = np.all((b >= 1) & (b % 2 == 1)), np.all(np.gcd(a, b) == 1)
+    else:
+        valid, coprime = b >= 1 and b % 2 == 1, math.gcd(a, b) == 1
+    if not valid:
         raise ValueError("b must be odd and positive")
-    if math.gcd(a, b) != 1:
+    if not coprime:
         raise ValueError("a and b share a factor; apply factor_out first")
-    return int(jacobi_symbol(a, b)) * g1b_closed(b)
+    return jacobi_symbol(a, b) * g1b_closed(b)
 
 
 def factor_out(a: int, b: int) -> tuple[int, int, int]:
@@ -110,27 +131,37 @@ def reciprocity_transform(n_target: int, l: int) -> complex:
     return cmath.exp(-1j * math.pi / 4) / (2.0 * math.sqrt(2.0 * l * n_target)) * g
 
 
-def predict_reciprocate_modulus(n_target: int, l: int) -> ModulusPrediction:
-    """|A_N^(l-1)(l)| for odd N, exact.
+# predict_reciprocate_modulus(N, l)**2 * k for k = l / gcd(l, N) in M0 .. M3
+_RECIPROCATE_WEIGHT = np.array([2.0, 1.0, 0.0, 1.0])
 
-    With s = gcd(l, N) and k = l/s: 1 at factors (k = 1), otherwise
-    sqrt(2/k), sqrt(1/k) or 0 by k's residue class; s = 1 recovers the
-    coprime baselines sqrt(2/l), sqrt(1/l), 0.
+
+def predict_reciprocate_moduli(n_target: int, ls) -> tuple[np.ndarray, np.ndarray]:
+    """|A_N^(l-1)(l)| for odd N and every l in ls, with the shared factors
+    s = gcd(l, N): one array formula, each value the bits of
+    predict_reciprocate_modulus(n_target, l).value.
+
+    With k = l/s the modulus is 1 at factors (k = 1), otherwise
+    sqrt(2/k), sqrt(1/k), 0 or sqrt(1/k) for k in M0, M1, M2 or M3.
     """
     if n_target % 2 == 0:
         raise ValueError("N must be odd")
-    if l < 1:
-        raise ValueError("l must be positive")
-    s = math.gcd(l, n_target)
+    ls = _trial_arguments(ls)
+    shared = np.gcd(ls, _reduced(n_target, ls))
+    k = ls // shared
+    weight = _RECIPROCATE_WEIGHT[np.asarray(k % 4, dtype=np.int64)]
+    values = np.sqrt(weight / np.asarray(k, dtype=float))
+    values[k == 1] = 1.0
+    return values, shared
+
+
+def predict_reciprocate_modulus(n_target: int, l: int) -> ModulusPrediction:
+    """|A_N^(l-1)(l)| for odd N, exact: predict_reciprocate_moduli at one l,
+    with the rule that gives it.
+
+    s = gcd(l, N) = 1 recovers the coprime baselines sqrt(2/l), sqrt(1/l), 0.
+    """
+    values, shared = predict_reciprocate_moduli(n_target, [l])
+    s = int(shared[0])
     k = l // s
-    if k == 1:
-        return ModulusPrediction(1.0, "factor", shared_factor=s if s > 1 else None)
-    cls = residue_class(k)
-    value = {
-        ResidueClass.M0: math.sqrt(2.0 / k),
-        ResidueClass.M1: math.sqrt(1.0 / k),
-        ResidueClass.M2: 0.0,
-        ResidueClass.M3: math.sqrt(1.0 / k),
-    }[cls]
-    rule = f"coprime-M{cls.k}" if s == 1 else f"shared-M{cls.k}"
-    return ModulusPrediction(value, rule, shared_factor=s if s > 1 else None)
+    rule = "factor" if k == 1 else f"{'coprime' if s == 1 else 'shared'}-M{k % 4}"
+    return ModulusPrediction(float(values[0]), rule, shared_factor=s if s > 1 else None)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .closedform import (
     predict_discrete_modulus2,
-    predict_reciprocate_modulus,
+    predict_reciprocate_moduli,
 )
 from .gausssums import (
     ContinuousSpec,
@@ -344,19 +344,19 @@ def factor_reciprocate(n_target: int, l_max: int) -> FactorReport:
         raise ValueError("l_max must be >= 1")
     ls = range(1, l_max + 1)
     values = dict(zip(ls, reciprocate_complete_sweep(n_target, ls).tolist()))
+    predicted, shared = (x.tolist() for x in predict_reciprocate_moduli(n_target, ls))
 
     def rule(l: int) -> tuple[float, float, Classification]:
         measured = abs(values[l])
-        pred = predict_reciprocate_modulus(n_target, l)
         if abs(measured - 1.0) < _RECIPROCATE_TOL:
             cls = Classification.FACTOR
-        elif pred.shared_factor is not None:
+        elif shared[l - 1] > 1:
             cls = Classification.MULTIPLE_OF_FACTOR
-        elif measured < _RECIPROCATE_TOL and pred.value == 0.0:
+        elif measured < _RECIPROCATE_TOL and predicted[l - 1] == 0.0:
             cls = Classification.ZERO_SIGNAL
         else:
             cls = Classification.NONFACTOR
-        return measured, pred.value, cls
+        return measured, predicted[l - 1], cls
 
     return _classify(n_target, "reciprocate", ls, rule, {"l_max": l_max})
 

@@ -61,6 +61,8 @@ class WeightProfile:
     def __post_init__(self) -> None:
         if not 0 < self.delta_m < math.inf:
             raise ValueError("delta_m must be finite and positive")
+        if self.delta_m**2 == 0.0:  # raw_weight divides by its square root
+            raise ValueError(f"delta_m {self.delta_m!r} is too small: its square underflows to 0")
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
 
@@ -420,16 +422,22 @@ def _dlog_table(n: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=256)
-def _char_values(chi: CharacterSpec) -> np.ndarray:
-    """chi(x) for every x in [0, n): zero at x = 0, and at x = g^t the root
+def _char_rows(n: int, ks) -> np.ndarray:
+    """The character table of a prime n for the indices ks, one row
+    chi_k(x), x in [0, n), per k: zero at x = 0, and at x = g^t the root
     exp(2 pi i k t / (n-1)) gathered from _root_table(n-1) at the exact
     residue (k t) mod (n-1)."""
-    n = chi.modulus
     t = np.array(_dlog_table(n)[1:], dtype=np.int64)
-    vals = np.zeros(n, dtype=complex)
-    vals[1:] = _root_table(n - 1)[(chi.index * t) % (n - 1)]
-    return vals
+    ks = np.asarray(ks, dtype=np.int64)
+    rows = np.zeros((len(ks), n), dtype=complex)
+    rows[:, 1:] = _root_table(n - 1)[(ks[:, None] * t) % (n - 1)]
+    return rows
+
+
+@lru_cache(maxsize=256)
+def _char_values(chi: CharacterSpec) -> np.ndarray:
+    """chi(x) for every x in [0, n): the _char_rows row of chi's index."""
+    return _char_rows(chi.modulus, [chi.index])[0]
 
 
 def character_eval(chi: CharacterSpec, x: int) -> complex:
@@ -437,11 +445,19 @@ def character_eval(chi: CharacterSpec, x: int) -> complex:
     return complex(_char_values(chi)[x % chi.modulus])
 
 
+def _ring_sweeps(rows: np.ndarray) -> np.ndarray:
+    """n times the inverse DFT of each row of n character values: row k holds
+    G(chi_k, beta) for every beta, since
+    ifft(v)[beta] = (1/n) sum_x v[x] exp(2 pi i beta x / n)."""
+    sweeps = np.fft.ifft(rows, axis=-1)
+    sweeps *= rows.shape[-1]
+    return sweeps
+
+
 def ring_gauss_sweep(chi: CharacterSpec) -> np.ndarray:
-    """ring_gauss(chi, beta) for every beta in [0, n): n times the inverse DFT
-    of the character table, since ifft(v)[beta] = (1/n) sum_x v[x] exp(2 pi i beta x / n).
-    """
-    return chi.modulus * np.fft.ifft(_char_values(chi))
+    """ring_gauss(chi, beta) for every beta in [0, n): _ring_sweeps of chi's
+    character table."""
+    return _ring_sweeps(_char_values(chi))
 
 
 def ring_gauss(chi: CharacterSpec, beta: int) -> complex:

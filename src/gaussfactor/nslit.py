@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .gausssums import _SWEEP_PHASORS
+
 DEFAULT_SPREAD_THRESHOLD = 1e-3
 
 
@@ -49,13 +51,24 @@ class SlitTestRow(NamedTuple):
     divides: bool
 
 
-def green_sum(xi: float, cfg: NSlitConfig) -> complex:
+def green_sum(xi, cfg: NSlitConfig):
     """sqrt(1/l) * sum_n exp[i pi (xi - n)^2 / l]; the constant sqrt(1/i)
-    prefactor is dropped (modulus preserving)."""
+    prefactor is dropped (modulus preserving).
+
+    An array of xi gives one value per point: each point's N phasors are
+    one row, summed on its own (the order of a 1-D sum), in blocks of at
+    most _SWEEP_PHASORS phasors, so a point has the bits of a scalar call.
+    """
     l = cfg.l_talbot
     n = np.arange(cfg.n_slits, dtype=float)
-    ph = np.pi * (xi - n) ** 2 / l
-    return complex(np.exp(1j * ph).sum() / math.sqrt(l))
+    xs = np.asarray(xi, dtype=float).reshape(-1)
+    out = np.empty(len(xs), dtype=complex)
+    rows = max(1, _SWEEP_PHASORS // cfg.n_slits)
+    for start in range(0, len(xs), rows):
+        block = slice(start, start + rows)
+        ph = np.pi * (xs[block, None] - n) ** 2 / l
+        out[block] = np.exp(1j * ph).sum(axis=1) / math.sqrt(l)
+    return complex(out[0]) if np.ndim(xi) == 0 else out.reshape(np.shape(xi))
 
 
 def _w_slit(xi: float, l: int, terms: int) -> complex:
@@ -110,9 +123,10 @@ def spike_profile(cfg: NSlitConfig) -> SpikeProfile:
         )
     l = cfg.l_talbot
     positions = tuple(q + 0.5 for q in range(l))
-    heights = tuple(abs(green_sum(x, cfg)) ** 2 for x in positions)
-    comb_row = (abs(green_sum(l / 2.0 + s, cfg)) ** 2 for s in range(l))
-    top = max(max(heights), max(comb_row))
+    comb = tuple(l / 2.0 + s for s in range(l))
+    values = green_sum(np.array(positions + comb), cfg).tolist()
+    heights = tuple(abs(v) ** 2 for v in values[:l])
+    top = max(max(heights), max(abs(v) ** 2 for v in values[l:]))
     spread = 0.0 if top == 0.0 else (top - min(heights)) / top
     return SpikeProfile(positions=positions, heights=heights, relative_spread=spread)
 

@@ -2,12 +2,15 @@
 primality and primitive roots.
 
 All functions are pure and operate on Python ints, so nothing here loses
-precision for moduli in the 13-17 digit range.
+precision for moduli in the 13-17 digit range; the Jacobi symbol also takes
+integer arrays, as int64 or, past its range, as Python ints.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
+
+import numpy as np
 
 
 class ResidueClass(IntEnum):
@@ -38,11 +41,15 @@ def residue_class(n: int) -> ResidueClass:
     return ResidueClass(n % 4)
 
 
-def jacobi_symbol(a: int, b: int) -> SymbolValue:
+def jacobi_symbol(a, b):
     """Jacobi symbol (a/b) for odd b >= 1; equals the Legendre symbol for prime b.
 
-    Zero exactly when gcd(a, b) > 1.
+    Zero exactly when gcd(a, b) > 1.  Integer arrays broadcast against each
+    other and give an int64 array of -1, 0 and +1, one scalar call's value
+    per element (_jacobi_array).
     """
+    if np.ndim(a) or np.ndim(b):
+        return _jacobi_array(a, b)
     if b < 1 or b % 2 == 0:
         raise ValueError("lower argument must be odd and positive")
     a %= b
@@ -59,6 +66,43 @@ def jacobi_symbol(a: int, b: int) -> SymbolValue:
     if b != 1:
         return SymbolValue.DIVISOR
     return SymbolValue(result)
+
+
+def _jacobi_array(a, b) -> np.ndarray:
+    """The binary recursion of jacobi_symbol, run on every element at once.
+
+    Each pass strips the twos of the live numerators, applies the
+    reciprocity sign and swaps (a, b) -> (b mod a, a); elements whose
+    numerator reached zero leave the live set with their value.  No product
+    is formed, so int64 is exact for any int64 input; integers past that
+    range run as Python ints in object arrays.
+    """
+    try:
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    except OverflowError:
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
+    if np.any(b < 1) or np.any(b % 2 == 0):
+        raise ValueError("lower argument must be odd and positive")
+    out = np.zeros(a.shape, dtype=np.int64)
+    live = np.arange(a.size)
+    b = b.ravel()
+    a = a.ravel() % b
+    sign = np.ones(a.size, dtype=np.int8)
+    while live.size:
+        done = a == 0
+        if done.any():
+            out.flat[live[done]] = np.where(b[done] == 1, sign[done], 0)
+            keep = ~done
+            live, a, b, sign = live[keep], a[keep], b[keep], sign[keep]
+        flip = (b % 8 == 3) | (b % 8 == 5)
+        even = a % 2 == 0
+        while even.any():
+            np.floor_divide(a, 2, out=a, where=even)
+            np.negative(sign, out=sign, where=even & flip)
+            even = a % 2 == 0
+        np.negative(sign, out=sign, where=(a % 4 == 3) & (b % 4 == 3))
+        a, b = b % a, a
+    return out
 
 
 # Witnesses giving a deterministic Miller-Rabin test below 2^64.

@@ -52,16 +52,24 @@ def check_closedform() -> SuiteResult:
     t0 = time.perf_counter()
     failures = []
     worst = _Worst()
-    for b in range(1, 1001):
-        if worst.over(abs(gausssums.standard_gauss(1, b) - closedform.g1b_closed(b)), 1e-8):
-            failures.append(f"g1b mismatch at b={b}")
-    # brute-force G(a, b) for every coprime a at once, one sweep per b
+    bs = np.arange(1, 1001)
+    diff = np.array([gausssums.standard_gauss(1, int(b)) for b in bs]) - closedform.g1b_closed(bs)
+    for b in bs[worst.over(np.hypot(diff.real, diff.imag), 1e-8)]:
+        failures.append(f"g1b mismatch at b={b}")
+    # brute-force G(a, b) for every coprime a at once, one sweep per b; the
+    # closed forms of a run of b, at most _SWEEP_PHASORS values, in one call
+    coprimes = []
     for b in range(1, 502, 2):
-        coprime = [a for a in range(1, b) if math.gcd(a, b) == 1]
-        brute = gausssums.standard_gauss(np.array(coprime, dtype=np.int64), b)
-        closed = np.array([closedform.gab_closed(a, b) for a in coprime])
-        for i in np.flatnonzero(worst.over(np.abs(brute - closed), 1e-8)):
-            failures.append(f"gab mismatch at (a={coprime[i]}, b={b})")
+        a = np.arange(1, b)
+        coprimes.append((a[np.gcd(a, b) == 1], b))
+    for run in gausssums._blocks([len(a) for a, _ in coprimes]):
+        a_run, b_run = zip(*coprimes[run])
+        sizes = [len(a) for a in a_run]
+        closed = closedform.gab_closed(np.concatenate(a_run), np.repeat(b_run, sizes))
+        for a, b, part in zip(a_run, b_run, np.split(closed, np.cumsum(sizes)[:-1])):
+            dev = np.abs(gausssums.standard_gauss(a, b) - part)
+            for i in np.flatnonzero(worst.over(dev, 1e-8)):
+                failures.append(f"gab mismatch at (a={a[i]}, b={b})")
     rng = random.Random(20)
     for _ in range(300):
         b = rng.randint(1, 400)
@@ -92,13 +100,14 @@ def check_reciprocity() -> SuiteResult:
         if worst.over(diff, 1e-8):
             failures.append(f"reciprocity mismatch at (N={n}, l={l}): {diff:.2e}")
     # modulus predictor against brute force: full sweep for small odd N,
-    # sampled arguments for every odd N up to 2001, one sum sweep per N
+    # sampled arguments for every odd N up to 2001, one sum sweep and one
+    # predictor call per N
     def check_moduli(n: int, ls: list[int]) -> None:
-        sums = gausssums.reciprocate_complete_sweep(n, ls).tolist()
-        for l, value in zip(ls, sums):
-            diff = abs(abs(value) - closedform.predict_reciprocate_modulus(n, l).value)
-            if worst.over(diff, 1e-9):
-                failures.append(f"reciprocate modulus mismatch at (N={n}, l={l})")
+        sums = gausssums.reciprocate_complete_sweep(n, ls)
+        pred, _ = closedform.predict_reciprocate_moduli(n, ls)
+        diff = np.abs(np.hypot(sums.real, sums.imag) - pred)
+        for i in np.flatnonzero(worst.over(diff, 1e-9)):
+            failures.append(f"reciprocate modulus mismatch at (N={n}, l={ls[i]})")
 
     for n in range(3, 202, 2):
         check_moduli(n, list(range(1, n + 1)))
@@ -113,24 +122,30 @@ def check_wtilde() -> SuiteResult:
     failures = []
     worst = _Worst()
     for r in range(1, 65):
-        for a in range(1, 2 * r):
-            if math.gcd(a, r) != 1:
-                continue
-            # every c in [0, 2r) with a r - c even, one row each
-            cs = np.arange((a * r) % 2, 2 * r, 2)
-            vals = np.abs(gausssums.wtilde_b_sweep(a, cs, r)) ** 2
-            dev = np.max(np.abs(vals - 1.0 / r), axis=1)
-            for c in cs[worst.over(dev, 1e-10)]:
-                failures.append(f"wtilde theorem fails at (a={a}, c={c}, r={r})")
+        a_all = np.arange(1, 2 * r)
+        a_all = a_all[np.gcd(a_all, r) == 1]
+        bad = []
+        # every a whose a r has one parity shares the c in [0, 2r) with
+        # a r - c even; the rows (a, c) of a run of a, at most _SWEEP_PHASORS
+        # phasors, take one sweep
+        for parity in (0, 1):
+            cs = np.arange(parity, 2 * r, 2)
+            a_par = a_all[(a_all * r) % 2 == parity]
+            for run in gausssums._blocks([len(cs) * r] * len(a_par)):
+                a = a_par[run]
+                vals = np.abs(gausssums.wtilde_b_sweep(a[:, None], cs, r)) ** 2
+                dev = np.max(np.abs(vals - 1.0 / r), axis=-1)
+                bad += [(a[i], cs[j]) for i, j in np.argwhere(worst.over(dev, 1e-10))]
+        failures += [f"wtilde theorem fails at (a={a}, c={c}, r={r})" for a, c in sorted(bad)]
     for r in range(2, 51, 2):
-        for q in range(1, r):
-            if math.gcd(q, r) != 1:
-                continue
-            # finite_w(q, r, m) for every m is the row wtilde(2q, m, 0, r)
-            brute = np.abs(gausssums.wtilde_b_sweep(2 * q, 0, r))
-            pred = np.array([closedform.predict_finite_w_modulus(q, r, m) for m in range(r)])
-            for m in np.flatnonzero(worst.over(np.abs(brute - pred), 1e-9)):
-                failures.append(f"parity table fails at (q={q}, r={r}, m={m})")
+        qs = np.arange(1, r)
+        qs = qs[np.gcd(qs, r) == 1]
+        # finite_w(q, r, m) for every m is the row wtilde(2q, m, 0, r)
+        brute = np.abs(gausssums.wtilde_b_sweep(2 * qs, 0, r))
+        pred = np.array([[closedform.predict_finite_w_modulus(q, r, m) for m in range(r)]
+                         for q in qs.tolist()])
+        for i, m in np.argwhere(worst.over(np.abs(brute - pred), 1e-9)):
+            failures.append(f"parity table fails at (q={qs[i]}, r={r}, m={m})")
     return _result("wtilde", failures, t0, worst)
 
 
@@ -175,28 +190,37 @@ def check_ring() -> SuiteResult:
     t0 = time.perf_counter()
     failures = []
     worst = _Worst()
-    for n in range(2, 200):
-        if not is_prime(n) or n == 2:
+    for n in range(3, 200, 2):
+        if not is_prime(n):
             continue
         root_n = math.sqrt(n)
-        for k in range(1, n - 1):
-            chi = gausssums.CharacterSpec(n, k)
-            g1 = gausssums.ring_gauss(chi, 1)
-            if worst.over(abs(abs(g1) - root_n), 1e-8):
-                failures.append(f"|G| != sqrt(n) at (n={n}, k={k})")
-            # G(chi, beta) for every beta from one sweep; chi(1) = 1, so the
-            # reduction identity at beta = 1 compares the sweep with the
-            # scalar ring_gauss(chi, 1)
-            g = gausssums.ring_gauss_sweep(chi)[1:]
-            inv = gausssums._char_values(chi)[1:].conj()
+        phases = gausssums._root_table(n)
+        ks = np.arange(1, n - 1)
+        # the characters of a run of k, at most _SWEEP_PHASORS values, as one
+        # table: G(chi, 1) as its row sums, G(chi, beta) for every beta from
+        # one inverse FFT; chi(1) = 1, so the reduction identity at beta = 1
+        # compares the two
+        for run in gausssums._blocks([n] * len(ks)):
+            chars = gausssums._char_rows(n, ks[run])
+            g1 = (chars * phases).sum(axis=1)
+            g = gausssums._ring_sweeps(chars)[:, 1:]
+            # G(chi, beta) - conj(chi(beta)) G(chi, 1), in the characters' place
+            dev = np.conjugate(chars[:, 1:], out=chars[:, 1:])
+            dev *= g1[:, None]
+            np.subtract(g, dev, out=dev)
+            bad_g1 = worst.over(np.abs(np.hypot(g1.real, g1.imag) - root_n), 1e-8)
             bad_modulus = worst.over(np.abs(np.abs(g) - root_n), 1e-8)
-            bad_reduction = worst.over(np.abs(g - inv * g1), 1e-8)
-            for i in np.flatnonzero(bad_modulus | bad_reduction):
-                beta = i + 1
-                if bad_modulus[i]:
-                    failures.append(f"|G| != sqrt(n) at (n={n}, k={k}, beta={beta})")
-                if bad_reduction[i]:
-                    failures.append(f"reduction identity fails at (n={n}, k={k}, beta={beta})")
+            bad_reduction = worst.over(np.abs(dev), 1e-8)
+            for i in np.flatnonzero(bad_g1 | (bad_modulus | bad_reduction).any(axis=1)):
+                k = ks[run][i]
+                if bad_g1[i]:
+                    failures.append(f"|G| != sqrt(n) at (n={n}, k={k})")
+                for j in np.flatnonzero(bad_modulus[i] | bad_reduction[i]):
+                    beta = j + 1
+                    if bad_modulus[i, j]:
+                        failures.append(f"|G| != sqrt(n) at (n={n}, k={k}, beta={beta})")
+                    if bad_reduction[i, j]:
+                        failures.append(f"reduction identity fails at (n={n}, k={k}, beta={beta})")
     return _result("ring", failures, t0, worst)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -131,6 +132,22 @@ class TestCsvStreaming:
                 "--step", "0.01"]
         rc, data = run_to_file(tmp_path, argv, "n.csv")
         assert rc == 0 and data == joined_csv(xis, values).encode()
+
+    # SHA-256 of the pattern CSVs as written one green_sum call per point:
+    # many points per block, a short last block, and one point per block
+    @pytest.mark.parametrize("grid, digest", [
+        (("15", "3", "-2", "9", "0.01"),
+         "46aeb40b711419f13d39baee47966e95f745e15b2f641b05916e13cb30607542"),
+        (("201", "7", "-3", "20", "0.003"),
+         "3a4b22493357de6ef352d5a69dcefc498bc5aa1daba0f427287ed39ef4608742"),
+        (("9001", "11", "0", "5", "0.01"),
+         "ab256ca96fb06c818f2171a249c2c8796e21a1877c358aa3a7ecde08e6d5a098"),
+    ])
+    def test_nslit_pattern_csv_digests(self, tmp_path, grid, digest):
+        n, l, lo, hi, step = grid
+        argv = ["nslit", "--n", n, "--l", l, "--xi-min", lo, "--xi-max", hi, "--step", step]
+        rc, data = run_to_file(tmp_path, argv, "n.csv")
+        assert rc == 0 and hashlib.sha256(data).hexdigest() == digest
 
     def test_memory_does_not_hold_the_text(self, tmp_path):
         xis = np.linspace(2.0, 1000.0, 40_000)
@@ -531,6 +548,45 @@ class TestInputContracts:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --dm must be finite and positive\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "--scheme", "lines", "--n", "10", "--dm", "1e-300"],
+            ["factor", "--n", "33", "--dm", "1e-300"],
+            ["factor", "--n", "30", "--scheme", "even", "--dm", "2e-170"],
+            ["scan", "--n", "33", "--dm", "1e-300", "--xi-min", "0", "--xi-max", "1"],
+        ],
+    )
+    def test_dm_whose_square_underflows_rejected(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        dm = argv[argv.index("--dm") + 1]
+        assert captured.err == (
+            f"error: delta_m {float(dm)!r} is too small: its square underflows to 0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--peak-factor", ["factor", "--n", "33"]),
+            ("--peak-factor", ["factor", "--n", "30", "--scheme", "even"]),
+            ("--zero-factor", ["factor", "--n", "30", "--scheme", "even"]),
+            ("--spread-threshold", ["nslit", "--n", "33"]),
+        ],
+    )
+    def test_factor_flags_must_be_finite_and_positive(self, flag, argv, value, capsys):
+        assert cli.main([*argv, f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be finite and positive\n"
+        assert "Traceback" not in captured.err
+
+    def test_factor_flags_small_positive_values_accepted(self, capsys):
+        assert cli.main(["factor", "--n", "33", "--peak-factor", "1e-300"]) == 0
+        assert cli.main(["nslit", "--n", "33", "--spread-threshold", "1e-300"]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("params", [["--b", "nan"], ["--b", "nan", "--n", "33"],
                                         ["--a", "nan", "--n", "33"], ["--b", "inf"],

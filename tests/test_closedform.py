@@ -66,6 +66,43 @@ class TestGab:
                     assert abs(cf.gab_closed(a, b) - brute_gab(a, b)) < 1e-8
 
 
+class TestClosedFormArrays:
+    """Array calls give the bits of scalar calls, element by element."""
+
+    def test_gab_dense_range(self):
+        pairs = [(a, b) for b in range(1, 300, 2) for a in range(-b, 2 * b) if math.gcd(a, b) == 1]
+        a, b = (np.array(x) for x in zip(*pairs))
+        expect = np.array([cf.gab_closed(x, y) for x, y in pairs])
+        got = cf.gab_closed(a, b)
+        assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+
+    def test_g1b_and_broadcast(self):
+        bs = np.arange(1, 20_001)
+        expect = np.array([cf.g1b_closed(b) for b in range(1, 20_001)])
+        assert cf.g1b_closed(bs).view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+
+    def test_python_ints_past_int64(self):
+        bs = [2**63 + 1, 2**64 + 3, 10**20 + 7, 2**61 - 1, 5]
+        a_s = [2, 3 - 2**63, 10**19 + 1, 6, 4]
+        pairs = [(a, b) for a, b in zip(a_s, bs) if math.gcd(a, b) == 1]
+        a, b = (np.array(x, dtype=object) for x in zip(*pairs))
+        for got, expect in ((cf.gab_closed(a, b), [cf.gab_closed(x, y) for x, y in pairs]),
+                            (cf.g1b_closed(b), [cf.g1b_closed(y) for _, y in pairs])):
+            assert got.view(np.uint64).tolist() == np.array(expect).view(np.uint64).tolist()
+
+        got = cf.gab_closed(np.arange(1, 7)[:, None], np.array([7, 13]))
+        assert got.shape == (6, 2)
+        assert got[2, 1] == cf.gab_closed(3, 13)
+
+    def test_array_rejections(self):
+        with pytest.raises(ValueError, match="share a factor"):
+            cf.gab_closed(np.array([1, 6]), 9)
+        with pytest.raises(ValueError, match="odd and positive"):
+            cf.gab_closed(np.array([3, 1]), np.array([5, 8]))
+        with pytest.raises(ValueError, match="positive"):
+            cf.g1b_closed(np.array([3, 0]))
+
+
 class TestFactorOut:
     def test_examples(self):
         assert cf.factor_out(15, 40) == (5, 3, 8)
@@ -164,6 +201,55 @@ class TestReciprocatePredictor:
             for l in ls:
                 measured = abs(gs.reciprocate_complete(n, l))
                 assert abs(measured - cf.predict_reciprocate_modulus(n, l).value) < 1e-9
+
+
+def reciprocate_by_class(n: int, l: int) -> tuple[float, str, int | None]:
+    """The scalar predictor as it was before its array formula: a value
+    table keyed by the residue class of k = l / gcd(l, N)."""
+    s = math.gcd(l, n)
+    k = l // s
+    shared = s if s > 1 else None
+    if k == 1:
+        return 1.0, "factor", shared
+    cls = residue_class(k)
+    value = {
+        ResidueClass.M0: math.sqrt(2.0 / k),
+        ResidueClass.M1: math.sqrt(1.0 / k),
+        ResidueClass.M2: 0.0,
+        ResidueClass.M3: math.sqrt(1.0 / k),
+    }[cls]
+    return value, f"{'coprime' if s == 1 else 'shared'}-M{cls.k}", shared
+
+
+class TestReciprocatePredictorArray:
+    CASES = [(n, range(1, n + 3)) for n in range(1, 302, 2)] + [
+        (1911, range(1, 2000)), (10**17 + 3, range(1, 500)),
+        (2**61 - 1, [1, 2, 3, 10**12 + 1]), (10**20 + 1, [7, 10**19 + 3, 2**64 + 1]),
+    ]
+
+    @pytest.mark.parametrize("n, ls", CASES[-4:] + [CASES[5], CASES[60]])
+    def test_same_bits_as_the_class_table(self, n, ls):
+        values, shared = cf.predict_reciprocate_moduli(n, list(ls))
+        old = [reciprocate_by_class(n, l) for l in ls]
+        expect = np.array([v for v, _, _ in old])
+        assert values.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        assert [int(s) for s in shared] == [math.gcd(l, n) for l in ls]
+        for l, (value, rule, s) in zip(ls, old):
+            p = cf.predict_reciprocate_modulus(n, l)
+            assert (p.value, p.rule, p.shared_factor) == (value, rule, s)
+            assert math.copysign(1.0, p.value) == 1.0
+
+    def test_every_small_odd_n(self):
+        for n, ls in self.CASES[:151]:
+            values, _ = cf.predict_reciprocate_moduli(n, ls)
+            expect = np.array([reciprocate_by_class(n, l)[0] for l in ls])
+            assert values.view(np.uint64).tolist() == expect.view(np.uint64).tolist(), n
+
+    def test_rejections(self):
+        with pytest.raises(ValueError, match="odd"):
+            cf.predict_reciprocate_moduli(40, [1, 2])
+        with pytest.raises(ValueError, match="l must be positive"):
+            cf.predict_reciprocate_moduli(41, [3, 0])
 
 
 class TestWtildeModulus2:

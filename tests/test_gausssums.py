@@ -64,6 +64,19 @@ class TestWeightProfile:
         with pytest.raises(ValueError, match="finite and positive"):
             gs.WeightProfile(dm, 10)
 
+    @pytest.mark.parametrize("dm", [1e-300, 2e-170, 5e-324])
+    def test_width_whose_square_underflows_rejected(self, dm):
+        with pytest.raises(ValueError, match="square underflows to 0"):
+            gs.WeightProfile(dm, 1)
+
+    def test_smallest_accepted_widths_keep_their_weights(self):
+        # the smallest widths whose square does not underflow
+        for dm in (1e-160, 2.3e-162, 1e-3):
+            w = gs.WeightProfile(dm, 2)
+            raw = w.raw_weight(w.indices())
+            amp = 1.0 / math.sqrt(gs.TWO_PI * dm**2)
+            assert raw[2] == amp and w.weights().tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("a, b", [(math.nan, 33.0), (1.0, math.nan), (math.inf, 33.0),
                                       (1.0, math.inf), (1.0, -33.0)])
     def test_nan_continuous_parameters_rejected(self, a, b):
@@ -507,6 +520,44 @@ class TestRingGauss:
                     assert gs.ring_gauss(chi, beta) == expect
         with pytest.raises(ValueError):
             gs._root_table(13)[1] = 0.0
+
+
+def old_char_values(n: int, k: int) -> np.ndarray:
+    """The character table of chi_k mod n as it was built one character at a
+    time, before the block gather."""
+    t = np.array(gs._dlog_table(n)[1:], dtype=np.int64)
+    vals = np.zeros(n, dtype=complex)
+    vals[1:] = gs._root_table(n - 1)[(k * t) % (n - 1)]
+    return vals
+
+
+PRIMES_BELOW_200 = [n for n in range(3, 200) if gs.is_prime(n)]
+
+
+class TestCharacterBlocks:
+    """The ring suite's blocks of characters: their rows, row sums and
+    inverse FFT rows give the bits of one-character calls."""
+
+    @pytest.mark.parametrize("n", PRIMES_BELOW_200)
+    def test_rows_sums_and_sweeps_match_one_character_calls(self, n):
+        ks = np.arange(n - 1)
+        rows = gs._char_rows(n, ks)
+        g1 = (rows * gs._root_table(n)).sum(axis=1)
+        sweeps = gs._ring_sweeps(rows)
+        for k in ks.tolist():
+            chi = gs.CharacterSpec(n, k)
+            old = old_char_values(n, k)
+            assert bits(rows[k]).tolist() == bits(old).tolist()
+            assert g1[k] == gs.ring_gauss(chi, 1)
+            assert bits(sweeps[k]).tolist() == bits(n * np.fft.ifft(old)).tolist()
+            assert bits(sweeps[k]).tolist() == bits(gs.ring_gauss_sweep(chi)).tolist()
+
+    def test_block_split_does_not_change_bits(self):
+        n, ks = 199, np.arange(1, 198)
+        whole = gs._ring_sweeps(gs._char_rows(n, ks))
+        parts = np.concatenate([gs._ring_sweeps(gs._char_rows(n, ks[i:i + 41]))
+                                for i in range(0, len(ks), 41)])
+        assert bits(whole).tolist() == bits(parts).tolist()
 
 
 class TestCharacterEval:

@@ -2,9 +2,11 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gaussfactor import nslit
+from gaussfactor.gausssums import _SWEEP_PHASORS
 
 
 class TestConfig:
@@ -14,6 +16,45 @@ class TestConfig:
         with pytest.raises(ValueError):
             nslit.NSlitConfig(15, 0)
         nslit.NSlitConfig(15, 3)
+
+
+def old_green_sum(xi: float, cfg: nslit.NSlitConfig) -> complex:
+    """green_sum at one point as it was computed before it took arrays."""
+    n = np.arange(cfg.n_slits, dtype=float)
+    ph = np.pi * (xi - n) ** 2 / cfg.l_talbot
+    return complex(np.exp(1j * ph).sum() / math.sqrt(cfg.l_talbot))
+
+
+def complex_bits(values) -> list[int]:
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+class TestGreenSumRows:
+    # one point per block (N > _SWEEP_PHASORS), several points per block with
+    # a short last block, and a single slit
+    @pytest.mark.parametrize("n_slits, l, count", [(_SWEEP_PHASORS + 7, 11, 5), (201, 7, 101),
+                                                   (15, 3, 1000), (1, 4, 9)])
+    def test_rows_have_the_scalar_bits(self, n_slits, l, count):
+        cfg = nslit.NSlitConfig(n_slits, l)
+        xs = np.random.default_rng(n_slits).uniform(-3.0, 3.0 + l, count)
+        xs[:2] = (0.5, l / 2.0)
+        got = nslit.green_sum(xs, cfg)
+        assert got.shape == (count,)
+        assert complex_bits(got) == complex_bits([old_green_sum(float(x), cfg) for x in xs])
+        assert nslit.green_sum(float(xs[2]), cfg) == got[2]
+        assert isinstance(nslit.green_sum(0.25, cfg), complex)
+
+    def test_spreads_have_the_pointwise_bits(self):
+        for n in list(range(1, 80, 2)) + [1001]:
+            for l in range(1, math.isqrt(n) + 1):
+                cfg = nslit.NSlitConfig(n, l)
+                heights = [abs(old_green_sum(q + 0.5, cfg)) ** 2 for q in range(l)]
+                comb = [abs(old_green_sum(l / 2.0 + s, cfg)) ** 2 for s in range(l)]
+                top = max(max(heights), max(comb))
+                spread = 0.0 if top == 0.0 else (top - min(heights)) / top
+                prof = nslit.spike_profile(cfg)
+                assert prof.heights == tuple(heights)
+                assert prof.relative_spread.hex() == spread.hex(), (n, l)
 
 
 class TestGreenSum:

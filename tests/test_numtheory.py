@@ -1,7 +1,10 @@
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussfactor import numtheory as nt
 
@@ -67,6 +70,45 @@ def test_jacobi_matches_qr_indicator_on_primes_to_2000():
             continue
         for a in range(b):
             assert nt.jacobi_symbol(a, b) == qr_indicator(a, b), (a, b)
+
+
+class TestJacobiArray:
+    """The array form runs its own recursion; every element must be the value
+    of a scalar call, which stays exact on Python ints of any size."""
+
+    def test_dense_range_matches_scalar(self):
+        for b in range(1, 300, 2):
+            a = np.arange(-b, 3 * b)
+            expect = [int(nt.jacobi_symbol(x, b)) for x in range(-b, 3 * b)]
+            got = nt.jacobi_symbol(a, b)
+            assert got.dtype == np.int64 and got.tolist() == expect, b
+
+    def test_broadcast_shapes(self):
+        a = np.arange(12).reshape(3, 4)
+        b = np.array([[5], [7], [9]])
+        got = nt.jacobi_symbol(a, b)
+        assert got.shape == (3, 4)
+        assert got.tolist() == [[int(nt.jacobi_symbol(int(x), int(y))) for x, y in zip(ra, rb)]
+                                for ra, rb in zip(a, np.broadcast_to(b, a.shape))]
+        assert nt.jacobi_symbol(np.array([], dtype=np.int64), 3).shape == (0,)
+
+    def test_rejects_even_or_nonpositive_modulus(self):
+        for b in ([3, 8], [3, -3], [0]):
+            with pytest.raises(ValueError, match="odd and positive"):
+                nt.jacobi_symbol(np.ones(len(b), dtype=np.int64), np.array(b))
+
+    # odd moduli and numerators on both sides of the int64 limit
+    limit = 2**63
+    odd = (st.integers(0, 300) | st.integers(limit // 2 - 50, limit // 2 + 50)
+           | st.integers(0, 2**70)).map(lambda x: 2 * x + 1)
+    numerators = st.integers(-(2**70), 2**70) | st.integers(limit - 50, limit + 50)
+
+    @given(pairs=st.lists(st.tuples(numerators, odd), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_sample_across_the_int64_limit(self, pairs):
+        a, b = (list(x) for x in zip(*pairs))
+        expect = [int(nt.jacobi_symbol(x, y)) for x, y in pairs]
+        assert nt.jacobi_symbol(a, b).tolist() == expect
 
 
 def test_qr_indicator_examples():

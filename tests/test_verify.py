@@ -29,7 +29,7 @@ class TestBrokenIdentityFails:
         real = closedform.gab_closed
 
         def off(a, b):
-            return real(a, b) + (1e-7 if (a, b) == (3, 7) else 0.0)
+            return real(a, b) + 1e-7 * ((a == 3) & (b == 7))
 
         monkeypatch.setattr(closedform, "gab_closed", off)
         r = verify.check_closedform()
@@ -39,8 +39,10 @@ class TestBrokenIdentityFails:
     def test_closedform_brute_force_bitwise_unchanged(self, monkeypatch):
         # closed forms replaced by the exact values the brute force is
         # compared with: every deviation of the suite must be exactly zero
-        monkeypatch.setattr(closedform, "gab_closed", old_gab_brute)
-        monkeypatch.setattr(closedform, "g1b_closed", lambda b: gs.standard_gauss(1, b))
+        monkeypatch.setattr(closedform, "gab_closed", lambda a, b: np.array(
+            [old_gab_brute(int(x), int(y)) for x, y in np.broadcast(a, b)]))
+        monkeypatch.setattr(closedform, "g1b_closed", lambda bs: np.array(
+            [gs.standard_gauss(1, int(b)) for b in bs]))
         monkeypatch.setattr(closedform, "factor_out", lambda a, b: (1, a, b))
         r = verify.check_closedform()
         assert r.passed
@@ -61,34 +63,35 @@ class TestBrokenIdentityFails:
         )
 
     def test_ring_names_the_character(self, monkeypatch):
-        real = gs._char_values
-        broken = gs.CharacterSpec(13, 4)
+        real = gs._char_rows
 
-        def negated(chi):
-            vals = real(chi)
-            if chi == broken:
-                vals = vals.copy()
-                vals[2] = -vals[2]
-            return vals
+        def negated(n, ks):
+            rows = real(n, ks)
+            if n == 13:
+                hit = np.asarray(ks) == 4
+                rows[hit, 2] = -rows[hit, 2]
+            return rows
 
-        monkeypatch.setattr(gs, "_char_values", negated)
+        monkeypatch.setattr(gs, "_char_rows", negated)
         r = verify.check_ring()
         assert not r.passed
         messages = r.detail.split("; ")
         assert len(messages) == 5
         assert all("(n=13, k=4" in m for m in messages)
+        assert messages[0] == "|G| != sqrt(n) at (n=13, k=4)"
 
     def test_ring_names_the_beta(self, monkeypatch):
-        real = gs.ring_gauss_sweep
+        real = gs._ring_sweeps
+        broken = gs._char_values(gs.CharacterSpec(13, 4))
 
-        def bumped(chi):
-            out = real(chi)
-            if chi == gs.CharacterSpec(13, 4):
-                out = out.copy()
-                out[5] *= 1.001
+        def bumped(rows):
+            out = real(rows)
+            for i, row in enumerate(rows):
+                if np.array_equal(row, broken):
+                    out[i, 5] *= 1.001
             return out
 
-        monkeypatch.setattr(gs, "ring_gauss_sweep", bumped)
+        monkeypatch.setattr(gs, "_ring_sweeps", bumped)
         r = verify.check_ring()
         assert not r.passed
         assert r.detail == (
@@ -104,6 +107,16 @@ def nan_at(real, hit):
     return patched
 
 
+def nan_where(real, hit):
+    """The array function `real`, but NaN wherever the elementwise
+    hit(*args), broadcast to the result, holds."""
+    def patched(*args):
+        out = real(*args)
+        out[np.broadcast_to(hit(*args), out.shape)] = complex(math.nan, 0.0)
+        return out
+    return patched
+
+
 def nan_in_sweep(real, hit):
     """The sweep `real(n, ls)`, but NaN at each l where hit(n, l) holds."""
     def patched(n, ls):
@@ -114,12 +127,14 @@ def nan_in_sweep(real, hit):
 
 
 def nan_in_b_sweep(real, hit):
-    """The sweep `real(a, c, r)` over every b, but NaN at each b where
-    hit(a, c, r, b) holds; rows for arrays of c are left as they are."""
+    """The sweep `real(a, c, r, b_values)`, but NaN at each (a, c, b) where the
+    elementwise hit(a, c, r, b) holds; a and c may be arrays, as the suite
+    passes them."""
     def patched(a, c, r, b_values=None):
         out = real(a, c, r, b_values)
-        if b_values is None and np.ndim(c) == 0:
-            out[[hit(a, c, r, b) for b in range(r)]] = complex(math.nan, 0.0)
+        b = np.arange(r) if b_values is None else np.asarray(b_values)
+        mask = hit(np.asarray(a)[..., None], np.asarray(c)[..., None], r, b)
+        out[np.broadcast_to(mask, out.shape)] = complex(math.nan, 0.0)
         return out
     return patched
 
@@ -129,25 +144,29 @@ class TestNonFiniteFails:
     NaN, so each check asks `not dev < tol` instead."""
 
     CASES = {
-        "closedform": (closedform, "g1b_closed", lambda b: b == 5, "g1b mismatch at b=5"),
-        "reciprocity": (gs, "reciprocate_complete_sweep", lambda n, l: (n, l) == (9, 3),
+        "closedform": (closedform, "g1b_closed", nan_where, lambda b: b == 5,
+                       "g1b mismatch at b=5"),
+        "reciprocity": (gs, "reciprocate_complete_sweep", nan_in_sweep,
+                        lambda n, l: (n, l) == (9, 3),
                         "reciprocate modulus mismatch at (N=9, l=3)"),
-        "wtilde": (gs, "wtilde_b_sweep", lambda a, c, r, b: (a, c, r, b) == (2, 0, 4, 1),
+        "wtilde": (gs, "wtilde_b_sweep", nan_in_b_sweep,
+                   lambda a, c, r, b: (a == 2) & (c == 0) & (r == 4) & (b == 1),
                    "parity table fails at (q=1, r=4, m=1)"),
-        "decomposition": (decomposition, "decomposed_sum",
+        "decomposition": (decomposition, "decomposed_sum", nan_at,
                           lambda xi, q, r, spec, w: (q, r) == (7, 35),
                           "decomposition mismatch at (B=51, q=7, r=35, xi=9.700)"),
-        "nslit": (nslit, "relating_phase", lambda xi, cfg: (cfg.n_slits, cfg.l_talbot) == (46, 3),
+        "nslit": (nslit, "relating_phase", nan_at,
+                  lambda xi, cfg: (cfg.n_slits, cfg.l_talbot) == (46, 3),
                   "green decomposition mismatch at (N=46, l=3, xi=2.613)"),
-        "ring": (gs, "ring_gauss", lambda chi, beta: chi == gs.CharacterSpec(13, 4),
+        # one NaN character value of chi_4 mod 13, so G(chi, 1) is NaN
+        "ring": (gs, "_char_rows", nan_where,
+                 lambda n, ks: (n == 13) & (np.asarray(ks)[:, None] == 4) & (np.arange(n) == 2),
                  "|G| != sqrt(n) at (n=13, k=4)"),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_nan_evaluator_fails_the_suite(self, name, monkeypatch):
-        module, attr, hit, first = self.CASES[name]
-        patch = {"reciprocate_complete_sweep": nan_in_sweep,
-                 "wtilde_b_sweep": nan_in_b_sweep}.get(attr, nan_at)
+        module, attr, patch, hit, first = self.CASES[name]
         monkeypatch.setattr(module, attr, patch(getattr(module, attr), hit))
         r = verify.SUITES[name]()
         assert not r.passed
@@ -198,6 +217,17 @@ class TestWtildeArrays:
                     ref = wtilde_reference(int(ai), int(b), int(cj), r)
                     assert abs(out[i, j, k] - ref) < 1e-14
 
+    @pytest.mark.parametrize("r", [1, 5, 8, 64])
+    def test_block_of_a_has_the_per_a_bits(self, r):
+        # the wtilde suite sweeps a run of a against every c of one parity
+        parity = r % 2
+        a = np.array([x for x in range(1, 2 * r) if math.gcd(x, r) == 1 and x * r % 2 == parity])
+        cs = np.arange(parity, 2 * r, 2)
+        block = gs.wtilde_b_sweep(a[:, None], cs, r)
+        for i, x in enumerate(a.tolist()):
+            row = gs.wtilde_b_sweep(x, cs, r)
+            assert block[i].view(np.uint64).tolist() == row.view(np.uint64).tolist()
+
     def test_scalars_give_one_dimension(self):
         assert gs.wtilde_b_sweep(3, 1, 7).shape == (7,)
         assert gs.wtilde_b_sweep(3, 1, 7, np.array([0, 4])).shape == (2,)
@@ -209,7 +239,7 @@ class TestWtildeArrays:
         assert np.array_equal(gs.wtilde_b_sweep(a, c, 7), gs.wtilde_b_sweep(a % 14, c % 14, 7))
 
 
-@pytest.mark.parametrize("name", ["closedform", "wtilde", "ring"])
+@pytest.mark.parametrize("name", list(verify.SUITES))
 def test_suite_memory_bounded(name):
     tracemalloc.start()
     try:
