@@ -172,6 +172,15 @@ def scan_series(
     return ScanSeries(unit_c=1.0, xis=xis, values=values, n_label=n_label)
 
 
+def _span(xis: np.ndarray, lo: float, hi: float) -> slice:
+    """The indices of the strictly increasing xis within [lo, hi], with two
+    points of slack on each side for rounding: a superset of any window
+    predicate near those bounds, which the caller then applies to it."""
+    start = int(np.searchsorted(xis, lo, side="left"))
+    stop = int(np.searchsorted(xis, hi, side="right"))
+    return slice(max(start - 2, 0), stop + 2)
+
+
 def envelope_background(
     xis: np.ndarray,
     abs2: np.ndarray,
@@ -185,8 +194,13 @@ def envelope_background(
     The interference background passes through zero between fringes, so a
     plain median is dragged down by the nulls; the fringe-top median is the
     stable notion of "background level" the peak criterion compares against.
+    xis must be strictly increasing (a ScanSeries grid), so the window is
+    found by bisection and the cost is O(window), not O(grid).
     """
-    near = np.abs(xis - center) <= DEFAULT_BACKGROUND_WINDOW * candidate_unit + 1e-12
+    half = DEFAULT_BACKGROUND_WINDOW * candidate_unit + 1e-12
+    span = _span(xis, center - half, center + half)
+    xis, abs2 = xis[span], abs2[span]
+    near = np.abs(xis - center) <= half
     ratio = xis[near] / candidate_unit
     off_core = np.abs(ratio - np.round(ratio)) > DEFAULT_BACKGROUND_CORE
     v = abs2[near][off_core]
@@ -243,7 +257,8 @@ def report_from_series(
 
     def rule(l: int) -> tuple[float, float, Classification]:
         pos = l * c
-        measured = float(abs2[int(np.argmin(np.abs(series.xis - pos)))])
+        span = _span(series.xis, pos, pos)
+        measured = float(abs2[span][int(np.argmin(np.abs(series.xis[span] - pos)))])
         bg = envelope_background(series.xis, abs2, pos, candidate_unit=c)
         predicted = predict_discrete_modulus2(n, l).value
         if zero_level is not None and measured < zero_level:

@@ -26,8 +26,12 @@ TWO_PI = 2.0 * math.pi
 # this bound; larger moduli take the Python-int path.
 _INT64_SAFE_MODULUS = 3_000_000_000
 
-# Phasors per row block of continuous_sum_grid: a block's arrays (about 56
-# bytes per phasor) stay near 2 MB whatever the grid length.
+# Phasors per row block of _real_sums, whose work arrays (41 bytes per
+# phasor, about 1.3 MB) are made once per call.  Measured on a 2-vCPU host,
+# fresh process per run: at 1 << 14 the N=1001 scan peaked 1.3 MB lower
+# (48.5 against 49.8 MB; the kernel that allocated per block peaked at
+# 53.0 MB) but the N=201 factor run took 5-8% longer; 1 << 16 raised the
+# factor run's peak by 2.6 MB for no time told apart from noise.
 _BLOCK_PHASORS = 1 << 15
 
 # Phasors per block of the integer sweeps, so a block's complex arrays stay
@@ -78,7 +82,10 @@ class WeightProfile:
         """Continuous Gaussian extension w(mu), unit area."""
         mu = np.asarray(mu, dtype=float)
         amp = 1.0 / math.sqrt(TWO_PI * self.delta_m**2)
-        return amp * np.exp(-0.5 * (mu / self.delta_m) ** 2)
+        # below widths of about 1.5e-154 the square overflows to inf, and
+        # exp(-inf) = 0 is the right weight
+        with np.errstate(over="ignore"):
+            return amp * np.exp(-0.5 * (mu / self.delta_m) ** 2)
 
     @property
     def norm(self) -> float:
@@ -139,17 +146,19 @@ def _reduced(x, b) -> np.ndarray:
     return np.asarray(np.asarray(x, dtype=object) % b, dtype=np.asarray(b).dtype)
 
 
-def _phasors(turns, sign: float = 1.0) -> np.ndarray:
-    """exp(sign 2 pi i turns) for float64 turns: cos and sin written into the
-    two halves of one complex array, the writer of every phasor here.  An
-    array of turns is scaled in place, so callers pass one they own.
+def _phase_exp(residues, modulus, sign: float = 1.0) -> np.ndarray:
+    """exp(sign 2 pi i residues / modulus), elementwise over broadcast arrays:
+    cos and sin written into the two halves of one complex array.
 
-    The argument of np.exp(sign * 2j * np.pi * turns) is +0 + i sign TWO_PI
-    turns, with a +0 (not -0) imaginary part at turn 0, so this gives its
-    bits as long as NumPy's sin/cos loops agree with its complex exp;
-    TestPhaseExpBitwise and TestUnitPhasorsBitwise check that.
+    Each element takes the same operations whatever the shape, so a phasor
+    is bitwise the same in a sweep as in a one-argument sum.  For turns
+    t = residues / modulus, the argument of np.exp(sign * 2j * np.pi * t) is
+    +0 + i sign TWO_PI t, with a +0 (not -0) imaginary part at t = 0, so
+    this gives its bits as long as NumPy's sin/cos loops agree with its
+    complex exp;
+    TestPhaseExpBitwise checks that (and TestKernelBitwise for _real_sums).
     """
-    y = turns
+    y = np.asarray(residues, dtype=float) / np.asarray(modulus, dtype=float)
     y *= sign * TWO_PI
     if sign < 0:
         y += 0.0  # -0 becomes +0
@@ -157,15 +166,6 @@ def _phasors(turns, sign: float = 1.0) -> np.ndarray:
     np.cos(y, out=out.real)
     np.sin(y, out=out.imag)
     return out
-
-
-def _phase_exp(residues, modulus, sign: float = 1.0) -> np.ndarray:
-    """exp(sign 2 pi i residues / modulus), elementwise over broadcast arrays.
-
-    Each element takes the same operations whatever the shape, so a phasor
-    is bitwise the same in a sweep as in a one-argument sum.
-    """
-    return _phasors(np.asarray(residues, dtype=float) / np.asarray(modulus, dtype=float), sign)
 
 
 # Callers sweep one modulus at a time (the verify suites and acceptance
@@ -183,37 +183,63 @@ def _root_table(n: int) -> np.ndarray:
     return table
 
 
-def _unit_phasors(t: np.ndarray) -> np.ndarray:
-    """exp(2 pi i t) for a longdouble phase array t, reduced mod 1 in place.
+def _real_sums(xis, spec: ContinuousSpec, m, weights) -> np.ndarray:
+    """Row sums sum_j weights[j] exp[2 pi i (m_j/A + m_j^2/B) xi], one per
+    real argument xi, with phases reduced mod 1 in 80-bit precision.
 
-    np.mod and t - floor(t) are both exact here and give the same value and
-    sign bit; np.mod is the cheaper of the two on longdouble.
+    Rows run in blocks of about _BLOCK_PHASORS phasors through work arrays
+    made once per call, so memory does not grow with the grid and no block
+    allocates; each row is summed on its own, so results are bitwise
+    identical however the grid is chunked.
+
+    The reduction gives the value of np.mod(t, 1): t - trunc(t) is exact
+    while |t| < 2^63 (trunc by the int64 cast), and adding 1 to a negative
+    remainder rounds once as np.mod does.  Only at t = -0 does the sign bit
+    differ (-0 against np.mod's +0); that turn's phasor (1, -0) times a real
+    weight has a +0 imaginary part either way, so no sum changes.  A call
+    whose phases may reach 2^62 (or are not finite), or that fits in one
+    block, reduces with np.mod.
     """
     if _LONGDOUBLE_NMANT < 63:
         raise PrecisionError(
             "real-argument sums need an 80-bit longdouble (63 mantissa bits); "
             f"this platform's has {_LONGDOUBLE_NMANT}"
         )
-    np.mod(t, 1, out=t)
-    return _phasors(t.astype(float))
-
-
-def _real_sums(xis, spec: ContinuousSpec, m, weights) -> np.ndarray:
-    """Row sums sum_j weights[j] exp[2 pi i (m_j/A + m_j^2/B) xi], one per
-    real argument xi, with phases reduced mod 1 in 80-bit precision.
-
-    Rows run in blocks of about _BLOCK_PHASORS phasors, so memory does not
-    grow with the grid, and each row is summed on its own, so results are
-    bitwise identical however the grid is chunked.
-    """
     m = np.asarray(m, dtype=np.longdouble)
     coeff = m / np.longdouble(spec.a_param) + m * m / np.longdouble(spec.b_param)
-    xs = np.asarray(xis, dtype=np.longdouble)
+    xs = np.asarray(xis)
     out = np.empty(len(xs), dtype=complex)
-    rows = max(1, _BLOCK_PHASORS // len(coeff))
+    rows = max(1, min(len(xs), _BLOCK_PHASORS // len(coeff)))
+    # A call of one block takes np.mod: on a row of 81 phasors the bound and
+    # the truncation's four steps cost about 19 us against np.mod's 3 us.
+    # The bound keeps every |x * c| < 2^63 with a factor 2 for its own
+    # rounding; a NaN in xs makes it NaN, and the test False.
+    truncate = len(xs) > rows and (
+        max(float(xs.max()), -float(xs.min())) * float(np.abs(coeff).max()) < 2.0**62)
+    x_buf = np.empty((rows, 1), dtype=np.longdouble)
+    t_buf = np.empty((rows, len(coeff)), dtype=np.longdouble)
+    f_buf = np.empty(t_buf.shape)
+    k_buf = f_buf.view(np.int64)
+    neg_buf = np.empty(t_buf.shape, dtype=bool)
+    p_buf = np.empty(t_buf.shape, dtype=complex)
     for start in range(0, len(xs), rows):
-        block = slice(start, start + rows)
-        out[block] = (_unit_phasors(np.outer(xs[block], coeff)) * weights).sum(axis=1)
+        size = min(rows, len(xs) - start)
+        x, t, f, k, neg, p = (a[:size] for a in (x_buf, t_buf, f_buf, k_buf, neg_buf, p_buf))
+        np.copyto(x[:, 0], xs[start:start + size])
+        np.multiply(x, coeff, out=t)
+        if truncate:
+            np.copyto(k, t, casting="unsafe")
+            t -= k
+            np.less(t, 0, out=neg)
+            np.add(t, 1, out=t, where=neg)
+        else:
+            np.mod(t, 1, out=t)
+        np.copyto(f, t)
+        f *= TWO_PI
+        np.cos(f, out=p.real)
+        np.sin(f, out=p.imag)
+        p *= weights
+        p.sum(axis=1, out=out[start:start + size])
     return out
 
 

@@ -157,9 +157,10 @@ def check_decomposition() -> SuiteResult:
     for b, q, r in ((33, 1, 11), (33, 1, 3), (51, 7, 35)):
         spec = ContinuousSpec(1.0, float(b))
         center = q * b / r
-        for xi in np.linspace(center - 0.5, center + 0.5, 50):
-            direct = gausssums.continuous_sum(float(xi), spec, w)
-            decomp = decomposition.decomposed_sum(float(xi), q, r, spec, w)
+        xis = np.linspace(center - 0.5, center + 0.5, 50)
+        directs = gausssums.continuous_sum_grid(xis, spec, w).tolist()
+        for xi, direct in zip(xis.tolist(), directs):
+            decomp = decomposition.decomposed_sum(xi, q, r, spec, w)
             if worst.over(abs(direct - decomp), 1e-6):
                 failures.append(f"decomposition mismatch at (B={b}, q={q}, r={r}, xi={xi:.3f})")
     return _result("decomposition", failures, t0, worst)

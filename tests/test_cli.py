@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -309,6 +310,19 @@ class TestFactorCommand:
     def test_even_n_wrong_scheme_fails_cleanly(self, capsys):
         assert cli.main(["factor", "--n", "30", "--scheme", "continuous"]) == 1
         assert "even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--n", "33", "--dm", "1e-160"],
+        ["scan", "--n", "33", "--xi-min", "1e18", "--xi-max", "1.000000000000001e18",
+         "--step", "128"],
+    ])
+    def test_no_numpy_warning_reaches_stderr(self, capsys, argv):
+        # a weight width whose (mu / dm)^2 overflows, and phases past 2^63
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 0 and out and err == ""
 
     def test_unknown_scheme_rejected(self):
         # argparse choices violation surfaces through ConfigError -> exit 1

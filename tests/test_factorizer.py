@@ -268,6 +268,66 @@ class TestPocketRescale:
             assert flagged_of(rep_k) == flagged_of(rep)
 
 
+def full_grid_background(xis, abs2, center, unit):
+    """envelope_background as it was before the window was found by bisection:
+    its mask built over the whole grid."""
+    near = np.abs(xis - center) <= fz.DEFAULT_BACKGROUND_WINDOW * unit + 1e-12
+    ratio = xis[near] / unit
+    v = abs2[near][np.abs(ratio - np.round(ratio)) > fz.DEFAULT_BACKGROUND_CORE]
+    if len(v) < 3:
+        return float(np.median(abs2[near])) if near.any() else 0.0
+    tops = v[1:-1][(v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])]
+    return float(np.median(tops if len(tops) else v))
+
+
+class TestWindowedClassification:
+    """The bisected windows of report_from_series and envelope_background
+    must give every candidate the measured value, background and class of
+    the full-grid expressions."""
+
+    @staticmethod
+    def assert_full_grid_equal(series, peak_factor=fz.DEFAULT_PEAK_FACTOR, zero_factor=None):
+        xis, abs2, c, n = series.xis, series.abs2(), series.unit_c, series.n_label
+        rep = fz.report_from_series(series, "continuous_odd", peak_factor, zero_factor)
+        assert rep.candidates
+        zero_level = None if zero_factor is None else zero_factor * float(abs2.max())
+        for cand in rep.candidates:
+            pos = cand.l * c
+            measured = float(abs2[int(np.argmin(np.abs(xis - pos)))])
+            bg = full_grid_background(xis, abs2, pos, c)
+            if zero_level is not None and measured < zero_level:
+                cls = Classification.ZERO_SIGNAL
+            elif bg > 0 and measured >= peak_factor * bg:
+                cls = fz._classify_flagged(cand.l, n)
+            else:
+                cls = Classification.NONFACTOR
+            got_bg = fz.envelope_background(xis, abs2, pos, candidate_unit=c)
+            assert (cand.measured, got_bg, cand.classification) == (measured, bg, cls), cand.l
+
+    def test_odd_series(self, master51):
+        self.assert_full_grid_equal(master51)
+        self.assert_full_grid_equal(fz._scan_for(91, W10, 0.01))
+
+    @pytest.mark.parametrize("n_prime, peak_factor", [(35, 2.0), (65, 1.5), (77, 2.0)])
+    def test_rescaled_series(self, master51, n_prime, peak_factor):
+        # unit_c = 51 / n_prime is not an integer
+        self.assert_full_grid_equal(fz.pocket_rescale(master51, n_prime), peak_factor)
+
+    def test_scaled_and_coarse_grids(self, master51):
+        resc = fz.pocket_rescale(master51, 35)
+        for k in (0.5, 3.0):
+            self.assert_full_grid_equal(
+                fz.ScanSeries(resc.unit_c * k, resc.xis * k, resc.values, resc.n_label))
+        # a few points per window: the fallbacks of fewer than 3 off-core samples
+        coarse = fz.scan_series(gs.ContinuousSpec(1.0, 51.0), W10, 1.0, 50.0, 0.37, n_label=51)
+        self.assert_full_grid_equal(coarse)
+
+    def test_even_zero_rule_series(self):
+        for n, w in ((30, W8), (60, W10)):
+            series = fz._scan_for(n, w, 0.01)
+            self.assert_full_grid_equal(series, zero_factor=fz.DEFAULT_ZERO_FACTOR)
+
+
 class TestGhostCensus:
     def test_divisors_never_counted(self):
         census = fz.ghost_census(100, 6, threshold=0.05, l_min=2, l_max=10)

@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +80,18 @@ class TestWeightProfile:
             raw = w.raw_weight(w.indices())
             amp = 1.0 / math.sqrt(gs.TWO_PI * dm**2)
             assert raw[2] == amp and w.weights().tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("dm", [1e-160, 2.3e-162, 1.4e-154, 1.5e-154, 1e-3, 0.7, 10.0, 284.25])
+    def test_weights_keep_their_words_without_warning(self, dm):
+        # widths below about 1.5e-154 overflow (mu / dm)^2 to inf, a 0 weight
+        w = gs.WeightProfile(dm, 3)
+        mu = np.linspace(-3.0, 3.0, 13)
+        with np.errstate(over="ignore"):
+            old = 1.0 / math.sqrt(gs.TWO_PI * dm**2) * np.exp(-0.5 * (mu / dm) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(bits(w.raw_weight(mu)), bits(old))
+            w.weights()
 
     @pytest.mark.parametrize("a, b", [(math.nan, 33.0), (1.0, math.nan), (math.inf, 33.0),
                                       (1.0, math.inf), (1.0, -33.0)])
@@ -162,34 +178,36 @@ class TestBlockedKernel:
         assert peak < 25 * 2**20
 
 
-def kernel_phases(xis, spec, w):
-    """Row blocks of the kernel's unreduced longdouble phase matrix."""
-    m = w.indices().astype(np.longdouble)
+def mod_reference(xis, spec, m, weights, rows=64):
+    """The kernel's former formula: each row block's longdouble phases
+    reduced by np.mod(t, 1), then np.exp(2j * pi * t), weighted and summed
+    one row at a time."""
+    m = np.asarray(m, dtype=np.longdouble)
     coeff = m / np.longdouble(spec.a_param) + m * m / np.longdouble(spec.b_param)
     xs = np.asarray(xis, dtype=np.longdouble)
-    rows = max(1, gs._BLOCK_PHASORS // len(coeff))
+    out = np.empty(len(xs), dtype=complex)
     for start in range(0, len(xs), rows):
-        yield np.outer(xs[start:start + rows], coeff)
+        t = np.mod(np.outer(xs[start:start + rows], coeff), 1)
+        out[start:start + rows] = (np.exp(2j * np.pi * t.astype(float)) * weights).sum(axis=1)
+    return out
 
 
-class TestUnitPhasorsBitwise:
-    """cos/sin phasors must carry the same bits as np.exp(2j * pi * t).
+class TestKernelBitwise:
+    """_real_sums must give the words of the np.mod and np.exp formula.
 
-    NumPy picks its SIMD sin, cos and exp loops per build and CPU, so this
-    is checked on the kernel's real grids, not assumed: a build whose
-    sin/cos differ from its complex exp fails here, and the continuous
-    outputs would then move.
+    The kernel reduces phases by int64 truncation (in calls of more than one
+    block whose phases stay below 2^62, else by np.mod) and writes
+    phasors with cos and sin.  NumPy picks its SIMD sin, cos and exp loops
+    per build and CPU, so this is checked on the kernel's real grids, not
+    assumed: a build whose sin/cos differ from its complex exp fails here,
+    and the continuous outputs would then move.
     """
 
     @staticmethod
-    def differing_words(xis, spec, w) -> int:
-        count = 0
-        for t in kernel_phases(xis, spec, w):
-            ref = np.mod(t, 1)
-            ref = np.exp(2j * np.pi * ref.astype(float))
-            got = gs._unit_phasors(t)
-            count += int(np.count_nonzero(bits(got) != bits(ref)))
-        return count
+    def differing_words(xis, spec, w: gs.WeightProfile) -> int:
+        m, weights = w.indices(), w.weights()
+        got = gs._real_sums(xis, spec, m, weights)
+        return int(np.count_nonzero(bits(got) != bits(mod_reference(xis, spec, m, weights))))
 
     def test_n201_margin2_factor_grid(self):
         # the grid of `factor --scheme continuous --n 201` with margin-2
@@ -204,6 +222,56 @@ class TestUnitPhasorsBitwise:
         assert 2 * w.m_max + 1 == 33
         xis = 2.0 + 0.004 * np.arange(60_000)
         assert self.differing_words(xis, gs.ContinuousSpec(1.0, 1001.0), w) == 0
+
+    @pytest.mark.parametrize("a_param", [1.0, 0.37])
+    def test_signed_zeros_negative_and_near_integer_phases(self, a_param):
+        # xi one ulp off a multiple of B puts every A = 1 phase m xi + m^2 xi / B
+        # just below or just above an integer
+        near = np.array([np.nextafter(33.0 * k, d) for k in range(-3, 4) for d in (-np.inf, np.inf)])
+        xis = np.concatenate([[0.0, -0.0, -3.0, -2.5, -1e6 - 0.37, 1e6 + 0.123, 987654.321],
+                              near, np.linspace(-40.0, 40.0, 1001)])
+        spec = gs.ContinuousSpec(a_param, 33.0)
+        assert self.differing_words(xis, spec, W10) == 0
+        m = W10.indices().astype(np.longdouble)
+        turns = np.mod(np.outer(near.astype(np.longdouble), m + m * m / 33), 1)
+        assert turns.max() > 1 - 1e-12 and 0 < turns[turns > 0].min() < 1e-12
+
+    def test_phases_past_2_63_take_np_mod(self, monkeypatch):
+        # int64 truncation is wrong here (other values and an "invalid value
+        # encountered in cast" warning), so this grid must reduce with np.mod;
+        # blocks of 2 rows, so the one-block rule does not decide it
+        monkeypatch.setattr(gs, "_BLOCK_PHASORS", 2 * 33)
+        w = gs.WeightProfile.for_width(4.0)
+        xis = np.arange(1e18, 1.000000000000001e18, 128.0)
+        spec = gs.ContinuousSpec(1.0, 33.0)
+        m = w.indices()
+        assert xis.max() * float(np.max(m + m * m / 33.0)) > 2.0**63
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.differing_words(xis, spec, w) == 0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+    def test_n201_call_does_not_fault_per_block(self):
+        # allocating each block's temporaries afresh cost about 200,000 minor
+        # page faults here: glibc gave the memory back to the OS after each
+        # block and the next block faulted it in again.  A fresh interpreter
+        # runs the call, since earlier tests move malloc's trim thresholds.
+        code = (
+            "import resource, numpy as np\n"
+            "from gaussfactor import gausssums as gs\n"
+            "from gaussfactor.decomposition import recommend_weight_width\n"
+            "w = gs.WeightProfile.for_width(recommend_weight_width(201, 2.0))\n"
+            "xis = 1.0 + 0.01 * np.arange(20001)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "gs.continuous_sum_grid(xis, gs.ContinuousSpec(1.0, 201.0), w)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(gs.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert int(run.stdout) < 20_000
 
 
 class TestPhaseExpBitwise:
