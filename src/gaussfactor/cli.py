@@ -26,6 +26,7 @@ from .gausssums import (
     ContinuousSpec,
     PrecisionError,
     WeightProfile,
+    _check_width,
     monte_carlo_sum,
     reciprocate_complete_sweep,
 )
@@ -79,6 +80,7 @@ class RunConfig:
     def weight_profile(self) -> WeightProfile:
         if not 0 < self.delta_m < math.inf:
             raise ConfigError("--dm must be finite and positive")
+        _check_width(self.delta_m)  # before ceil(4 * dm), which overflows first
         m_max = self.m_terms if self.m_terms is not None else math.ceil(4 * self.delta_m)
         if m_max < 1:
             raise ConfigError("--m-terms must be >= 1")
@@ -104,10 +106,13 @@ def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not path.is_absolute():
         path = Path(outdir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk.encode())
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode())
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
 
 def _row_slices(count: int, size: int) -> Iterator[slice]:
@@ -434,7 +439,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        return run(RunConfig(**vars(ns)))
+        status = run(RunConfig(**vars(ns)))
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+        return status
+    except BrokenPipeError:
+        # As the Python docs advise: point stdout at devnull, so that the
+        # flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     except (ConfigError, ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

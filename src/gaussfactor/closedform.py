@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import ResidueClass, jacobi_symbol, residue_class
+from .numtheory import jacobi_symbol
 from .gausssums import _reduced, _trial_arguments, standard_gauss
 
 
@@ -31,6 +31,8 @@ class ModulusPrediction:
 
 # G(1, b) / sqrt(b) for b = 0, 1, 2, 3 mod 4 (the classes M0 .. M3)
 _G1B_UNIT = (1 + 1j, 1 + 0j, 0j, 1j)
+# |G(1, b)|^2 / b for b in M0 .. M3: the weights of both modulus predictors
+_CLASS_WEIGHT = np.array([2.0, 1.0, 0.0, 1.0])
 
 
 def g1b_closed(b):
@@ -80,31 +82,22 @@ def factor_out(a: int, b: int) -> tuple[int, int, int]:
     return p, a // p, b // p
 
 
-_CLASS_WEIGHT = {
-    ResidueClass.M0: 2.0,
-    ResidueClass.M1: 1.0,
-    ResidueClass.M2: 0.0,
-    ResidueClass.M3: 1.0,
-}
+def predict_discrete_moduli2(n_target: int, ls) -> tuple[np.ndarray, np.ndarray]:
+    """|S_N(l)|^2 in the broad-weight limit for every l in ls, with the shared
+    factors p = gcd(l, N): one array formula, the twin of
+    predict_reciprocate_moduli.
 
-
-def predict_discrete_modulus2(n_target: int, l: int) -> ModulusPrediction:
-    """|S_N(l)|^2 in the broad-weight limit.
-
-    Coprime l: (1/N) * {2, 1, 0} by N's class.  Shared factor p = gcd(l, N),
-    N = r*p: (p/N) * {2, 1, 0} by r's class.
+    With N = r * p the value is (p/N) * {2, 1, 0, 1} for r in M0 .. M3;
+    p = 1 gives the coprime values (1/N) * {2, 1, 0, 1} by N's class.
     """
-    if n_target < 1 or l < 1:
-        raise ValueError("n_target and l must be positive")
-    p = math.gcd(l, n_target)
-    if p == 1:
-        cls = residue_class(n_target)
-        return ModulusPrediction(_CLASS_WEIGHT[cls] / n_target, f"coprime-M{cls.k}")
-    r = n_target // p
-    cls = residue_class(r)
-    return ModulusPrediction(
-        p * _CLASS_WEIGHT[cls] / n_target, f"shared-M{cls.k}", shared_factor=p
-    )
+    if n_target < 1:
+        raise ValueError("n_target must be positive")
+    ls = _trial_arguments(ls)
+    shared = np.gcd(ls, _reduced(n_target, ls))
+    # r mod 4 = (N mod 4p) / p, in Python ints: 4p may pass int64
+    r_class = _reduced(n_target, 4 * np.asarray(shared, dtype=object)) // shared
+    weight = _CLASS_WEIGHT[np.asarray(r_class, dtype=np.int64)]
+    return np.asarray(shared, dtype=float) * weight / n_target, shared
 
 
 def predict_finite_w_modulus(q: int, r: int, m: int) -> float:
@@ -131,10 +124,6 @@ def reciprocity_transform(n_target: int, l: int) -> complex:
     return cmath.exp(-1j * math.pi / 4) / (2.0 * math.sqrt(2.0 * l * n_target)) * g
 
 
-# predict_reciprocate_modulus(N, l)**2 * k for k = l / gcd(l, N) in M0 .. M3
-_RECIPROCATE_WEIGHT = np.array([2.0, 1.0, 0.0, 1.0])
-
-
 def predict_reciprocate_moduli(n_target: int, ls) -> tuple[np.ndarray, np.ndarray]:
     """|A_N^(l-1)(l)| for odd N and every l in ls, with the shared factors
     s = gcd(l, N): one array formula, each value the bits of
@@ -148,7 +137,7 @@ def predict_reciprocate_moduli(n_target: int, ls) -> tuple[np.ndarray, np.ndarra
     ls = _trial_arguments(ls)
     shared = np.gcd(ls, _reduced(n_target, ls))
     k = ls // shared
-    weight = _RECIPROCATE_WEIGHT[np.asarray(k % 4, dtype=np.int64)]
+    weight = _CLASS_WEIGHT[np.asarray(k % 4, dtype=np.int64)]
     values = np.sqrt(weight / np.asarray(k, dtype=float))
     values[k == 1] = 1.0
     return values, shared

@@ -13,17 +13,15 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .closedform import (
-    predict_discrete_modulus2,
-    predict_reciprocate_moduli,
-)
+from .closedform import predict_discrete_moduli2, predict_reciprocate_moduli
 from .gausssums import (
     ContinuousSpec,
     WeightProfile,
+    _reduced,
     continuous_sum_grid,
     discrete_sweep,
     reciprocate_complete_sweep,
@@ -52,6 +50,11 @@ class Classification(Enum):
     NONFACTOR = "nonfactor"
     GHOST = "ghost"
     ZERO_SIGNAL = "zero_signal"
+
+
+# a rule's class codes index _CLASSES
+_CLASSES = tuple(Classification)
+_FACTOR, _MULTIPLE, _NONFACTOR, _GHOST, _ZERO = range(len(_CLASSES))
 
 
 class Candidate(NamedTuple):
@@ -126,7 +129,10 @@ def uniform_grid(xi_min: float, xi_max: float, step: float) -> np.ndarray:
         raise ValueError("step must be positive")
     if xi_max < xi_min:
         raise ValueError("empty scan range")
-    count = int(math.floor((xi_max - xi_min) / step + 1e-9)) + 1
+    span = (xi_max - xi_min) / step + 1e-9
+    if span == math.inf:
+        raise ValueError(f"step {step!r} is too small: the point count overflows to inf")
+    count = int(math.floor(span)) + 1
     return xi_min + step * np.arange(count)
 
 
@@ -213,31 +219,27 @@ def envelope_background(
     return float(np.median(tops))
 
 
-def _classify_flagged(l: int, n_target: int) -> Classification:
-    if n_target % l == 0:
-        return Classification.FACTOR
-    if math.gcd(l, n_target) > 1:
-        return Classification.MULTIPLE_OF_FACTOR
-    return Classification.GHOST
+def _divides(n_target: int, ls: np.ndarray) -> np.ndarray:
+    """N mod l == 0 elementwise, exact for N of any size."""
+    return _reduced(n_target, ls) == 0
 
 
-_Rule = Callable[[int], tuple[float, float, Classification]]
-_KEPT = (Classification.FACTOR, Classification.ZERO_SIGNAL)
+def _flag_codes(n_target: int, ls: np.ndarray) -> np.ndarray:
+    """The class of each flagged l: FACTOR where it divides N, else
+    MULTIPLE_OF_FACTOR where it shares a factor with N, else GHOST."""
+    residues = _reduced(n_target, ls)
+    return np.select([residues == 0, np.gcd(ls, residues) > 1], [_FACTOR, _MULTIPLE], _GHOST)
 
 
-def _classify(
-    n_target: int, scheme: str, ls: range, rule: _Rule, params: dict
-) -> FactorReport:
-    """Apply a scheme's rule l -> (measured, predicted, class) to every trial
-    argument.  A flag becomes a verified factor only when its class is
-    FACTOR or ZERO_SIGNAL and division confirms it."""
-    candidates = [Candidate(l, *rule(l)) for l in ls]
-    verified = [
-        c.l
-        for c in candidates
-        if c.classification in _KEPT and c.l >= 2 and n_target % c.l == 0
-    ]
-    return FactorReport(n_target, scheme, candidates, verified, params)
+def _classify(n_target: int, scheme: str, ls: np.ndarray, measured: np.ndarray,
+              predicted: np.ndarray, codes: np.ndarray, params: dict) -> FactorReport:
+    """The report of a scheme's rule: one element of measured, predicted and
+    class code per trial argument in ls.  A flag becomes a verified factor
+    only when its class is FACTOR or ZERO_SIGNAL and division confirms it."""
+    kept = ((codes == _FACTOR) | (codes == _ZERO)) & (ls >= 2) & _divides(n_target, ls)
+    classes = [_CLASSES[k] for k in codes.tolist()]
+    candidates = list(map(Candidate, ls.tolist(), measured.tolist(), predicted.tolist(), classes))
+    return FactorReport(n_target, scheme, candidates, ls[kept].tolist(), params)
 
 
 def report_from_series(
@@ -249,31 +251,22 @@ def report_from_series(
     """Apply the peak (and optionally zero) criteria at every integer
     candidate l whose position l * unit_c lies inside the series."""
     n = series.n_label
-    abs2 = series.abs2()
-    c = series.unit_c
-    lo = int(math.ceil((series.xis[0] + 1e-9) / c))
-    hi = int(math.floor((series.xis[-1] - 1e-9) / c))
-    zero_level = zero_factor * float(abs2.max()) if zero_factor is not None else None
-
-    def rule(l: int) -> tuple[float, float, Classification]:
-        pos = l * c
-        span = _span(series.xis, pos, pos)
-        measured = float(abs2[span][int(np.argmin(np.abs(series.xis[span] - pos)))])
-        bg = envelope_background(series.xis, abs2, pos, candidate_unit=c)
-        predicted = predict_discrete_modulus2(n, l).value
-        if zero_level is not None and measured < zero_level:
-            return measured, predicted, Classification.ZERO_SIGNAL
-        if bg > 0 and measured >= peak_factor * bg:
-            return measured, predicted, _classify_flagged(l, n)
-        return measured, predicted, Classification.NONFACTOR
-
-    return _classify(
-        n,
-        scheme,
-        range(max(lo, 2), min(hi, n - 1) + 1),
-        rule,
-        {"unit_c": c, "peak_factor": peak_factor, "window": DEFAULT_BACKGROUND_WINDOW},
-    )
+    xis, abs2, c = series.xis, series.abs2(), series.unit_c
+    lo = int(math.ceil((xis[0] + 1e-9) / c))
+    hi = int(math.floor((xis[-1] - 1e-9) / c))
+    ls = np.arange(max(lo, 2), min(hi, n - 1) + 1)
+    pos = ls * c
+    # the first nearest sample within each _span(xis, pos, pos)
+    start = np.searchsorted(xis, pos, side="left")
+    near = np.clip(start[:, None] + np.arange(-2, 3), 0, len(xis) - 1)
+    nearest = near[np.arange(len(ls)), np.argmin(np.abs(xis[near] - pos[:, None]), axis=1)]
+    measured = abs2[nearest]
+    bg = np.array([envelope_background(xis, abs2, p, candidate_unit=c) for p in pos.tolist()])
+    zero = measured < zero_factor * float(abs2.max()) if zero_factor is not None else False
+    peak = (bg > 0) & (measured >= peak_factor * bg)
+    codes = np.select([zero, peak], [_ZERO, _flag_codes(n, ls)], _NONFACTOR)
+    params = {"unit_c": c, "peak_factor": peak_factor, "window": DEFAULT_BACKGROUND_WINDOW}
+    return _classify(n, scheme, ls, measured, predict_discrete_moduli2(n, ls)[0], codes, params)
 
 
 def _scan_for(n_target: int, w: WeightProfile, grid_step: float) -> ScanSeries:
@@ -328,26 +321,22 @@ def factor_lines_discrete(n_target: int, w: WeightProfile) -> FactorReport:
     slopes = [1.0 / n]
     if n % 4 == 0:
         slopes.append(2.0 / n)
-    zero_level = DEFAULT_ZERO_FACTOR / n
-    ls = range(1, n + 1)
-    values = dict(zip(ls, discrete_sweep(n, ls, w).tolist()))
-
-    def rule(l: int) -> tuple[float, float, Classification]:
-        measured = abs(values[l]) ** 2
-        predicted = predict_discrete_modulus2(n, l).value
-        member = any(
-            abs(measured - s * l) < max(_LINE_ABS_TOL, _LINE_REL_TOL * s * l) for s in slopes
-        )
-        if member and 1 < l < n:
-            cls = Classification.FACTOR if n % l == 0 else Classification.GHOST
-        elif n % 2 == 0 and measured < zero_level and 1 < l < n:
-            cls = Classification.ZERO_SIGNAL
-        else:
-            cls = Classification.NONFACTOR
-        return measured, predicted, cls
-
+    ls = np.arange(1, n + 1)
+    # Python's abs(v) ** 2 per element: np.abs(v) ** 2 gives other bits
+    measured = np.array([abs(v) ** 2 for v in discrete_sweep(n, ls, w).tolist()])
+    member = np.zeros(n, dtype=bool)
+    for s in slopes:
+        member |= np.abs(measured - s * ls) < np.maximum(_LINE_ABS_TOL, _LINE_REL_TOL * s * ls)
+    interior = (ls > 1) & (ls < n)
+    zero = (n % 2 == 0) & (measured < DEFAULT_ZERO_FACTOR / n)
+    codes = np.select(
+        [member & interior, zero & interior],
+        [np.where(_divides(n, ls), _FACTOR, _GHOST), _ZERO],
+        _NONFACTOR,
+    )
     params = {"abs_tol": _LINE_ABS_TOL, "rel_tol": _LINE_REL_TOL}
-    return _classify(n, "discrete_lines", ls, rule, params)
+    return _classify(n, "discrete_lines", ls, measured, predict_discrete_moduli2(n, ls)[0],
+                     codes, params)
 
 
 def factor_reciprocate(n_target: int, l_max: int) -> FactorReport:
@@ -357,23 +346,30 @@ def factor_reciprocate(n_target: int, l_max: int) -> FactorReport:
         raise ValueError("reciprocate scheme requires odd N")
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    ls = range(1, l_max + 1)
-    values = dict(zip(ls, reciprocate_complete_sweep(n_target, ls).tolist()))
-    predicted, shared = (x.tolist() for x in predict_reciprocate_moduli(n_target, ls))
+    ls = np.arange(1, l_max + 1)
+    v = reciprocate_complete_sweep(n_target, ls)
+    measured = np.hypot(v.real, v.imag)  # Python's abs(v) bits; np.abs differs
+    predicted, shared = predict_reciprocate_moduli(n_target, ls)
+    codes = np.select(
+        [
+            np.abs(measured - 1.0) < _RECIPROCATE_TOL,
+            shared > 1,
+            (measured < _RECIPROCATE_TOL) & (predicted == 0.0),
+        ],
+        [_FACTOR, _MULTIPLE, _ZERO],
+        _NONFACTOR,
+    )
+    return _classify(n_target, "reciprocate", ls, measured, predicted, codes, {"l_max": l_max})
 
-    def rule(l: int) -> tuple[float, float, Classification]:
-        measured = abs(values[l])
-        if abs(measured - 1.0) < _RECIPROCATE_TOL:
-            cls = Classification.FACTOR
-        elif shared[l - 1] > 1:
-            cls = Classification.MULTIPLE_OF_FACTOR
-        elif measured < _RECIPROCATE_TOL and predicted[l - 1] == 0.0:
-            cls = Classification.ZERO_SIGNAL
-        else:
-            cls = Classification.NONFACTOR
-        return measured, predicted[l - 1], cls
 
-    return _classify(n_target, "reciprocate", ls, rule, {"l_max": l_max})
+def _truncated_rule(
+    n_target: int, ls: np.ndarray, m_terms: int, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """|A_N^(M)(l)| for every l in ls, and the class codes that flag those
+    above threshold (_flag_codes) and leave the rest NONFACTOR."""
+    v = reciprocate_truncated_sweep(n_target, ls, m_terms)
+    measured = np.hypot(v.real, v.imag)  # Python's abs(v) bits; np.abs differs
+    return measured, np.where(measured > threshold, _flag_codes(n_target, ls), _NONFACTOR)
 
 
 def factor_truncated(
@@ -385,26 +381,20 @@ def factor_truncated(
     """Truncated-sum quick test: flag l with |A_N^(M)(l)| above threshold.
 
     Ghost-prone by construction; non-divisor flags are classified as ghosts
-    (or factor multiples) rather than factors.
+    (or factor multiples) rather than factors.  The predicted value is the
+    complete sum's modulus, computed for the non-divisors only (1 at divisors).
     """
     if l_max < 2 or m_terms < 1:
         raise ValueError("need l_max >= 2 and m_terms >= 1")
     _check_threshold(threshold)
-    ls = range(2, l_max + 1)
-    truncated = dict(zip(ls, reciprocate_truncated_sweep(n_target, ls, m_terms).tolist()))
-    nondivisors = [l for l in ls if n_target % l]
-    complete = dict(zip(nondivisors, reciprocate_complete_sweep(n_target, nondivisors).tolist()))
-
-    def rule(l: int) -> tuple[float, float, Classification]:
-        measured = abs(truncated[l])
-        predicted = 1.0 if n_target % l == 0 else abs(complete[l])
-        if measured > threshold:
-            return measured, predicted, _classify_flagged(l, n_target)
-        return measured, predicted, Classification.NONFACTOR
-
-    return _classify(
-        n_target, "truncated", ls, rule, {"m_terms": m_terms, "threshold": threshold}
-    )
+    ls = np.arange(2, l_max + 1)
+    measured, codes = _truncated_rule(n_target, ls, m_terms, threshold)
+    nondivisor = ~_divides(n_target, ls)
+    predicted = np.ones(len(ls))
+    v = reciprocate_complete_sweep(n_target, ls[nondivisor])
+    predicted[nondivisor] = np.hypot(v.real, v.imag)
+    return _classify(n_target, "truncated", ls, measured, predicted, codes,
+                     {"m_terms": m_terms, "threshold": threshold})
 
 
 def pocket_rescale(master: ScanSeries, n_prime: int) -> ScanSeries:
@@ -441,7 +431,7 @@ def ghost_census(
         raise ValueError("l_min must be >= 1")
     if l_max is None:
         l_max = math.isqrt(n_target)
-    nondivisors = [l for l in range(l_min, l_max + 1) if n_target % l != 0]
-    values = reciprocate_truncated_sweep(n_target, nondivisors, m_terms).tolist()
-    ghosts = [l for l, v in zip(nondivisors, values) if abs(v) > threshold]
+    ls = np.arange(l_min, l_max + 1)
+    _, codes = _truncated_rule(n_target, ls, m_terms, threshold)
+    ghosts = ls[(codes == _GHOST) | (codes == _MULTIPLE)].tolist()
     return GhostCensus(ghosts=ghosts, count=len(ghosts))

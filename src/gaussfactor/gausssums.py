@@ -49,6 +49,18 @@ class PrecisionError(ArithmeticError):
     """The platform longdouble is too short for the exact mod-1 reduction."""
 
 
+def _check_width(delta_m: float) -> None:
+    """Reject a Gaussian width that is not finite and positive, or whose
+    square (raw_weight divides by its square root) is 0 or inf."""
+    if not 0 < delta_m < math.inf:
+        raise ValueError("delta_m must be finite and positive")
+    square = delta_m * delta_m  # a float ** raises OverflowError where * gives inf
+    if square == 0.0:
+        raise ValueError(f"delta_m {delta_m!r} is too small: its square underflows to 0")
+    if square == math.inf:
+        raise ValueError(f"delta_m {delta_m!r} is too large: its square overflows to inf")
+
+
 @dataclass(frozen=True)
 class WeightProfile:
     """Gaussian weights w_m of width delta_m, truncated to |m| <= m_max.
@@ -63,10 +75,7 @@ class WeightProfile:
     m_max: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.delta_m < math.inf:
-            raise ValueError("delta_m must be finite and positive")
-        if self.delta_m**2 == 0.0:  # raw_weight divides by its square root
-            raise ValueError(f"delta_m {self.delta_m!r} is too small: its square underflows to 0")
+        _check_width(self.delta_m)
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
 
@@ -369,14 +378,9 @@ def wtilde_b_sweep(a, c, r: int, b_values=None) -> np.ndarray:
     return sums if b_values is None else sums[..., _reduced(b_values, r)]
 
 
-def reciprocate_truncated(n_target: int, l: int, m_terms: int) -> complex:
-    """Truncated reciprocate sum: (1/(M+1)) sum_{m=0}^{M} exp(-2 pi i m^2 N / l)."""
-    return complex(reciprocate_truncated_sweep(n_target, [l], m_terms)[0])
-
-
 def reciprocate_truncated_sweep(n_target: int, ls, m_terms: int) -> np.ndarray:
-    """reciprocate_truncated(n_target, l, m_terms) for every l in ls, bitwise
-    the same: one _quad_sums row of m_terms phasors per l."""
+    """Truncated reciprocate sums (1/M) sum_{m=0}^{M-1} exp(-2 pi i m^2 N / l),
+    M = m_terms, for every l in ls: one _quad_sums row of M phasors per l."""
     ls = _trial_arguments(ls)
     if m_terms < 1:
         raise ValueError("m_terms must be >= 1")

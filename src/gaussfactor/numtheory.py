@@ -1,5 +1,5 @@
-"""Integer arithmetic substrate: residue classes mod 4, the Jacobi symbol,
-primality and primitive roots.
+"""Integer arithmetic substrate: the Jacobi symbol, primality and primitive
+roots.
 
 All functions are pure and operate on Python ints, so nothing here loses
 precision for moduli in the 13-17 digit range; the Jacobi symbol also takes
@@ -13,32 +13,12 @@ from enum import IntEnum
 import numpy as np
 
 
-class ResidueClass(IntEnum):
-    """Residue class of an integer modulo 4 (the M_k sets)."""
-
-    M0 = 0
-    M1 = 1
-    M2 = 2
-    M3 = 3
-
-    @property
-    def k(self) -> int:
-        return int(self)
-
-
 class SymbolValue(IntEnum):
     """Value of a quadratic-residue symbol; behaves as the int -1, 0 or +1."""
 
     NON_RESIDUE = -1
     DIVISOR = 0
     RESIDUE = 1
-
-
-def residue_class(n: int) -> ResidueClass:
-    """Class M_k, k = n mod 4, of a positive integer."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return ResidueClass(n % 4)
 
 
 def jacobi_symbol(a, b):

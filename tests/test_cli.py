@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gaussfactor
 from gaussfactor import cli, factorizer, nslit
 from gaussfactor import gausssums as gs
 
@@ -626,3 +631,74 @@ class TestInputContracts:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "memory" in captured.err
         assert "Traceback" not in captured.err
+
+
+def assert_one_error_line(rc, out, err):
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+
+
+class TestUnwritableOrOverflowingRuns:
+    """Inputs that overflow a float, and output that cannot be written,
+    exit 1 with one error line and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--n", "33", "--dm", "1e160"],
+        ["factor", "--n", "33", "--dm", "1e308"],
+        ["factor", "--n", "33", "--dm", "1e160", "--m-terms", "5"],
+        ["factor", "--n", "33", "--scheme", "lines", "--dm", "1e308", "--m-terms", "5"],
+        ["scan", "--n", "33", "--xi-max", "3", "--dm", "1e160"],
+        ["scan", "--n", "33", "--xi-max", "3", "--dm", "1e308"],
+    ])
+    def test_dm_whose_square_overflows_rejected(self, argv, capsys):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert_one_error_line(rc, captured.out, captured.err)
+        dm = float(argv[argv.index("--dm") + 1])
+        assert captured.err == f"error: delta_m {dm!r} is too large: its square overflows to inf\n"
+
+    def test_weight_profile_rejects_overflowing_width(self):
+        for dm in (1e160, 1e308):
+            with pytest.raises(ValueError, match="too large"):
+                gs.WeightProfile(dm, 5)
+        assert gs.WeightProfile(1e150, 5).weights().sum() == 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--n", "33", "--xi-max", "3", "--step", "1e-320"],
+        ["factor", "--n", "33", "--step", "1e-320"],
+        ["nslit", "--n", "15", "--l", "3", "--xi-max", "1", "--step", "1e-320"],
+    ])
+    def test_step_whose_point_count_overflows_rejected(self, argv, capsys):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert_one_error_line(rc, captured.out, captured.err)
+        assert "step 1e-320 is too small" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--n", "33"],
+        ["scan", "--n", "33", "--xi-max", "3"],
+        ["ghost", "--n", "15", "--m-terms", "3"],
+    ])
+    def test_output_that_cannot_be_written(self, argv, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for target in (tmp_path, blocker / "x.out"):
+            rc = cli.main([*argv, "--output", str(target)])
+            captured = capsys.readouterr()
+            assert_one_error_line(rc, captured.out, captured.err)
+            assert captured.err.startswith(f"error: cannot write {str(target)!r}: ")
+
+    def test_closed_pipe(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(gaussfactor.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gaussfactor.cli", "scan", "--n", "33", "--xi-max", "2000",
+             "--dm", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"xi,re,im,abs2\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert_one_error_line(proc.wait(timeout=120), "", err)
+        assert "Exception ignored" not in err

@@ -3,11 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussfactor import closedform as cf
 from gaussfactor import gausssums as gs
 from gaussfactor.decomposition import recommend_weight_width
-from gaussfactor.numtheory import ResidueClass, residue_class
 
 
 def brute_gab(a: int, b: int) -> complex:
@@ -27,14 +28,9 @@ class TestG1b:
 
 
 def g1b_by_class(b: int) -> complex:
-    """The enum-keyed expression g1b_closed replaced."""
+    """The class-keyed expression g1b_closed replaced."""
     root = math.sqrt(b)
-    return {
-        ResidueClass.M0: complex(root, root),
-        ResidueClass.M1: complex(root, 0.0),
-        ResidueClass.M2: 0j,
-        ResidueClass.M3: complex(0.0, root),
-    }[residue_class(b)]
+    return (complex(root, root), complex(root, 0.0), 0j, complex(0.0, root))[b % 4]
 
 
 class TestG1bBitwise:
@@ -118,20 +114,77 @@ class TestFactorOut:
             assert abs(gs.standard_gauss(a, b) - p * gs.standard_gauss(ar, br)) < 1e-9
 
 
+# |S_N(l)|^2 * N / gcd(l, N) by the class of N / gcd(l, N), as the scalar
+# predictor keyed it
+OLD_CLASS_WEIGHT = {0: 2.0, 1: 1.0, 2: 0.0, 3: 1.0}
+
+
+def discrete_by_class(n: int, l: int) -> float:
+    """The scalar discrete predictor as it was before its array formula."""
+    p = math.gcd(l, n)
+    if p == 1:
+        return OLD_CLASS_WEIGHT[n % 4] / n
+    return p * OLD_CLASS_WEIGHT[(n // p) % 4] / n
+
+
 class TestDiscretePredictor:
     def test_examples(self):
-        assert abs(cf.predict_discrete_modulus2(39, 2).value - 1 / 39) < 1e-15
-        p = cf.predict_discrete_modulus2(40, 5)
-        assert abs(p.value - 0.25) < 1e-15 and p.shared_factor == 5
-        z = cf.predict_discrete_modulus2(40, 20)
-        assert z.value == 0.0 and z.rule == "shared-M2"
+        values, shared = cf.predict_discrete_moduli2(39, [2])
+        assert abs(values[0] - 1 / 39) < 1e-15 and shared[0] == 1
+        values, shared = cf.predict_discrete_moduli2(40, [5, 20])
+        assert abs(values[0] - 0.25) < 1e-15 and shared[0] == 5
+        assert values[1] == 0.0 and shared[1] == 20
 
     def test_against_brute_force_broad_weights(self):
         for n in (39, 40, 41, 42):
             w = gs.WeightProfile.for_width(recommend_weight_width(n, 2.0))
-            for l in range(1, n + 1):
+            ls = range(1, n + 1)
+            predicted, _ = cf.predict_discrete_moduli2(n, ls)
+            for l, p in zip(ls, predicted):
                 measured = abs(gs.discrete_sum(n, l, w)) ** 2
-                assert abs(measured - cf.predict_discrete_modulus2(n, l).value) < 5e-4
+                assert abs(measured - p) < 5e-4
+
+    def test_rejections(self):
+        with pytest.raises(ValueError, match="n_target must be positive"):
+            cf.predict_discrete_moduli2(0, [1])
+        with pytest.raises(ValueError, match="l must be positive"):
+            cf.predict_discrete_moduli2(41, [3, 0])
+
+
+class TestDiscretePredictorArray:
+    def test_every_small_n_and_l(self):
+        for n in range(1, 301):
+            ls = range(1, n + 1)
+            values, shared = cf.predict_discrete_moduli2(n, ls)
+            expect = np.array([discrete_by_class(n, l) for l in ls])
+            assert values.view(np.uint64).tolist() == expect.view(np.uint64).tolist(), n
+            assert shared.tolist() == [math.gcd(l, n) for l in ls], n
+
+    @pytest.mark.parametrize("n, ls", [
+        (10**17 + 3, list(range(1, 300)) + [10**17 + 3]),
+        (2**61 - 1, [1, 2, 3, 10**12 + 1]),
+        (10**20, [1, 2, 7, 8, 10**19, 2**64 + 1]),
+        (10**20 + 1, [7, 10**19 + 3, 2**64 + 1, 137]),
+        # int64 l whose shared factor times 4 passes int64
+        (3 * (2**62 + 1), [2**62 + 1, 3, 2**62 + 2, 2**63 - 1]),
+    ])
+    def test_past_int64(self, n, ls):
+        values, shared = cf.predict_discrete_moduli2(n, ls)
+        expect = np.array([discrete_by_class(n, l) for l in ls])
+        assert values.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        assert [int(s) for s in shared] == [math.gcd(l, n) for l in ls]
+
+    @given(n=st.integers(1, 10**25), ls=st.lists(st.integers(1, 10**22), max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_sampled_pairs(self, n, ls):
+        values, shared = cf.predict_discrete_moduli2(n, ls)
+        expect = np.array([discrete_by_class(n, l) for l in ls], dtype=float)
+        assert values.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        assert [int(s) for s in shared] == [math.gcd(l, n) for l in ls]
+
+    def test_empty(self):
+        values, shared = cf.predict_discrete_moduli2(15, [])
+        assert values.shape == shared.shape == (0,)
 
 
 class TestFiniteWPredictor:
@@ -211,14 +264,8 @@ def reciprocate_by_class(n: int, l: int) -> tuple[float, str, int | None]:
     shared = s if s > 1 else None
     if k == 1:
         return 1.0, "factor", shared
-    cls = residue_class(k)
-    value = {
-        ResidueClass.M0: math.sqrt(2.0 / k),
-        ResidueClass.M1: math.sqrt(1.0 / k),
-        ResidueClass.M2: 0.0,
-        ResidueClass.M3: math.sqrt(1.0 / k),
-    }[cls]
-    return value, f"{'coprime' if s == 1 else 'shared'}-M{cls.k}", shared
+    value = (math.sqrt(2.0 / k), math.sqrt(1.0 / k), 0.0, math.sqrt(1.0 / k))[k % 4]
+    return value, f"{'coprime' if s == 1 else 'shared'}-M{k % 4}", shared
 
 
 class TestReciprocatePredictorArray:

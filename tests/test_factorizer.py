@@ -268,6 +268,15 @@ class TestPocketRescale:
             assert flagged_of(rep_k) == flagged_of(rep)
 
 
+def old_flagged(l: int, n: int) -> Classification:
+    """The per-l class of a flagged candidate, as the scalar helper gave it."""
+    if n % l == 0:
+        return Classification.FACTOR
+    if math.gcd(l, n) > 1:
+        return Classification.MULTIPLE_OF_FACTOR
+    return Classification.GHOST
+
+
 def full_grid_background(xis, abs2, center, unit):
     """envelope_background as it was before the window was found by bisection:
     its mask built over the whole grid."""
@@ -298,7 +307,7 @@ class TestWindowedClassification:
             if zero_level is not None and measured < zero_level:
                 cls = Classification.ZERO_SIGNAL
             elif bg > 0 and measured >= peak_factor * bg:
-                cls = fz._classify_flagged(cand.l, n)
+                cls = old_flagged(cand.l, n)
             else:
                 cls = Classification.NONFACTOR
             got_bg = fz.envelope_background(xis, abs2, pos, candidate_unit=c)
@@ -411,3 +420,177 @@ class TestFactorReport:
         ls = [c["l"] for c in doc["candidates"]]
         assert ls == sorted(ls)
         assert set(doc["candidates"][0]) == {"l", "measured", "predicted", "class"}
+
+
+# The per-l rules of each scheme as they were before the array driver: one
+# closure l -> (measured, predicted, class) per report, applied by a loop.
+OLD_CLASS_WEIGHT = {0: 2.0, 1: 1.0, 2: 0.0, 3: 1.0}
+KEPT = (Classification.FACTOR, Classification.ZERO_SIGNAL)
+
+
+def old_predict_discrete(n: int, l: int) -> float:
+    p = math.gcd(l, n)
+    if p == 1:
+        return OLD_CLASS_WEIGHT[n % 4] / n
+    return p * OLD_CLASS_WEIGHT[(n // p) % 4] / n
+
+
+def old_report(n, ls, rule):
+    candidates = [(l, *rule(l)) for l in ls]
+    verified = [l for l, _, _, cls in candidates if cls in KEPT and l >= 2 and n % l == 0]
+    return candidates, verified
+
+
+def old_series_report(series, peak_factor=fz.DEFAULT_PEAK_FACTOR, zero_factor=None):
+    n, abs2, c = series.n_label, series.abs2(), series.unit_c
+    lo = int(math.ceil((series.xis[0] + 1e-9) / c))
+    hi = int(math.floor((series.xis[-1] - 1e-9) / c))
+    zero_level = zero_factor * float(abs2.max()) if zero_factor is not None else None
+
+    def rule(l):
+        pos = l * c
+        span = fz._span(series.xis, pos, pos)
+        measured = float(abs2[span][int(np.argmin(np.abs(series.xis[span] - pos)))])
+        bg = fz.envelope_background(series.xis, abs2, pos, candidate_unit=c)
+        predicted = old_predict_discrete(n, l)
+        if zero_level is not None and measured < zero_level:
+            return measured, predicted, Classification.ZERO_SIGNAL
+        if bg > 0 and measured >= peak_factor * bg:
+            return measured, predicted, old_flagged(l, n)
+        return measured, predicted, Classification.NONFACTOR
+
+    return old_report(n, range(max(lo, 2), min(hi, n - 1) + 1), rule)
+
+
+def old_lines_report(n, w):
+    slopes = [1.0 / n] + ([2.0 / n] if n % 4 == 0 else [])
+    zero_level = fz.DEFAULT_ZERO_FACTOR / n
+    ls = range(1, n + 1)
+    values = dict(zip(ls, gs.discrete_sweep(n, ls, w).tolist()))
+
+    def rule(l):
+        measured = abs(values[l]) ** 2
+        member = any(abs(measured - s * l) < max(fz._LINE_ABS_TOL, fz._LINE_REL_TOL * s * l)
+                     for s in slopes)
+        if member and 1 < l < n:
+            cls = Classification.FACTOR if n % l == 0 else Classification.GHOST
+        elif n % 2 == 0 and measured < zero_level and 1 < l < n:
+            cls = Classification.ZERO_SIGNAL
+        else:
+            cls = Classification.NONFACTOR
+        return measured, old_predict_discrete(n, l), cls
+
+    return old_report(n, ls, rule)
+
+
+def old_reciprocate_report(n, l_max):
+    ls = range(1, l_max + 1)
+    values = dict(zip(ls, gs.reciprocate_complete_sweep(n, ls).tolist()))
+    tol = fz._RECIPROCATE_TOL
+
+    def rule(l):
+        measured = abs(values[l])
+        s = math.gcd(l, n)
+        k = l // s
+        predicted = 1.0 if k == 1 else (
+            math.sqrt(2.0 / k), math.sqrt(1.0 / k), 0.0, math.sqrt(1.0 / k))[k % 4]
+        if abs(measured - 1.0) < tol:
+            cls = Classification.FACTOR
+        elif s > 1:
+            cls = Classification.MULTIPLE_OF_FACTOR
+        elif measured < tol and predicted == 0.0:
+            cls = Classification.ZERO_SIGNAL
+        else:
+            cls = Classification.NONFACTOR
+        return measured, predicted, cls
+
+    return old_report(n, ls, rule)
+
+
+def old_truncated_report(n, l_max, m_terms, threshold=fz.DEFAULT_GHOST_THRESHOLD):
+    ls = range(2, l_max + 1)
+    truncated = dict(zip(ls, gs.reciprocate_truncated_sweep(n, ls, m_terms).tolist()))
+    nondivisors = [l for l in ls if n % l]
+    complete = dict(zip(nondivisors, gs.reciprocate_complete_sweep(n, nondivisors).tolist()))
+
+    def rule(l):
+        measured = abs(truncated[l])
+        predicted = 1.0 if n % l == 0 else abs(complete[l])
+        if measured > threshold:
+            return measured, predicted, old_flagged(l, n)
+        return measured, predicted, Classification.NONFACTOR
+
+    return old_report(n, ls, rule)
+
+
+def old_ghosts(n, m_terms, threshold=fz.DEFAULT_GHOST_THRESHOLD, l_min=2, l_max=None):
+    l_max = math.isqrt(n) if l_max is None else l_max
+    nondivisors = [l for l in range(l_min, l_max + 1) if n % l != 0]
+    values = gs.reciprocate_truncated_sweep(n, nondivisors, m_terms).tolist()
+    return [l for l, v in zip(nondivisors, values) if abs(v) > threshold]
+
+
+def bitwise(candidates):
+    """(l, measured, predicted, class) with the floats as their exact words."""
+    return [(l, float(m).hex(), float(p).hex(), cls) for l, m, p, cls in sorted(candidates)]
+
+
+class TestArrayDriver:
+    """Every report of the array driver against the per-l closures it
+    replaced: each candidate's l, the bits of measured and predicted, its
+    class, and the verified factors."""
+
+    @staticmethod
+    def assert_same(report, old):
+        candidates, verified = old
+        assert candidates, "an empty report pins nothing"
+        assert bitwise(report.candidates) == bitwise(candidates)
+        assert report.verified_factors == verified
+
+    @pytest.mark.parametrize("n", [51, 91, 201])
+    def test_continuous_odd_margin2(self, n):
+        series = fz._scan_for(n, broad(n), 0.01)
+        self.assert_same(fz.report_from_series(series, "continuous_odd"),
+                         old_series_report(series))
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_continuous_even_zero_rule(self, n):
+        series = fz._scan_for(n, broad(n), 0.01)
+        self.assert_same(
+            fz.report_from_series(series, "continuous_even", zero_factor=fz.DEFAULT_ZERO_FACTOR),
+            old_series_report(series, zero_factor=fz.DEFAULT_ZERO_FACTOR))
+
+    @pytest.mark.parametrize("n_prime, peak_factor", [(35, 2.0), (65, 1.5), (77, 2.0)])
+    def test_pocket_rescale_series(self, master51, n_prime, peak_factor):
+        series = fz.pocket_rescale(master51, n_prime)
+        self.assert_same(fz.report_from_series(series, "continuous_odd", peak_factor),
+                         old_series_report(series, peak_factor))
+
+    def test_lines(self):
+        for n in range(1, 121):
+            w = broad(n)
+            self.assert_same(fz.factor_lines_discrete(n, w), old_lines_report(n, w))
+
+    def test_reciprocate_small_odd(self):
+        for n in range(1, 202, 2):
+            self.assert_same(fz.factor_reciprocate(n, n + 2), old_reciprocate_report(n, n + 2))
+
+    def test_reciprocate_past_int64(self):
+        n = 10**20 + 1
+        self.assert_same(fz.factor_reciprocate(n, 40), old_reciprocate_report(n, 40))
+
+    @pytest.mark.parametrize("m_terms", [1, 3, 20])
+    @pytest.mark.parametrize("n, l_max", [(15, 15), (30, 40), (1911, 300), (100001, 316),
+                                          (777777, 881), (10**20 + 1, 40)])
+    def test_truncated(self, n, l_max, m_terms):
+        self.assert_same(fz.factor_truncated(n, l_max, m_terms),
+                         old_truncated_report(n, l_max, m_terms))
+
+    @pytest.mark.parametrize("m_terms", [1, 3, 20])
+    @pytest.mark.parametrize("n", [15, 100, 100001])
+    def test_ghost_census(self, n, m_terms):
+        census = fz.ghost_census(n, m_terms)
+        assert census.ghosts == old_ghosts(n, m_terms)
+        assert census.count == len(census.ghosts)
+        full = fz.ghost_census(n, m_terms, l_min=1, l_max=n if n < 1000 else 2000)
+        assert full.ghosts == old_ghosts(n, m_terms, l_min=1, l_max=n if n < 1000 else 2000)

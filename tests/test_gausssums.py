@@ -400,8 +400,8 @@ class TestStandardGauss:
     def test_huge_modulus_phases_exact(self):
         # same residue pattern as a small case; values must agree
         n = 10**15
-        v = gs.reciprocate_truncated(n, 4, 4)
-        w = gs.reciprocate_truncated(n % 4, 4, 4)
+        v = gs.reciprocate_truncated_sweep(n, [4], 4)[0]
+        w = gs.reciprocate_truncated_sweep(n % 4, [4], 4)[0]
         assert v == w
 
 
@@ -495,13 +495,14 @@ class TestReciprocate:
     def test_divisor_gives_unity(self):
         for n, l in ((15, 3), (1911, 21), (100, 10)):
             for m_terms in (1, 3, 8):
-                assert gs.reciprocate_truncated(n, l, m_terms) == 1.0
+                assert gs.reciprocate_truncated_sweep(n, [l], m_terms)[0] == 1.0
 
     def test_15_2_two_terms(self):
-        assert abs(gs.reciprocate_truncated(15, 2, 2)) < 1e-12
+        assert abs(gs.reciprocate_truncated_sweep(15, [2], 2)[0]) < 1e-12
 
     def test_truncated_with_all_terms_is_complete(self):
-        assert gs.reciprocate_truncated(1911, 12, 12) == gs.reciprocate_complete(1911, 12)
+        complete = gs.reciprocate_complete(1911, 12)
+        assert gs.reciprocate_truncated_sweep(1911, [12], 12)[0] == complete
 
     def test_complete_single_term(self):
         assert gs.reciprocate_complete(1911, 1) == 1.0
@@ -516,7 +517,7 @@ class TestReciprocate:
 
     def test_rejects_zero_l(self):
         with pytest.raises(ValueError):
-            gs.reciprocate_truncated(15, 0, 3)
+            gs.reciprocate_truncated_sweep(15, [0], 3)
 
 
 class TestMonteCarlo:
@@ -717,7 +718,7 @@ class TestIntegerSweepsBitwise:
     def test_per_l_functions_are_one_element_sweeps(self):
         w = broad_profile(42)
         assert gs.reciprocate_complete(1911, 12) == per_l_truncated(1911, 12, 12)
-        assert gs.reciprocate_truncated(1911, 12, 5) == per_l_truncated(1911, 12, 5)
+        assert gs.reciprocate_truncated_sweep(1911, [12], 5)[0] == per_l_truncated(1911, 12, 5)
         assert gs.discrete_sum(42, 5, w) == per_l_discrete(42, 5, w)
 
     @pytest.mark.parametrize("call", [
@@ -777,7 +778,7 @@ class TestSweepsAgainstExactResidues:
         l = 5_000_000_007
         assert l > SWITCH
         expect = complex(reference_phasors(1911, l, range(20), -1.0).sum() / 20)
-        assert gs.reciprocate_truncated(1911, l, 20) == expect
+        assert gs.reciprocate_truncated_sweep(1911, [l], 20)[0] == expect
 
 
 class TestPackageExports:

@@ -28,18 +28,6 @@ def qr_indicator(a: int, b: int) -> nt.SymbolValue:
     return nt.SymbolValue.NON_RESIDUE
 
 
-def test_residue_class_examples():
-    assert nt.residue_class(39) is nt.ResidueClass.M3
-    assert nt.residue_class(40) is nt.ResidueClass.M0
-    assert nt.residue_class(4) is nt.ResidueClass.M0
-
-
-def test_residue_class_depends_only_on_n_mod_4():
-    for n in range(1, 400):
-        assert nt.residue_class(n).k == n % 4
-        assert nt.residue_class(n) == nt.residue_class(n + 4)
-
-
 def test_jacobi_examples():
     assert nt.jacobi_symbol(1, 3) == 1
     assert nt.jacobi_symbol(3, 3) == 0
