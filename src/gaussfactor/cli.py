@@ -8,6 +8,7 @@ Relative output paths are resolved against $GAUSSFACTOR_OUTDIR when set.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -40,6 +41,11 @@ _CSV_BLOCK_ROWS = 4096
 # 881-candidate reports of integer_schemes written as one chunk each (about
 # 115 KB) raised its peak RSS by 2.8 MB.
 _JSON_BLOCK_RECORDS = 256
+
+
+# The most terms a weighted sum may have: one longdouble or complex (16
+# bytes) per term keeps a row's arrays within NumPy's largest array size.
+_MAX_TERMS = sys.maxsize // 16
 
 
 class ConfigError(Exception):
@@ -84,6 +90,9 @@ class RunConfig:
         m_max = self.m_terms if self.m_terms is not None else math.ceil(4 * self.delta_m)
         if m_max < 1:
             raise ConfigError("--m-terms must be >= 1")
+        if 2 * m_max + 1 > _MAX_TERMS:
+            raise ConfigError(f"too many terms: 2 * M + 1 must be at most {_MAX_TERMS:.3g}, "
+                              "where M is --m-terms (default ceil(4 * --dm))")
         return WeightProfile(delta_m=self.delta_m, m_max=m_max)
 
 
@@ -120,26 +129,27 @@ def _row_slices(count: int, size: int) -> Iterator[slice]:
     return (slice(start, start + size) for start in range(0, count, size))
 
 
-def _csv_series(xis, values) -> Iterator[str]:
-    """The CSV header, then the rows in blocks of _CSV_BLOCK_ROWS, so the
-    whole text is never held in memory.
+def _csv_series(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
+    """The CSV header, then the rows of each (xis, values) block in chunks of
+    _CSV_BLOCK_ROWS, so the whole text is never held in memory.
 
-    Each block's four columns go to Python floats in one tolist() call and
-    the block is one %-format of its rows.  abs(v) ** 2 stays a per-element
+    Each chunk's four columns go to Python floats in one tolist() call and
+    the chunk is one %-format of its rows.  abs(v) ** 2 stays a per-element
     Python expression: a vectorized np.abs(values) ** 2 does not give the
     same bits.
     """
     yield "xi,re,im,abs2\n"
-    xis = np.asarray(xis, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    for block in _row_slices(len(xis), _CSV_BLOCK_ROWS):
-        v = values[block]
-        cols = np.empty((len(v), 4))
-        cols[:, 0] = xis[block]
-        cols[:, 1] = v.real
-        cols[:, 2] = v.imag
-        cols[:, 3] = [abs(z) ** 2 for z in v.tolist()]
-        yield ("%.12g,%.12g,%.12g,%.12g\n" * len(v)) % tuple(cols.ravel().tolist())
+    for xis, values in blocks:
+        xis = np.asarray(xis, dtype=float)
+        values = np.asarray(values, dtype=complex)
+        for rows in _row_slices(len(xis), _CSV_BLOCK_ROWS):
+            v = values[rows]
+            cols = np.empty((len(v), 4))
+            cols[:, 0] = xis[rows]
+            cols[:, 1] = v.real
+            cols[:, 2] = v.imag
+            cols[:, 3] = [abs(z) ** 2 for z in v.tolist()]
+            yield ("%.12g,%.12g,%.12g,%.12g\n" * len(v)) % tuple(cols.ravel().tolist())
 
 
 class _Records(NamedTuple):
@@ -189,17 +199,17 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     yield ("\n  ]" if sep else "]") + tail + "\n"
 
 
-def _scan_json(series: factorizer.ScanSeries) -> Iterator[str]:
-    """The scan as JSON samples.  Each sample is computed from NumPy scalars:
-    float(x), v.real, v.imag and abs(v) ** 2 on np.complex128 (a vectorized
-    np.abs(values) ** 2 gives other bits)."""
-    xis, values = series.xis, series.values
+def _scan_json(n_label: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
+    """The scan as JSON samples, from its (xis, values) blocks.  Each sample
+    is computed from NumPy scalars: float(x), v.real, v.imag and abs(v) ** 2
+    on np.complex128 (a vectorized np.abs(values) ** 2 gives other bits)."""
     rows = (
         [(float(x), v.real, v.imag, abs(v) ** 2) for x, v in zip(xis[b], values[b])]
+        for xis, values in blocks
         for b in _row_slices(len(xis), _JSON_BLOCK_RECORDS)
     )
     samples = _Records(("xi", "re", "im", "abs2"), rows)
-    return _json_chunks({"n": series.n_label, "unit_c": series.unit_c, "samples": samples})
+    return _json_chunks({"n": n_label, "unit_c": 1.0, "samples": samples})
 
 
 def _report_chunks(cfg: RunConfig, report: factorizer.FactorReport) -> Iterable[str]:
@@ -224,19 +234,17 @@ def _cmd_scan(cfg: RunConfig) -> int:
     if cfg.xi_max <= cfg.xi_min:
         raise ConfigError("need --xi-max > --xi-min")
     spec = ContinuousSpec(a_param=cfg.a_param, b_param=cfg.b_param)
-    series = factorizer.scan_series(
-        spec,
-        cfg.weight_profile(),
-        cfg.xi_min,
-        cfg.xi_max,
-        cfg.step,
-        n_label=cfg.n_target or round(cfg.b_param),
-        workers=cfg.workers,
-    )
+    w = cfg.weight_profile()
+    xis = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
+    blocks = factorizer.scan_blocks(spec, w, xis, workers=cfg.workers)
+    # The first block is evaluated (and the grid checked) before the header
+    # is written or the --output file made, so a bad grid or an evaluation
+    # error leaves no output behind.
+    blocks = itertools.chain([next(blocks)], blocks)
     if cfg.format == "csv":
-        _emit(cfg, _csv_series(series.xis, series.values))
+        _emit(cfg, _csv_series(blocks))
     else:
-        _emit(cfg, _scan_json(series))
+        _emit(cfg, _scan_json(cfg.n_target or round(cfg.b_param), blocks))
     return 0
 
 
@@ -291,7 +299,7 @@ def _cmd_reciprocate(cfg: RunConfig) -> int:
         samples = _Records(("l", "re", "im", "abs"), rows)
         _emit(cfg, _json_chunks({"n": cfg.n_target, "samples": samples}))
     else:
-        _emit(cfg, _csv_series(ls.astype(float), values))
+        _emit(cfg, _csv_series([(ls.astype(float), values)]))
     return 0
 
 
@@ -303,7 +311,7 @@ def _cmd_nslit(cfg: RunConfig) -> int:
             raise ConfigError("nslit pattern needs --xi-max > --xi-min")
         xis = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
         c = nslit.NSlitConfig(cfg.n_target, cfg.l_talbot)
-        _emit(cfg, _csv_series(xis, nslit.green_sum(xis, c)))
+        _emit(cfg, _csv_series([(xis, nslit.green_sum(xis, c))]))
         return 0
     rows = nslit.nslit_factor_test(cfg.n_target, _l_max(cfg), cfg.spread_threshold)
     doc = {

@@ -99,7 +99,8 @@ class TestCsvStreaming:
         assert capsys.readouterr().out.encode() == expect
 
     def test_empty_series_is_header_only(self):
-        assert "".join(cli._csv_series([], [])) == joined_csv([], [])
+        assert "".join(cli._csv_series([([], [])])) == joined_csv([], [])
+        assert "".join(cli._csv_series([])) == joined_csv([], [])
 
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
     def test_edge_values_give_the_f_string_bytes(self, monkeypatch, block_rows):
@@ -118,7 +119,7 @@ class TestCsvStreaming:
         expect = joined_csv(xis, values)
         assert expect.splitlines()[2] == "-0,-0,0,0"
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
-        assert "".join(cli._csv_series(xis, values)) == expect
+        assert "".join(cli._csv_series([(xis, values)])) == expect
 
     def test_reciprocate_csv_bytes(self, tmp_path):
         args = ["reciprocate", "--n", "1911", "--l-max", "60"]
@@ -161,7 +162,7 @@ class TestCsvStreaming:
         cfg = cli.RunConfig(command="scan", output_path=str(tmp_path / "big.csv"))
         tracemalloc.start()
         try:
-            cli._emit(cfg, cli._csv_series(xis, values))
+            cli._emit(cfg, cli._csv_series([(xis, values)]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -200,11 +201,11 @@ EDGE_VALUES = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0
 class TestJsonStreaming:
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
     def test_edge_values_give_the_json_dumps_bytes(self, monkeypatch, block_rows):
-        series = SimpleNamespace(n_label=1001, unit_c=0.5, xis=EDGE_XIS, values=EDGE_VALUES)
+        series = SimpleNamespace(n_label=1001, unit_c=1.0, xis=EDGE_XIS, values=EDGE_VALUES)
         expect = joined_json_series(series)
         assert "NaN" in expect and "-Infinity" in expect and "-0.0" in expect
         monkeypatch.setattr(cli, "_JSON_BLOCK_RECORDS", block_rows)
-        assert "".join(cli._scan_json(series)) == expect
+        assert "".join(cli._scan_json(1001, [(EDGE_XIS, EDGE_VALUES)])) == expect
 
     @pytest.mark.parametrize("block_rows", [1, 7, 4096])
     def test_scan_json_bytes(self, tmp_path, capsys, monkeypatch, block_rows):
@@ -222,7 +223,8 @@ class TestJsonStreaming:
 
     def test_empty_scan_json(self):
         series = SimpleNamespace(n_label=9, unit_c=1.0, xis=np.zeros(0), values=np.zeros(0, complex))
-        assert "".join(cli._scan_json(series)) == joined_json_series(series)
+        assert "".join(cli._scan_json(9, [(series.xis, series.values)])) == joined_json_series(series)
+        assert "".join(cli._scan_json(9, [])) == joined_json_series(series)
 
     @pytest.mark.parametrize("block_rows", [1, 2, 4096])
     def test_reports_give_the_json_dumps_bytes(self, monkeypatch, block_rows):
@@ -257,7 +259,7 @@ class TestJsonStreaming:
         cfg = cli.RunConfig(command="scan", output_path=str(tmp_path / "big.json"))
         tracemalloc.start()
         try:
-            cli._emit(cfg, cli._scan_json(series))
+            cli._emit(cfg, cli._scan_json(1001, [(xis, series.values)]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -266,6 +268,127 @@ class TestJsonStreaming:
         # the text is about 5 MB, and building the document whole peaked
         # near 47 MB
         assert len(data) > 4.5 * 2**20 and peak < 2**20
+
+
+SPEC1001 = gs.ContinuousSpec(1.0, 1001.0)
+W4 = gs.WeightProfile(4.0, 16)
+
+# SHA-256 of the 249,501-row N=1001 scan (--dm 4, step 0.004) in JSON, as
+# written by the emitter that held the whole series
+N1001_JSON_SHA256 = "75dec685e1d5bd8464c1ed76cb79e0a1ef9f188baa7c99f92770b01b6fcef552"
+
+
+@pytest.fixture(scope="module")
+def whole_series():
+    """Per row count: the scan's argv, and its CSV and JSON formatted from
+    one continuous_sum_grid call over the whole grid (the JSON only below
+    the 249,501-row grid, whose json.dumps text would take hundreds of MB)."""
+    cache = {}
+
+    def get(count):
+        if count not in cache:
+            hi = 1000.0 if count == 249_501 else 2.001 + 0.004 * (count - 1)
+            xis = factorizer.uniform_grid(2.0, hi, 0.004)
+            assert len(xis) == count
+            values = gs.continuous_sum_grid(xis, SPEC1001, W4)
+            argv = ["scan", "--n", "1001", "--dm", "4", "--xi-min", "2", "--xi-max", repr(hi),
+                    "--step", "0.004"]
+            series = SimpleNamespace(n_label=1001, unit_c=1.0, xis=xis, values=values)
+            json_text = joined_json_series(series).encode() if count < 100_000 else None
+            cache[count] = argv, joined_csv(xis, values).encode(), json_text
+        return cache[count]
+
+    return get
+
+
+class TestStreamedScan:
+    """scan writes each block of rows as it is evaluated; its bytes must be
+    those of formatting the whole series at once, for any pool size and
+    on both sides of a block boundary."""
+
+    @pytest.mark.parametrize("count", [1, factorizer._SCAN_BLOCK_ROWS - 1,
+                                       factorizer._SCAN_BLOCK_ROWS + 1, 249_501])
+    @pytest.mark.parametrize("workers", ["1", "2", "3", None])
+    def test_bytes_equal_whole_series_formatting(self, count, workers, whole_series,
+                                                 tmp_path, capsys, monkeypatch):
+        argv, csv_text, json_text = whole_series(count)
+        if workers is None:  # one thread per CPU of a faked 4-CPU affinity set
+            monkeypatch.setattr(factorizer.os, "sched_getaffinity", lambda pid: set(range(4)),
+                                raising=False)
+            monkeypatch.setattr(factorizer, "_PROC_CGROUP", tmp_path / "no-such-cgroup")
+        else:
+            argv = argv + ["--workers", workers]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == csv_text
+        rc, data = run_to_file(tmp_path, argv, "s.csv")
+        assert rc == 0 and data == csv_text
+        rc, data = run_to_file(tmp_path, argv + ["--format", "json"], "s.json")
+        assert rc == 0
+        if json_text is None:
+            assert hashlib.sha256(data).hexdigest() == N1001_JSON_SHA256
+        else:
+            assert data == json_text
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--n", "33", "--xi-min", "1e18", "--xi-max", "1.000000000000001e18",
+         "--step", "1"],
+        ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "3", "--dm", "1e154"],
+        ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "3", "--dm", "-1"],
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_error_exits_write_nothing(self, argv, fmt, tmp_path, capsys):
+        self.assert_nothing_written([*argv, "--format", fmt], tmp_path, capsys)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_evaluation_error_writes_nothing(self, fmt, tmp_path, capsys, monkeypatch):
+        def short_longdouble(*args):
+            raise gs.PrecisionError("real-argument sums need an 80-bit longdouble")
+
+        monkeypatch.setattr(gs, "_real_sums", short_longdouble)
+        argv = ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "3", "--format", fmt]
+        err = self.assert_nothing_written(argv, tmp_path, capsys)
+        assert "80-bit" in err
+
+    @staticmethod
+    def assert_nothing_written(argv, tmp_path, capsys) -> str:
+        """argv exits 1 with one error line, writing nothing to stdout and
+        making no --output file (nor its folder)."""
+        target = tmp_path / "out" / "scan.txt"
+        for extra in ([], ["--output", str(target)]):
+            rc = cli.main([*argv, *extra])
+            captured = capsys.readouterr()
+            assert_one_error_line(rc, captured.out, captured.err)
+        assert not (tmp_path / "out").exists()
+        return captured.err
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
+    def test_memory_bounded_on_a_million_rows(self):
+        # The 998,001-row scan held its whole series (values, an index split,
+        # a concatenated copy and ScanSeries' np.diff): its peak rose 66 MB
+        # above the post-import level.  Streamed, it rises by about 15.5 MB,
+        # 8 MB of which is the grid.  A fresh interpreter keeps earlier
+        # tests' memory out of the high-water mark.
+        code = (
+            "from pathlib import Path\n"
+            "from gaussfactor import cli\n"
+            "def hwm_kb():\n"
+            "    for line in Path('/proc/self/status').read_text().splitlines():\n"
+            "        if line.startswith('VmHWM:'):\n"
+            "            return int(line.split()[1])\n"
+            "before = hwm_kb()\n"
+            "rc = cli.main(['scan', '--n', '1001', '--dm', '4', '--xi-min', '2',\n"
+            "               '--xi-max', '1000', '--step', '0.001', '--output', '/dev/null'])\n"
+            "print(rc, hwm_kb() - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(gs.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop(cli.OUTDIR_ENV, None)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        rc, rise_kb = map(int, run.stdout.split())
+        assert rc == 0
+        assert rise_kb < 32 * 1024
 
 
 class TestFactorCommand:
@@ -659,6 +782,29 @@ class TestUnwritableOrOverflowingRuns:
         assert_one_error_line(rc, captured.out, captured.err)
         dm = float(argv[argv.index("--dm") + 1])
         assert captured.err == f"error: delta_m {dm!r} is too large: its square overflows to inf\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--n", "33", "--dm", "1e154"],
+        ["factor", "--n", "33", "--dm", "1e18"],
+        ["factor", "--n", "33", "--m-terms", "100000000000000000000"],
+        ["factor", "--n", "33", "--scheme", "lines", "--dm", "1e154"],
+        ["factor", "--n", "33", "--scheme", "lines", "--dm", "1e18"],
+        ["scan", "--n", "33", "--xi-max", "3", "--dm", "1e154"],
+        ["scan", "--n", "33", "--xi-max", "3", "--dm", "1e18"],
+    ])
+    def test_term_count_past_any_array_rejected(self, argv, capsys):
+        # ceil(4 * dm) terms a side: NumPy refused such a row with its own
+        # text ("Maximum allowed size exceeded", "array is too big")
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert_one_error_line(rc, captured.out, captured.err)
+        assert "--dm" in captured.err and "--m-terms" in captured.err
+
+    def test_largest_term_count_accepted(self):
+        m_max = (cli._MAX_TERMS - 1) // 2
+        assert cli.RunConfig("factor", m_terms=m_max).weight_profile().m_max == m_max
+        with pytest.raises(cli.ConfigError, match="too many terms"):
+            cli.RunConfig("factor", m_terms=m_max + 1).weight_profile()
 
     def test_weight_profile_rejects_overflowing_width(self):
         for dm in (1e160, 1e308):

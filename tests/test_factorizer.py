@@ -40,11 +40,30 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture(autouse=True)
+def no_cgroup_quota(monkeypatch, tmp_path):
+    """Point the cgroup reader at a file that does not exist, so no test
+    here reads this host's CPU quota."""
+    monkeypatch.setattr(fz, "_PROC_CGROUP", tmp_path / "no-such-cgroup")
+
+
 def set_usable_cpus(monkeypatch, cpus: int) -> None:
     """Let this process run on `cpus` CPUs of a 64-CPU host."""
     monkeypatch.setattr(fz.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(fz.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
+
+
+def fake_cgroup(monkeypatch, tmp_path, membership: str, files: dict[str, str]) -> None:
+    """Give this process the /proc/self/cgroup text `membership`, and a
+    cgroup mount under tmp_path that holds `files` (relative path: text)."""
+    root = tmp_path / "cgroup"
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    (tmp_path / "proc-cgroup").write_text(membership)
+    monkeypatch.setattr(fz, "_PROC_CGROUP", tmp_path / "proc-cgroup")
+    monkeypatch.setattr(fz, "_CGROUP_ROOT", root)
 
 
 class TestScanSeries:
@@ -106,6 +125,111 @@ class TestScanSeries:
     def test_uniform_grid_rejects_bad_input(self, xi_min, xi_max, step):
         with pytest.raises(ValueError):
             fz.uniform_grid(xi_min, xi_max, step)
+
+
+class TestScanBlocks:
+    SPEC = gs.ContinuousSpec(1.0, 1001.0)
+    W4 = gs.WeightProfile(4.0, 16)
+
+    @pytest.mark.parametrize("count", [1, 255, 256, fz._SCAN_BLOCK_ROWS - 1,
+                                       fz._SCAN_BLOCK_ROWS, 2 * fz._SCAN_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_blocks_in_grid_order_with_the_whole_call_bits(self, count, workers):
+        xis = fz.uniform_grid(2.0, 2.0 + 0.004 * (count - 1), 0.004)
+        assert len(xis) == count
+        blocks = list(fz.scan_blocks(self.SPEC, self.W4, xis, workers))
+        assert [len(x) for x, _ in blocks] == [
+            min(fz._SCAN_BLOCK_ROWS, count - start)
+            for start in range(0, count, fz._SCAN_BLOCK_ROWS)]
+        assert np.concatenate([x for x, _ in blocks]).tobytes() == xis.tobytes()
+        whole = gs.continuous_sum_grid(xis, self.SPEC, self.W4)
+        assert np.concatenate([v for _, v in blocks]).tobytes() == whole.tobytes()
+
+    def test_one_pool_per_scan(self, monkeypatch, pool_sizes):
+        set_usable_cpus(monkeypatch, 4)
+        xis = fz.uniform_grid(2.0, 300.0, 0.004)
+        assert len(list(fz.scan_blocks(self.SPEC, self.W4, xis))) > 2
+        fz.scan_series(self.SPEC, self.W4, 2.0, 300.0, 0.004, n_label=1001)
+        assert pool_sizes == [4, 4]
+
+    @pytest.mark.parametrize("xis", [np.array([1e18, 1e18]), np.array([1.0, 2.0, 2.0, 3.0]),
+                                     np.array([3.0, 2.0])])
+    def test_grid_checked_before_any_evaluation(self, xis, monkeypatch):
+        def fail(*args):
+            raise AssertionError("evaluated a block of a bad grid")
+
+        monkeypatch.setattr(fz, "continuous_sum_grid", fail)
+        blocks = fz.scan_blocks(self.SPEC, self.W4, xis)
+        with pytest.raises(ValueError, match="xi grid must be strictly increasing"):
+            next(blocks)
+
+    def test_uniform_grid_bits(self):
+        # built in place: the bits of xi_min + step * np.arange(count)
+        for lo, hi, step in ((2.0, 1000.0, 0.004), (-3.7, 11.3, 0.013), (1e18, 1e18 + 1e6, 128)):
+            count = len(fz.uniform_grid(lo, hi, step))
+            expect = lo + step * np.arange(count)
+            assert fz.uniform_grid(lo, hi, step).tobytes() == expect.tobytes()
+
+
+class TestCpuQuota:
+    """_usable_cpus caps the affinity count by the cgroup CPU quota, rounded
+    up.  Every case reads faked files under tmp_path."""
+
+    @pytest.mark.parametrize("membership, files, expect", [
+        # v2: quota / period from cpu.max, in the process's own cgroup
+        ("0::/job/task\n", {"job/task/cpu.max": "150000 100000\n"}, 2),
+        ("0::/job/task\n", {"job/task/cpu.max": "300000 100000\n"}, 3),
+        ("0::/\n", {"cpu.max": "50000 100000\n"}, 1),
+        # a container that mounts its own cgroup at the root
+        ("0::/outer/view\n", {"cpu.max": "250000 100000\n"}, 3),
+        # v1: cfs quota over period, in the hierarchy holding the cpu controller
+        ("4:memory:/m\n3:cpu,cpuacct:/docker/x\n0::/\n",
+         {"cpu,cpuacct/docker/x/cpu.cfs_quota_us": "200000\n",
+          "cpu,cpuacct/docker/x/cpu.cfs_period_us": "100000\n"}, 2),
+        ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "120000\n",
+                        "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+        # a quota above the affinity count leaves the affinity count
+        ("0::/\n", {"cpu.max": "1600000 100000\n"}, 8),
+    ])
+    def test_quota_caps_the_affinity_count(self, monkeypatch, tmp_path, membership, files,
+                                           expect):
+        set_usable_cpus(monkeypatch, 8)
+        fake_cgroup(monkeypatch, tmp_path, membership, files)
+        assert fz._usable_cpus() == expect
+
+    @pytest.mark.parametrize("membership, files", [
+        ("0::/\n", {"cpu.max": "max 100000\n"}),
+        ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}),
+        ("0::/\n", {}),
+        ("1:cpu:/\n", {"cpu/cpu.cfs_quota_us": "200000\n"}),
+        ("0::/\n", {"cpu.max": "\n"}),
+        ("0::/\n", {"cpu.max": "lots of\n"}),
+        ("4:memory:/m\n", {"cpu.max": "100000 100000\n"}),
+        ("", {}),
+    ])
+    def test_unlimited_missing_or_unreadable_leaves_the_affinity_count(
+            self, monkeypatch, tmp_path, membership, files):
+        set_usable_cpus(monkeypatch, 8)
+        fake_cgroup(monkeypatch, tmp_path, membership, files)
+        assert fz._usable_cpus() == 8
+
+    def test_unreadable_file(self, monkeypatch, tmp_path):
+        set_usable_cpus(monkeypatch, 8)
+        fake_cgroup(monkeypatch, tmp_path, "0::/\n", {"cpu.max/x": ""})  # a directory
+        assert fz._usable_cpus() == 8
+
+    def test_no_cgroup_file(self, monkeypatch, tmp_path):
+        set_usable_cpus(monkeypatch, 8)
+        assert fz._usable_cpus() == 8
+
+    def test_quota_sizes_the_pool(self, monkeypatch, tmp_path, pool_sizes):
+        set_usable_cpus(monkeypatch, 64)
+        fake_cgroup(monkeypatch, tmp_path, "0::/\n", {"cpu.max": "150000 100000\n"})
+        spec = gs.ContinuousSpec(1.0, 33.0)
+        a = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33)
+        b = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1)
+        assert pool_sizes == [2]
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestFactorSchemesUseEveryCpu:
