@@ -90,9 +90,19 @@ class RunConfig:
         m_max = self.m_terms if self.m_terms is not None else math.ceil(4 * self.delta_m)
         if m_max < 1:
             raise ConfigError("--m-terms must be >= 1")
-        if 2 * m_max + 1 > _MAX_TERMS:
+        terms = 2 * m_max + 1
+        where = "where M is --m-terms (default ceil(4 * --dm))"
+        if terms > _MAX_TERMS:
             raise ConfigError(f"too many terms: 2 * M + 1 must be at most {_MAX_TERMS:.3g}, "
-                              "where M is --m-terms (default ceil(4 * --dm))")
+                              f"{where}")
+        # One longdouble array of the terms, made once and never written: a
+        # count that cannot be allocated fails here, naming its flags, rather
+        # than in the kernel's worker threads.
+        try:
+            np.empty(terms, dtype=np.longdouble)
+        except MemoryError:
+            raise ConfigError(f"too many terms: 2 * M + 1 = {terms:.3g} terms do not fit "
+                              f"in memory, {where}") from None
         return WeightProfile(delta_m=self.delta_m, m_max=m_max)
 
 
@@ -237,9 +247,8 @@ def _cmd_scan(cfg: RunConfig) -> int:
     w = cfg.weight_profile()
     xis = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
     blocks = factorizer.scan_blocks(spec, w, xis, workers=cfg.workers)
-    # The first block is evaluated (and the grid checked) before the header
-    # is written or the --output file made, so a bad grid or an evaluation
-    # error leaves no output behind.
+    # The first block is evaluated before the header is written or the
+    # --output file made, so an evaluation error leaves no output behind.
     blocks = itertools.chain([next(blocks)], blocks)
     if cfg.format == "csv":
         _emit(cfg, _csv_series(blocks))

@@ -127,7 +127,12 @@ class FactorReport:
 def uniform_grid(xi_min: float, xi_max: float, step: float) -> np.ndarray:
     """Points xi_min + k * step, k = 0, 1, ..., up to xi_max (with 1e-9 steps
     of slack).  Points are index offsets, never accumulated sums, and the
-    grid is built in place, so making it holds 8 bytes a point."""
+    grid is built in place, so making it holds 8 bytes a point (and 1 more
+    while its order is checked).
+
+    A step below the float spacing near the grid makes neighbouring points
+    round to the same value; such a grid is rejected, so every grid command
+    gets strictly increasing points."""
     if not all(map(math.isfinite, (xi_min, xi_max, step))):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0:
@@ -140,6 +145,9 @@ def uniform_grid(xi_min: float, xi_max: float, step: float) -> np.ndarray:
     grid = np.arange(int(math.floor(span)) + 1, dtype=float)
     grid *= step
     grid += xi_min
+    if not (grid[1:] > grid[:-1]).all():
+        raise ValueError(f"xi grid must be strictly increasing: step {step!r} is below "
+                         "the spacing of floats near its points")
     return grid
 
 
@@ -213,15 +221,15 @@ def scan_blocks(
     xis: np.ndarray,
     workers: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The continuous sum on the strictly increasing grid xis, as (xis,
-    values) blocks of _SCAN_BLOCK_ROWS rows in grid order.
+    """The continuous sum on the grid xis (a uniform_grid), as (xis, values)
+    blocks of _SCAN_BLOCK_ROWS rows in grid order.
 
     One thread pool serves the whole grid: each block is split over its
     threads and its values gathered before the block is yielded, so only
     one block's values are held at a time and the output is identical
     regardless of worker count.  The pool has at most one thread per usable
-    CPU (_usable_cpus); workers=None asks for one per usable CPU.  The grid
-    and worker count are checked at the first next(), before any block is
+    CPU (_usable_cpus); workers=None asks for one per usable CPU.  The
+    worker count is checked at the first next(), before any block is
     evaluated.
     """
     cpus = _usable_cpus()
@@ -229,8 +237,6 @@ def scan_blocks(
         workers = cpus
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if not (xis[1:] > xis[:-1]).all():
-        raise ValueError("xi grid must be strictly increasing")
     pool_size = min(workers, cpus) if len(xis) >= _POOL_MIN_ROWS else 1
     pool = ThreadPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
     with pool or contextlib.nullcontext():

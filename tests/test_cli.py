@@ -333,11 +333,20 @@ class TestStreamedScan:
         ["scan", "--n", "33", "--xi-min", "1e18", "--xi-max", "1.000000000000001e18",
          "--step", "1"],
         ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "3", "--dm", "1e154"],
+        ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "3", "--dm", "1e16"],
         ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "3", "--dm", "-1"],
     ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_error_exits_write_nothing(self, argv, fmt, tmp_path, capsys):
         self.assert_nothing_written([*argv, "--format", fmt], tmp_path, capsys)
+
+    def test_repeated_pattern_grid_writes_nothing(self, tmp_path, capsys):
+        # the nslit pattern's grid is a uniform_grid too: at 1e18 a step of 1
+        # repeats every point
+        argv = ["nslit", "--n", "15", "--l", "3", "--xi-min", "1e18",
+                "--xi-max", "1.000000000000001e18", "--step", "1"]
+        err = self.assert_nothing_written(argv, tmp_path, capsys)
+        assert "xi grid must be strictly increasing" in err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_evaluation_error_writes_nothing(self, fmt, tmp_path, capsys, monkeypatch):
@@ -791,6 +800,10 @@ class TestUnwritableOrOverflowingRuns:
         ["factor", "--n", "33", "--scheme", "lines", "--dm", "1e18"],
         ["scan", "--n", "33", "--xi-max", "3", "--dm", "1e154"],
         ["scan", "--n", "33", "--xi-max", "3", "--dm", "1e18"],
+        # below the cap, but 1.3e18 bytes for one longdouble array of them
+        ["factor", "--n", "33", "--dm", "1e16"],
+        ["factor", "--n", "33", "--scheme", "lines", "--dm", "1e16"],
+        ["scan", "--n", "33", "--xi-max", "3", "--dm", "1e16"],
     ])
     def test_term_count_past_any_array_rejected(self, argv, capsys):
         # ceil(4 * dm) terms a side: NumPy refused such a row with its own
@@ -800,11 +813,15 @@ class TestUnwritableOrOverflowingRuns:
         assert_one_error_line(rc, captured.out, captured.err)
         assert "--dm" in captured.err and "--m-terms" in captured.err
 
-    def test_largest_term_count_accepted(self):
+    def test_largest_term_count_passes_the_cap(self):
+        # the largest count under the cap reaches the allocation check, whose
+        # 9.2e18 bytes no 64-bit host provides; one more term fails the cap
         m_max = (cli._MAX_TERMS - 1) // 2
-        assert cli.RunConfig("factor", m_terms=m_max).weight_profile().m_max == m_max
-        with pytest.raises(cli.ConfigError, match="too many terms"):
+        with pytest.raises(cli.ConfigError, match="too many terms: .* do not fit in memory"):
+            cli.RunConfig("factor", m_terms=m_max).weight_profile()
+        with pytest.raises(cli.ConfigError, match="too many terms: .* must be at most"):
             cli.RunConfig("factor", m_terms=m_max + 1).weight_profile()
+        assert cli.RunConfig("factor", m_terms=10**6).weight_profile().m_max == 10**6
 
     def test_weight_profile_rejects_overflowing_width(self):
         for dm in (1e160, 1e308):

@@ -27,44 +27,50 @@ def quad_shape_oracle(m, xi, q, r, spec, w):
     return complex(re, im)
 
 
-class TestPeakDescriptor:
-    def test_fields_consistent(self):
-        spec = gs.ContinuousSpec(1.0, 33.0)
-        pk = dc.PeakDescriptor.at(3.05, 1, 11, spec, W10)
-        assert abs(pk.location_xi - 3.0) < 1e-12
-        assert abs(pk.delta - 0.05) < 1e-12
-        assert abs(pk.m_bar - (33.0 + 11 * 0.05)) < 1e-12
-        assert abs(pk.sigma0**2 - 121 / (2 * math.pi**2 * 100)) < 1e-12
-        assert abs(pk.d_coef - 4 * math.pi * 100 / 33) < 1e-12
-
-    def test_width_law_enforced(self):
-        spec = gs.ContinuousSpec(1.0, 33.0)
-        pk = dc.PeakDescriptor.at(3.17, 1, 11, spec, W10)
-        assert abs(pk.sigma - pk.sigma0 * math.sqrt(1 + (pk.d_coef * pk.delta) ** 2)) < 1e-14
-        with pytest.raises(ValueError):
-            dc.PeakDescriptor(1, 11, 3.0, 0.0, 33.0, pk.sigma0, pk.d_coef, pk.sigma0 * 2)
+def shape_integral(m, xi, q, r, spec, w):
+    """The closed-form I_m^(r) at one xi, read from the m range of _shape_integrals."""
+    ms, shapes = dc._shape_integrals(np.array([xi]), q, r, spec, w)
+    return complex(shapes[0, list(ms).index(m)])
 
 
-class TestShapeFunction:
+class TestShapeIntegrals:
     def test_unity_at_center(self):
         spec = gs.ContinuousSpec(1.0, 33.0)
-        pk = dc.PeakDescriptor.at(3.0, 1, 11, spec, W10)
-        assert pk.m_bar == 33.0
-        assert abs(dc.shape_function(33, pk, spec, W10) - 1.0) < 1e-12
+        # xi = B/r puts m_bar = B/A = 33 and delta = 0
+        assert abs(shape_integral(33, 3.0, 1, 11, spec, W10) - 1.0) < 1e-12
 
     def test_gaussian_tail(self):
         spec = gs.ContinuousSpec(1.0, 33.0)
-        pk = dc.PeakDescriptor.at(3.0, 1, 11, spec, W10)
-        assert abs(dc.shape_function(33 + 25, pk, spec, W10)) < 1e-12
+        ms, shapes = dc._shape_integrals(np.array([3.0]), 1, 11, spec, W10)
+        assert np.all(np.abs(shapes[0, np.abs(ms - 33) >= 25]) < 1e-12)
+        # the m range ends where |I_m| falls below the cutoff: its end terms
+        # are at or above it, and the modulus one step further out is below
+        sigma = 11 / (math.sqrt(2.0) * math.pi * W10.delta_m)
+        assert abs(shapes[0, 0]) >= dc._SHAPE_CUTOFF and abs(shapes[0, -1]) >= dc._SHAPE_CUTOFF
+        for m in (ms[0] - 1, ms[-1] + 1):
+            assert math.exp(-(((m - 33) / sigma) ** 2)) < dc._SHAPE_CUTOFF
 
     def test_matches_quadrature_oracle(self):
         spec = gs.ContinuousSpec(1.0, 51.0)
         xi = 7 * 51 / 35 + 3 / 35
-        pk = dc.PeakDescriptor.at(xi, 7, 35, spec, W10)
-        for m in range(int(pk.m_bar) - 3, int(pk.m_bar) + 4):
-            closed = dc.shape_function(m, pk, spec, W10)
+        m_bar = 7 * 51 + 35 * (3 / 35)
+        for m in range(int(m_bar) - 3, int(m_bar) + 4):
+            closed = shape_integral(m, xi, 7, 35, spec, W10)
             oracle = quad_shape_oracle(m, xi, 7, 35, spec, W10)
             assert abs(closed - oracle) < 1e-8, m
+
+    def test_range_covers_every_point(self):
+        # the rows of an array call are the one-point rows on a wider m range,
+        # whose extra terms are all below the cutoff
+        spec = gs.ContinuousSpec(1.0, 51.0)
+        xis = np.linspace(9.7, 10.7, 7)
+        ms, shapes = dc._shape_integrals(xis, 7, 35, spec, W10)
+        for xi, row in zip(xis, shapes):
+            ms1, one = dc._shape_integrals(np.array([xi]), 7, 35, spec, W10)
+            at = np.searchsorted(ms, ms1)
+            assert np.array_equal(ms[at], ms1)
+            assert np.array_equal(row[at], one[0])
+            assert np.all(np.abs(np.delete(row, at)) < dc._SHAPE_CUTOFF)
 
 
 class TestDecomposedSum:
@@ -77,12 +83,28 @@ class TestDecomposedSum:
             decomp = dc.decomposed_sum(float(xi), q, r, spec, W10)
             assert abs(direct - decomp) < 1e-6
 
+    @pytest.mark.parametrize("b,q,r", [(33, 1, 11), (33, 1, 3), (51, 7, 35)])
+    def test_array_matches_scalar_calls(self, b, q, r):
+        spec = gs.ContinuousSpec(1.0, float(b))
+        center = q * b / r
+        xis = np.linspace(center - 0.5, center + 0.5, 50)
+        got = dc.decomposed_sum(xis, q, r, spec, W10)
+        assert got.shape == xis.shape and got.dtype == complex
+        for xi, value in zip(xis.tolist(), got.tolist()):
+            one = dc.decomposed_sum(xi, q, r, spec, W10)
+            assert type(one) is complex
+            assert abs(one - value) < 1e-13
+        grid = dc.decomposed_sum(xis.reshape(5, 10), q, r, spec, W10)
+        assert grid.shape == (5, 10) and np.array_equal(grid.reshape(-1), got)
+        assert dc.decomposed_sum(xis[:0], q, r, spec, W10).shape == (0,)
+
     def test_single_term_dominates_at_peak(self):
         spec = gs.ContinuousSpec(1.0, 51.0)
         xi = 10.2
-        pk = dc.PeakDescriptor.at(xi, 1, 5, spec, W10)
-        assert pk.sigma0 < 0.3 and pk.m_bar == 51.0
-        single = gs.finite_w(1, 5, 51) * dc.shape_function(51, pk, spec, W10)
+        # xi = B/5 puts m_bar = 51, with sigma0 = 5 / (sqrt(2) pi delta_m) < 0.3
+        ms, shapes = dc._shape_integrals(np.array([xi]), 1, 5, spec, W10)
+        assert ms[np.argmax(np.abs(shapes[0]))] == 51
+        single = gs.finite_w(1, 5, 51) * shape_integral(51, xi, 1, 5, spec, W10)
         full = dc.decomposed_sum(xi, 1, 5, spec, W10)
         assert abs(single - full) < 0.01 * abs(full)
 

@@ -100,6 +100,27 @@ class TestBrokenIdentityFails:
         )
 
 
+class TestDecompositionCalls:
+    def test_one_call_per_peak(self, monkeypatch):
+        # one decomposed_sum call, one window row and one tail kernel call
+        # per (B, q, r), not one per point
+        calls = []
+
+        def counted(module, attr):
+            real = getattr(module, attr)
+
+            def wrapper(*args):
+                calls.append(attr)
+                return real(*args)
+            monkeypatch.setattr(module, attr, wrapper)
+
+        names = ("decomposed_sum", "wtilde_b_sweep", "_real_sums")
+        for attr in names:
+            counted(decomposition, attr)
+        assert verify.check_decomposition().passed
+        assert [calls.count(a) for a in names] == [3, 3, 3]
+
+
 def nan_at(real, hit):
     """`real`, but NaN wherever hit(*args) holds."""
     def patched(*args):
@@ -152,7 +173,7 @@ class TestNonFiniteFails:
         "wtilde": (gs, "wtilde_b_sweep", nan_in_b_sweep,
                    lambda a, c, r, b: (a == 2) & (c == 0) & (r == 4) & (b == 1),
                    "parity table fails at (q=1, r=4, m=1)"),
-        "decomposition": (decomposition, "decomposed_sum", nan_at,
+        "decomposition": (decomposition, "decomposed_sum", nan_where,
                           lambda xi, q, r, spec, w: (q, r) == (7, 35),
                           "decomposition mismatch at (B=51, q=7, r=35, xi=9.700)"),
         "nslit": (nslit, "relating_phase", nan_at,
