@@ -14,9 +14,10 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,8 +44,9 @@ _CSV_BLOCK_ROWS = 4096
 _JSON_BLOCK_RECORDS = 256
 
 
-# The most terms a weighted sum may have: one longdouble or complex (16
-# bytes) per term keeps a row's arrays within NumPy's largest array size.
+# The most terms a weighted sum, or slits a grating, may have: one longdouble
+# or complex (16 bytes) per element keeps an array within NumPy's largest
+# array size.
 _MAX_TERMS = sys.maxsize // 16
 
 
@@ -88,31 +90,41 @@ class RunConfig:
             raise ConfigError("--dm must be finite and positive")
         _check_width(self.delta_m)  # before ceil(4 * dm), which overflows first
         m_max = self.m_terms if self.m_terms is not None else math.ceil(4 * self.delta_m)
-        if m_max < 1:
-            raise ConfigError("--m-terms must be >= 1")
-        terms = 2 * m_max + 1
-        where = "where M is --m-terms (default ceil(4 * --dm))"
-        if terms > _MAX_TERMS:
-            raise ConfigError(f"too many terms: 2 * M + 1 must be at most {_MAX_TERMS:.3g}, "
-                              f"{where}")
-        # One longdouble array of the terms, made once and never written: a
-        # count that cannot be allocated fails here, naming its flags, rather
-        # than in the kernel's worker threads.
-        try:
-            np.empty(terms, dtype=np.longdouble)
-        except MemoryError:
-            raise ConfigError(f"too many terms: 2 * M + 1 = {terms:.3g} terms do not fit "
-                              f"in memory, {where}") from None
+        _at_least("--m-terms", m_max, 1)
+        _check_fits(2 * m_max + 1, "terms", "2 * M + 1",
+                    ", where M is --m-terms (default ceil(4 * --dm))")
         return WeightProfile(delta_m=self.delta_m, m_max=m_max)
 
 
-def _l_max(cfg: RunConfig) -> int:
-    """--l-max, or isqrt(N) when the flag is absent."""
-    if cfg.l_max is None:
-        return math.isqrt(cfg.n_target)
-    if cfg.l_max < 1:
-        raise ConfigError("--l-max must be >= 1")
-    return cfg.l_max
+def _check_fits(count: int, what: str, name: str, where: str = "") -> None:
+    """Raise ConfigError, naming the flags behind `name`, unless one array of
+    `count` 16-byte elements (a longdouble or complex each) can be made.  The
+    array is made once and never written: a count that cannot be allocated
+    fails here rather than in a kernel or its worker threads."""
+    if count > _MAX_TERMS:
+        raise ConfigError(f"too many {what}: {name} must be at most {_MAX_TERMS:.3g}{where}")
+    try:
+        np.empty(count, dtype=np.longdouble)
+    except MemoryError:
+        raise ConfigError(f"too many {what}: {name} = {count:.3g} {what} do not fit "
+                          f"in memory{where}") from None
+
+
+def _at_least(flag: str, value: int, low: int) -> int:
+    """value, or a ConfigError naming flag when value is below low."""
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}")
+    return value
+
+
+def _l_max(cfg: RunConfig, low: int = 1) -> int:
+    """--l-max, or isqrt(N) when the flag is absent; below `low` is an error."""
+    if cfg.l_max is not None:
+        return _at_least("--l-max", cfg.l_max, low)
+    l_max = math.isqrt(cfg.n_target)
+    if l_max < low:
+        raise ConfigError(f"--l-max must be >= {low}, and its default isqrt(--n) is {l_max}")
+    return l_max
 
 
 def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
@@ -163,28 +175,40 @@ def _csv_series(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str
 
 
 class _Records(NamedTuple):
-    """A JSON list of objects that all have `keys`, given as blocks of value
-    tuples, so the list is written one block at a time."""
+    """A JSON list of objects that all have `keys`, given as blocks of
+    columns (one sequence of values per key, all of one length), so the list
+    is written one block at a time."""
 
     keys: tuple[str, ...]
-    blocks: Iterable[Sequence[tuple]]
+    blocks: Iterable[Sequence[Sequence]]
 
 
 # stands in for the _Records value while json.dumps writes the rest of a doc
 _RECORDS_MARK = "\x00records"
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_BOOLS = ("false", "true")
+# a Classification member's name in the reports, read in C: Enum's own
+# __hash__ and .value run Python code for every candidate
+_class_name = attrgetter("_value_")
 
 
-def _json_scalar(value) -> str:
-    """A number, string, bool or None as json.dumps writes it."""
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_NONFINITE.get(text, text)
-    if type(value) is int:
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return json.dumps(value)
+def _json_column(values: Sequence) -> Iterable[str]:
+    """The text json.dumps writes for each value of a column.  A column of
+    ints, bools, floats or strings is formatted in one C-level map; NaN and
+    the infinities are fixed up only in a float column that holds one."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {bool}:
+        return map(_JSON_BOOLS.__getitem__, values)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    if all(issubclass(k, float) for k in kinds):
+        text = list(map(float.__repr__, values))
+        if _JSON_NONFINITE.keys().isdisjoint(text):
+            return text
+        return [_JSON_NONFINITE.get(t, t) for t in text]
+    return map(json.dumps, values)  # None, or a column of mixed types
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
@@ -192,48 +216,63 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     with one top-level _Records value.
 
     json.dumps writes everything but the records, around a mark in their
-    place; each block of records is then formatted into one chunk, so the
-    records are never held as text (or as dicts) all at once.
+    place.  Each block of records is then one %-format of its row template,
+    with its values formatted a column at a time, so the records are never
+    held as text (or as dicts) all at once.
     """
     key = next(k for k, v in doc.items() if isinstance(v, _Records))
     records = doc[key]
     text = json.dumps({**doc, key: _RECORDS_MARK}, indent=2)
     head, tail = text.split(json.dumps(_RECORDS_MARK))
-    row = "\n    {" + ",".join(f"\n      {json.dumps(k)}: %s" for k in records.keys) + "\n    }"
+    # a % in a key would read as a conversion of the row template
+    keys = (json.dumps(k).replace("%", "%%") for k in records.keys)
+    row = "\n    {" + ",".join(f"\n      {k}: %s" for k in keys) + "\n    }"
     yield head + "["
     sep = ""
-    for block in records.blocks:
-        if len(block):
-            yield sep + ",".join([row % tuple(map(_json_scalar, r)) for r in block])
+    for columns in records.blocks:
+        if columns and len(columns[0]):
+            cells = itertools.chain.from_iterable(zip(*map(_json_column, columns)))
+            yield sep + ",".join([row] * len(columns[0])) % tuple(cells)
             sep = ","
     yield ("\n  ]" if sep else "]") + tail + "\n"
 
 
+def _column_blocks(rows: Sequence[tuple], size: int) -> Iterator[tuple]:
+    """The rows in blocks of `size`, each block as a tuple of columns."""
+    return (tuple(zip(*rows[b])) for b in _row_slices(len(rows), size))
+
+
 def _scan_json(n_label: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
-    """The scan as JSON samples, from its (xis, values) blocks.  Each sample
-    is computed from NumPy scalars: float(x), v.real, v.imag and abs(v) ** 2
+    """The scan as JSON samples, from its (xis, values) blocks.  The columns
+    keep the per-sample semantics float(x), v.real, v.imag and abs(v) ** 2
     on np.complex128 (a vectorized np.abs(values) ** 2 gives other bits)."""
-    rows = (
-        [(float(x), v.real, v.imag, abs(v) ** 2) for x, v in zip(xis[b], values[b])]
+    columns = (
+        (list(map(float, xis[b])), values[b].real.tolist(), values[b].imag.tolist(),
+         [abs(v) ** 2 for v in values[b]])
         for xis, values in blocks
         for b in _row_slices(len(xis), _JSON_BLOCK_RECORDS)
     )
-    samples = _Records(("xi", "re", "im", "abs2"), rows)
+    samples = _Records(("xi", "re", "im", "abs2"), columns)
     return _json_chunks({"n": n_label, "unit_c": 1.0, "samples": samples})
 
 
 def _report_chunks(cfg: RunConfig, report: factorizer.FactorReport) -> Iterable[str]:
+    """The report as JSON (the layout of FactorReport.to_json_dict) or CSV,
+    its candidates sorted by l and formatted a block of columns at a time."""
+    size = _JSON_BLOCK_RECORDS if cfg.format == "json" else _CSV_BLOCK_ROWS
+    columns = (
+        (ls, measured, predicted, list(map(_class_name, classes)))
+        for ls, measured, predicted, classes in _column_blocks(sorted(report.candidates), size)
+    )
     if cfg.format == "json":
-        doc = report.to_json_dict()
-        rows = [tuple(c.values()) for c in doc["candidates"]]
-        keys = tuple(doc["candidates"][0]) if rows else ()
-        blocks = (rows[b] for b in _row_slices(len(rows), _JSON_BLOCK_RECORDS))
-        doc["candidates"] = _Records(keys, blocks)
+        doc = replace(report, candidates=[]).to_json_dict()  # all but the candidates
+        doc["candidates"] = _Records(("l", "measured", "predicted", "class"), columns)
         return _json_chunks(doc)
-    lines = ["l,measured,predicted,class"]
-    for c in sorted(report.candidates):
-        lines.append(f"{c.l},{c.measured:.12g},{c.predicted:.12g},{c.classification.value}")
-    return ["\n".join(lines) + "\n"]
+    rows = (
+        ("%s,%.12g,%.12g,%s\n" * len(block[0])) % tuple(itertools.chain.from_iterable(zip(*block)))
+        for block in columns
+    )
+    return itertools.chain(["l,measured,predicted,class\n"], rows)
 
 
 def _cmd_scan(cfg: RunConfig) -> int:
@@ -280,7 +319,8 @@ def _cmd_factor(cfg: RunConfig) -> int:
     elif cfg.scheme == "truncated":
         if cfg.m_terms is None:
             raise ConfigError("truncated scheme needs --m-terms")
-        report = factorizer.factor_truncated(n, _l_max(cfg), cfg.m_terms, cfg.threshold)
+        m_terms = _at_least("--m-terms", cfg.m_terms, 1)
+        report = factorizer.factor_truncated(n, _l_max(cfg, 2), m_terms, cfg.threshold)
     else:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     _emit(cfg, _report_chunks(cfg, report))
@@ -292,20 +332,19 @@ def _cmd_reciprocate(cfg: RunConfig) -> int:
         raise ConfigError("reciprocate needs --n")
     ls = np.arange(1, _l_max(cfg) + 1)
     if cfg.samples is not None:
+        samples = _at_least("--samples", cfg.samples, 1)
         values = np.array(
-            [
-                monte_carlo_sum(cfg.n_target, int(l), min(cfg.samples, int(l)), cfg.seed)
-                for l in ls
-            ]
+            [monte_carlo_sum(cfg.n_target, int(l), min(samples, int(l)), cfg.seed) for l in ls]
         )
     else:
         values = reciprocate_complete_sweep(cfg.n_target, ls)
     if cfg.format == "json":
-        rows = (
-            [(int(l), v.real, v.imag, abs(v)) for l, v in zip(ls[b], values[b])]
+        columns = (
+            (ls[b].tolist(), values[b].real.tolist(), values[b].imag.tolist(),
+             [abs(v) for v in values[b]])  # abs on np.complex128, as per element
             for b in _row_slices(len(ls), _JSON_BLOCK_RECORDS)
         )
-        samples = _Records(("l", "re", "im", "abs"), rows)
+        samples = _Records(("l", "re", "im", "abs"), columns)
         _emit(cfg, _json_chunks({"n": cfg.n_target, "samples": samples}))
     else:
         _emit(cfg, _csv_series([(ls.astype(float), values)]))
@@ -315,7 +354,10 @@ def _cmd_reciprocate(cfg: RunConfig) -> int:
 def _cmd_nslit(cfg: RunConfig) -> int:
     if cfg.n_target is None:
         raise ConfigError("nslit needs --n")
+    # each sum over the slits holds one complex per slit
+    _check_fits(cfg.n_target, "slits", "--n")
     if cfg.l_talbot is not None:
+        _at_least("--l", cfg.l_talbot, 1)
         if cfg.xi_max <= cfg.xi_min:
             raise ConfigError("nslit pattern needs --xi-max > --xi-min")
         xis = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
@@ -325,10 +367,8 @@ def _cmd_nslit(cfg: RunConfig) -> int:
     rows = nslit.nslit_factor_test(cfg.n_target, _l_max(cfg), cfg.spread_threshold)
     doc = {
         "n": cfg.n_target,
-        "rows": _Records(
-            ("l", "flag", "spread", "divides"),
-            [[(r.l, r.is_factor_flag, r.relative_spread, r.divides) for r in rows]],
-        ),
+        "rows": _Records(("l", "flag", "spread", "divides"),
+                         _column_blocks(rows, _JSON_BLOCK_RECORDS)),
         "factors": [r.l for r in rows if r.is_factor_flag and r.divides],
     }
     _emit(cfg, _json_chunks(doc))
@@ -339,7 +379,11 @@ def _cmd_ghost(cfg: RunConfig) -> int:
     if cfg.n_target is None or cfg.m_terms is None:
         raise ConfigError("ghost needs --n and --m-terms")
     census = factorizer.ghost_census(
-        cfg.n_target, cfg.m_terms, cfg.threshold, cfg.l_min, _l_max(cfg)
+        cfg.n_target,
+        _at_least("--m-terms", cfg.m_terms, 1),
+        cfg.threshold,
+        _at_least("--l-min", cfg.l_min, 1),
+        _l_max(cfg),
     )
     doc = {
         "n": cfg.n_target,

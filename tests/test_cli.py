@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussfactor
 from gaussfactor import cli, factorizer, nslit
@@ -198,7 +200,43 @@ EDGE_VALUES = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0
                         0.02057342196203753 - 0.12828256517634012j])
 
 
+# the scalars of a JSON record column: the float extremes, ints past int64,
+# and strings with quotes, escapes and non-ASCII text, as keys too
+JSON_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+    st.floats(),
+    st.floats().map(np.float64),
+)
+JSON_INTS = st.one_of(st.integers(), st.integers(2**63, 2**200), st.integers(-(2**200), -(2**63) - 1))
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x7fé€😀'), st.characters()))
+JSON_SCALARS = [JSON_FLOATS, JSON_INTS, st.booleans(), st.none(), JSON_TEXT]
+
+
+@st.composite
+def record_columns(draw):
+    """Distinct keys and one equal-length column per key, each column of one
+    scalar kind or of mixed kinds."""
+    keys = draw(st.lists(JSON_TEXT, min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(0, 40))
+    kinds = JSON_SCALARS + [st.one_of(*JSON_SCALARS)]
+    columns = [draw(st.lists(draw(st.sampled_from(kinds)), min_size=count, max_size=count))
+               for _ in keys]
+    return keys, columns
+
+
 class TestJsonStreaming:
+    @settings(max_examples=300, deadline=None)
+    @given(record_columns())
+    def test_columns_give_the_json_dumps_bytes(self, case):
+        keys, columns = case
+        records = [dict(zip(keys, row)) for row in zip(*columns)]
+        expect = json.dumps({"n": 7, "records": records, "after": [1.5, None]}, indent=2) + "\n"
+        count = len(columns[0])
+        for size in (1, 2, 3, 256):
+            blocks = [tuple(c[b] for c in columns) for b in cli._row_slices(count, size)]
+            doc = {"n": 7, "records": cli._Records(tuple(keys), blocks), "after": [1.5, None]}
+            assert "".join(cli._json_chunks(doc)) == expect
+
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
     def test_edge_values_give_the_json_dumps_bytes(self, monkeypatch, block_rows):
         series = SimpleNamespace(n_label=1001, unit_c=1.0, xis=EDGE_XIS, values=EDGE_VALUES)
@@ -398,6 +436,51 @@ class TestStreamedScan:
         rc, rise_kb = map(int, run.stdout.split())
         assert rc == 0
         assert rise_kb < 32 * 1024
+
+
+def joined_report_csv(report) -> str:
+    """The CSV report built whole, one f-string per candidate, as the emitter
+    did before it formatted blocks of columns."""
+    lines = ["l,measured,predicted,class"]
+    for c in sorted(report.candidates):
+        lines.append(f"{c.l},{c.measured:.12g},{c.predicted:.12g},{c.classification.value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestReportCsv:
+    @pytest.mark.parametrize("block_rows", [1, 2, 4096])
+    @pytest.mark.parametrize("argv, report", [
+        (["--n", "33", "--scheme", "continuous"],
+         lambda: factorizer.factor_scan_continuous(33, W10)),
+        (["--n", "34", "--scheme", "even"], lambda: factorizer.factor_scan_even(34, W10)),
+        (["--n", "39", "--scheme", "lines", "--dm", "28"],
+         lambda: factorizer.factor_lines_discrete(39, gs.WeightProfile(28.0, 112))),
+        (["--n", "1911", "--scheme", "reciprocate", "--l-max", "60"],
+         lambda: factorizer.factor_reciprocate(1911, 60)),
+        (["--n", "777777", "--scheme", "truncated", "--m-terms", "20", "--l-max", "40"],
+         lambda: factorizer.factor_truncated(777777, 40, 20)),
+    ], ids=["continuous", "even", "lines", "reciprocate", "truncated"])
+    def test_scheme_reports_give_the_f_string_bytes(self, tmp_path, monkeypatch, block_rows,
+                                                    argv, report):
+        expect = joined_report_csv(report())
+        assert expect.count("\n") > 5
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        rc, data = run_to_file(tmp_path, ["factor"] + argv, "rep.csv")
+        assert rc == 0 and data == expect.encode()
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 4096])
+    def test_edge_values_give_the_f_string_bytes(self, monkeypatch, block_rows):
+        odd = factorizer.Candidate(4, math.nan, math.inf, factorizer.Classification.GHOST)
+        reports = [
+            factorizer.FactorReport(15, "made_up", [odd, odd._replace(l=3, measured=-0.0),
+                                                    odd._replace(l=5, predicted=5e-324),
+                                                    odd._replace(l=2, measured=-math.inf)], [3]),
+            factorizer.FactorReport(15, "empty", [], []),
+        ]
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        cfg = cli.RunConfig(command="factor")
+        for report in reports:
+            assert "".join(cli._report_chunks(cfg, report)) == joined_report_csv(report)
 
 
 class TestFactorCommand:
@@ -625,6 +708,26 @@ class TestInputContracts:
         assert cli.main(argv + ["--n", "15", "--l-max", "0"]) == 1
         assert "--l-max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["reciprocate", "--n", "33", "--samples", "0"], "--samples must be >= 1"),
+        (["nslit", "--n", "15", "--l", "0", "--xi-max", "3"], "--l must be >= 1"),
+        (["factor", "--n", "33", "--scheme", "truncated", "--m-terms", "0"],
+         "--m-terms must be >= 1"),
+        (["factor", "--n", "33", "--scheme", "truncated", "--m-terms", "5", "--l-max", "1"],
+         "--l-max must be >= 2"),
+        (["factor", "--n", "3", "--scheme", "truncated", "--m-terms", "5"],
+         "--l-max must be >= 2, and its default isqrt(--n) is 1"),
+        (["ghost", "--n", "33", "--m-terms", "0"], "--m-terms must be >= 1"),
+        (["ghost", "--n", "33", "--m-terms", "3", "--l-min", "0"], "--l-min must be >= 1"),
+    ])
+    def test_counts_below_their_least_value_name_the_flag(self, argv, flag, capsys):
+        # each used to exit 1 naming an internal parameter (sample_count,
+        # l_talbot, l_max, m_terms, l_min)
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert_one_error_line(rc, captured.out, captured.err)
+        assert flag in captured.err
+
     @pytest.mark.parametrize("step", ["0", "-0.5"])
     def test_nslit_pattern_step_must_be_positive(self, step, capsys):
         argv = ["nslit", "--n", "15", "--l", "3", "--xi-min", "0", "--xi-max", "3", "--step", step]
@@ -655,7 +758,7 @@ class TestInputContracts:
     def test_ghost_l_min_below_one_rejected(self, l_min, capsys):
         assert cli.main(["ghost", "--n", "15", "--m-terms", "3", "--l-min", l_min]) == 1
         err = capsys.readouterr().err
-        assert "l_min" in err and "Traceback" not in err
+        assert "--l-min" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("threshold", ["0", "1", "-0.5", "1.5", "nan"])
     def test_truncated_threshold_outside_unit_interval_rejected(self, threshold, capsys):
@@ -812,6 +915,19 @@ class TestUnwritableOrOverflowingRuns:
         captured = capsys.readouterr()
         assert_one_error_line(rc, captured.out, captured.err)
         assert "--dm" in captured.err and "--m-terms" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["nslit", "--n", "1000000000001", "--l-max", "3"],
+        ["nslit", "--n", "1000000000001", "--l", "3", "--xi-max", "3"],
+        ["nslit", "--n", "9999999999999999999999", "--l-max", "5"],
+    ])
+    def test_slit_count_past_memory_or_any_array_names_n(self, argv, capsys):
+        # NumPy refused these with "Unable to allocate 7.28 TiB" and
+        # "Maximum allowed size exceeded"
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert_one_error_line(rc, captured.out, captured.err)
+        assert "too many slits: --n" in captured.err
 
     def test_largest_term_count_passes_the_cap(self):
         # the largest count under the cap reaches the allocation check, whose
