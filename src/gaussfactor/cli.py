@@ -13,9 +13,9 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
@@ -29,14 +29,18 @@ from .gausssums import (
     PrecisionError,
     WeightProfile,
     _check_width,
+    continuous_sum_grid,
     monte_carlo_sum,
     reciprocate_complete_sweep,
 )
 
 OUTDIR_ENV = "GAUSSFACTOR_OUTDIR"
 
-# CSV rows formatted and written per chunk: about 0.3 MB of text.
-_CSV_BLOCK_ROWS = 4096
+# CSV rows formatted and written per chunk: about 80 KB of text.  A chunk's
+# floats, their tuple and its text are held together while it is formatted;
+# at 4096 rows (about 1.2 MB together) the 249,501-row N=1001 scan peaked
+# about 1 MB higher than at this size, in the same time.
+_CSV_BLOCK_ROWS = 1024
 
 # JSON records formatted and written per chunk: about 35 KB of text.  The
 # 881-candidate reports of integer_schemes written as one chunk each (about
@@ -153,7 +157,8 @@ def _row_slices(count: int, size: int) -> Iterator[slice]:
 
 def _csv_series(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
     """The CSV header, then the rows of each (xis, values) block in chunks of
-    _CSV_BLOCK_ROWS, so the whole text is never held in memory.
+    _CSV_BLOCK_ROWS, so the whole text is never held in memory, and no block
+    is held once its last chunk is written.
 
     Each chunk's four columns go to Python floats in one tolist() call and
     the chunk is one %-format of its rows.  abs(v) ** 2 stays a per-element
@@ -161,17 +166,21 @@ def _csv_series(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str
     same bits.
     """
     yield "xi,re,im,abs2\n"
-    for xis, values in blocks:
-        xis = np.asarray(xis, dtype=float)
-        values = np.asarray(values, dtype=complex)
-        for rows in _row_slices(len(xis), _CSV_BLOCK_ROWS):
-            v = values[rows]
-            cols = np.empty((len(v), 4))
-            cols[:, 0] = xis[rows]
-            cols[:, 1] = v.real
-            cols[:, 2] = v.imag
-            cols[:, 3] = [abs(z) ** 2 for z in v.tolist()]
-            yield ("%.12g,%.12g,%.12g,%.12g\n" * len(v)) % tuple(cols.ravel().tolist())
+    yield from itertools.chain.from_iterable(itertools.starmap(_csv_rows, blocks))
+
+
+def _csv_rows(xis: np.ndarray, values: np.ndarray) -> Iterator[str]:
+    """One block's CSV rows, in chunks of _CSV_BLOCK_ROWS."""
+    xis = np.asarray(xis, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    for rows in _row_slices(len(xis), _CSV_BLOCK_ROWS):
+        v = values[rows]
+        cols = np.empty((len(v), 4))
+        cols[:, 0] = xis[rows]
+        cols[:, 1] = v.real
+        cols[:, 2] = v.imag
+        cols[:, 3] = [abs(z) ** 2 for z in v.tolist()]
+        yield ("%.12g,%.12g,%.12g,%.12g\n" * len(v)) % tuple(cols.ravel().tolist())
 
 
 class _Records(NamedTuple):
@@ -243,17 +252,21 @@ def _column_blocks(rows: Sequence[tuple], size: int) -> Iterator[tuple]:
 
 
 def _scan_json(n_label: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
-    """The scan as JSON samples, from its (xis, values) blocks.  The columns
-    keep the per-sample semantics float(x), v.real, v.imag and abs(v) ** 2
-    on np.complex128 (a vectorized np.abs(values) ** 2 gives other bits)."""
-    columns = (
-        (list(map(float, xis[b])), values[b].real.tolist(), values[b].imag.tolist(),
-         [abs(v) ** 2 for v in values[b]])
-        for xis, values in blocks
-        for b in _row_slices(len(xis), _JSON_BLOCK_RECORDS)
-    )
+    """The scan as JSON samples, from its (xis, values) blocks; no block is
+    held once its last record is written."""
+    columns = itertools.chain.from_iterable(itertools.starmap(_sample_columns, blocks))
     samples = _Records(("xi", "re", "im", "abs2"), columns)
     return _json_chunks({"n": n_label, "unit_c": 1.0, "samples": samples})
+
+
+def _sample_columns(xis: np.ndarray, values: np.ndarray) -> Iterator[tuple[list, ...]]:
+    """One block's JSON sample columns, _JSON_BLOCK_RECORDS records at a
+    time.  The columns keep the per-sample semantics float(x), v.real,
+    v.imag and abs(v) ** 2 on np.complex128 (a vectorized np.abs(values) ** 2
+    gives other bits)."""
+    for b in _row_slices(len(xis), _JSON_BLOCK_RECORDS):
+        yield (list(map(float, xis[b])), values[b].real.tolist(), values[b].imag.tolist(),
+               [abs(v) ** 2 for v in values[b]])
 
 
 def _report_chunks(cfg: RunConfig, report: factorizer.FactorReport) -> Iterable[str]:
@@ -283,17 +296,24 @@ def _cmd_scan(cfg: RunConfig) -> int:
     if cfg.xi_max <= cfg.xi_min:
         raise ConfigError("need --xi-max > --xi-min")
     spec = ContinuousSpec(a_param=cfg.a_param, b_param=cfg.b_param)
-    w = cfg.weight_profile()
-    xis = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
-    blocks = factorizer.scan_blocks(spec, w, xis, workers=cfg.workers)
+    evaluate = partial(continuous_sum_grid, spec=spec, w=cfg.weight_profile())
+    _emit_grid(cfg, evaluate, cfg.n_target or round(cfg.b_param))
+    return 0
+
+
+def _emit_grid(cfg: RunConfig, evaluate: Callable[[np.ndarray], np.ndarray],
+               n_label: int) -> None:
+    """Write evaluate on the --xi-min/--xi-max/--step grid, as CSV or JSON
+    samples, one scan_blocks block at a time."""
+    grid = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
+    blocks = factorizer.scan_blocks(evaluate, grid, workers=cfg.workers)
     # The first block is evaluated before the header is written or the
     # --output file made, so an evaluation error leaves no output behind.
     blocks = itertools.chain([next(blocks)], blocks)
     if cfg.format == "csv":
         _emit(cfg, _csv_series(blocks))
     else:
-        _emit(cfg, _scan_json(cfg.n_target or round(cfg.b_param), blocks))
-    return 0
+        _emit(cfg, _scan_json(n_label, blocks))
 
 
 def _cmd_factor(cfg: RunConfig) -> int:
@@ -360,9 +380,8 @@ def _cmd_nslit(cfg: RunConfig) -> int:
         _at_least("--l", cfg.l_talbot, 1)
         if cfg.xi_max <= cfg.xi_min:
             raise ConfigError("nslit pattern needs --xi-max > --xi-min")
-        xis = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
         c = nslit.NSlitConfig(cfg.n_target, cfg.l_talbot)
-        _emit(cfg, _csv_series([(xis, nslit.green_sum(xis, c))]))
+        _emit_grid(cfg, partial(nslit.green_sum, cfg=c), cfg.n_target)
         return 0
     rows = nslit.nslit_factor_test(cfg.n_target, _l_max(cfg), cfg.spread_threshold)
     doc = {

@@ -9,9 +9,10 @@ candidates that actually divide the target (checked by integer division).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -124,15 +125,46 @@ class FactorReport:
         }
 
 
-def uniform_grid(xi_min: float, xi_max: float, step: float) -> np.ndarray:
-    """Points xi_min + k * step, k = 0, 1, ..., up to xi_max (with 1e-9 steps
-    of slack).  Points are index offsets, never accumulated sums, and the
-    grid is built in place, so making it holds 8 bytes a point (and 1 more
-    while its order is checked).
+@dataclass(frozen=True)
+class UniformGrid:
+    """The points xi_min + k * step, k = 0, 1, ..., count - 1, as a
+    description: points are made a block at a time, as index offsets (never
+    accumulated sums), so a grid holds no array of its own.
 
-    A step below the float spacing near the grid makes neighbouring points
-    round to the same value; such a grid is rejected, so every grid command
-    gets strictly increasing points."""
+    Construction refuses, at once, a grid that could not be held as one
+    float64 array (one unwritten np.empty(count), so a grid past the address
+    space fails before any point is made), and one whose neighbouring
+    points round to the same float, checked over the whole grid one block
+    at a time."""
+
+    xi_min: float
+    step: float
+    count: int
+
+    def __post_init__(self) -> None:
+        np.empty(self.count)
+        for start in range(0, self.count, _SCAN_BLOCK_ROWS):
+            # one point of overlap checks the join with the previous block
+            block = self.points(max(start - 1, 0), start + _SCAN_BLOCK_ROWS)
+            if not (block[1:] > block[:-1]).all():
+                raise ValueError(f"xi grid must be strictly increasing: step {self.step!r} "
+                                 "is below the spacing of floats near its points")
+
+    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Points start, ..., stop - 1 (clipped to the grid; all by default),
+        made in place: the bits of the same slice of the whole grid."""
+        stop = self.count if stop is None else min(stop, self.count)
+        grid = np.arange(start, stop, dtype=float)
+        grid *= self.step
+        grid += self.xi_min
+        return grid
+
+
+def uniform_grid(xi_min: float, xi_max: float, step: float) -> UniformGrid:
+    """The UniformGrid from xi_min by step up to xi_max (with 1e-9 steps of
+    slack).  A step below the float spacing near the grid makes neighbouring
+    points round to the same value; such a grid is rejected, so every grid
+    command gets strictly increasing points."""
     if not all(map(math.isfinite, (xi_min, xi_max, step))):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0:
@@ -142,13 +174,7 @@ def uniform_grid(xi_min: float, xi_max: float, step: float) -> np.ndarray:
     span = (xi_max - xi_min) / step + 1e-9
     if span == math.inf:
         raise ValueError(f"step {step!r} is too small: the point count overflows to inf")
-    grid = np.arange(int(math.floor(span)) + 1, dtype=float)
-    grid *= step
-    grid += xi_min
-    if not (grid[1:] > grid[:-1]).all():
-        raise ValueError(f"xi grid must be strictly increasing: step {step!r} is below "
-                         "the spacing of floats near its points")
-    return grid
+    return UniformGrid(xi_min, step, int(math.floor(span)) + 1)
 
 
 # This process's cgroup membership, and where the cgroup hierarchies are
@@ -216,17 +242,18 @@ _POOL_MIN_ROWS = 256
 
 
 def scan_blocks(
-    spec: ContinuousSpec,
-    w: WeightProfile,
-    xis: np.ndarray,
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    grid: UniformGrid,
     workers: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The continuous sum on the grid xis (a uniform_grid), as (xis, values)
-    blocks of _SCAN_BLOCK_ROWS rows in grid order.
+    """evaluate (one value per point of an array of points: the continuous
+    rows, or an N-slit pattern) on the grid, as (xis, values) blocks of
+    _SCAN_BLOCK_ROWS rows in grid order.
 
     One thread pool serves the whole grid: each block is split over its
     threads and its values gathered before the block is yielded, so only
-    one block's values are held at a time and the output is identical
+    one block's points and values are held at a time (the generator keeps
+    no reference to a block it has yielded) and the output is identical
     regardless of worker count.  The pool has at most one thread per usable
     CPU (_usable_cpus); workers=None asks for one per usable CPU.  The
     worker count is checked at the first next(), before any block is
@@ -237,18 +264,18 @@ def scan_blocks(
         workers = cpus
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    pool_size = min(workers, cpus) if len(xis) >= _POOL_MIN_ROWS else 1
+    pool_size = min(workers, cpus) if grid.count >= _POOL_MIN_ROWS else 1
     pool = ThreadPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
+
+    def block(start: int) -> tuple[np.ndarray, np.ndarray]:
+        x = grid.points(start, start + _SCAN_BLOCK_ROWS)
+        if pool is None:
+            return x, evaluate(x)
+        parts = np.array_split(x, pool_size)
+        return x, np.concatenate(list(pool.map(evaluate, parts)))
+
     with pool or contextlib.nullcontext():
-        for start in range(0, len(xis), _SCAN_BLOCK_ROWS):
-            x = xis[start:start + _SCAN_BLOCK_ROWS]
-            if pool is None:
-                values = continuous_sum_grid(x, spec, w)
-            else:
-                parts = np.array_split(x, pool_size)
-                values = np.concatenate(
-                    list(pool.map(lambda part: continuous_sum_grid(part, spec, w), parts)))
-            yield x, values
+        yield from map(block, range(0, grid.count, _SCAN_BLOCK_ROWS))
 
 
 def scan_series(
@@ -262,9 +289,10 @@ def scan_series(
 ) -> ScanSeries:
     """Evaluate the continuous sum on a uniform grid, in units unit_c = 1:
     the scan_blocks of the grid, gathered whole."""
-    xis = uniform_grid(xi_min, xi_max, step)
-    values = np.concatenate([v for _, v in scan_blocks(spec, w, xis, workers)])
-    return ScanSeries(unit_c=1.0, xis=xis, values=values, n_label=n_label)
+    grid = uniform_grid(xi_min, xi_max, step)
+    evaluate = functools.partial(continuous_sum_grid, spec=spec, w=w)
+    values = np.concatenate([v for _, v in scan_blocks(evaluate, grid, workers)])
+    return ScanSeries(unit_c=1.0, xis=grid.points(), values=values, n_label=n_label)
 
 
 def _span(xis: np.ndarray, lo: float, hi: float) -> slice:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -134,7 +135,7 @@ class TestCsvStreaming:
         assert rc == 0 and data == joined_csv(ls.astype(float), picks).encode()
 
     def test_nslit_pattern_csv_bytes(self, tmp_path):
-        xis = factorizer.uniform_grid(-2.0, 9.0, 0.01)
+        xis = factorizer.uniform_grid(-2.0, 9.0, 0.01).points()
         c = nslit.NSlitConfig(15, 3)
         values = np.array([nslit.green_sum(float(x), c) for x in xis])
         argv = ["nslit", "--n", "15", "--l", "3", "--xi-min", "-2", "--xi-max", "9",
@@ -326,7 +327,7 @@ def whole_series():
     def get(count):
         if count not in cache:
             hi = 1000.0 if count == 249_501 else 2.001 + 0.004 * (count - 1)
-            xis = factorizer.uniform_grid(2.0, hi, 0.004)
+            xis = factorizer.uniform_grid(2.0, hi, 0.004).points()
             assert len(xis) == count
             values = gs.continuous_sum_grid(xis, SPEC1001, W4)
             argv = ["scan", "--n", "1001", "--dm", "4", "--xi-min", "2", "--xi-max", repr(hi),
@@ -337,6 +338,13 @@ def whole_series():
         return cache[count]
 
     return get
+
+
+# A grid from 2^53 - 100,000 by 1: past 2^53 neighbouring points round to
+# the same float, first at index 100,000, blocks after the first.
+LATE_REPEAT_GRID = ["--xi-min", "9007199254640992", "--xi-max", "9007199254840992",
+                    "--step", "1"]
+LATE_REPEAT_SCAN = ["scan", "--n", "33", "--dm", "2", *LATE_REPEAT_GRID]
 
 
 class TestStreamedScan:
@@ -370,6 +378,7 @@ class TestStreamedScan:
     @pytest.mark.parametrize("argv", [
         ["scan", "--n", "33", "--xi-min", "1e18", "--xi-max", "1.000000000000001e18",
          "--step", "1"],
+        LATE_REPEAT_SCAN,
         ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "3", "--dm", "1e154"],
         ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "3", "--dm", "1e16"],
         ["scan", "--n", "33", "--xi-min", "2", "--xi-max", "3", "--dm", "-1"],
@@ -378,11 +387,14 @@ class TestStreamedScan:
     def test_error_exits_write_nothing(self, argv, fmt, tmp_path, capsys):
         self.assert_nothing_written([*argv, "--format", fmt], tmp_path, capsys)
 
-    def test_repeated_pattern_grid_writes_nothing(self, tmp_path, capsys):
-        # the nslit pattern's grid is a uniform_grid too: at 1e18 a step of 1
-        # repeats every point
-        argv = ["nslit", "--n", "15", "--l", "3", "--xi-min", "1e18",
-                "--xi-max", "1.000000000000001e18", "--step", "1"]
+    @pytest.mark.parametrize("grid", [
+        # at 1e18 a step of 1 repeats every point
+        ["--xi-min", "1e18", "--xi-max", "1.000000000000001e18", "--step", "1"],
+        LATE_REPEAT_GRID,
+    ])
+    def test_repeated_pattern_grid_writes_nothing(self, grid, tmp_path, capsys):
+        # the nslit pattern's grid is a uniform_grid too
+        argv = ["nslit", "--n", "15", "--l", "3", *grid]
         err = self.assert_nothing_written(argv, tmp_path, capsys)
         assert "xi grid must be strictly increasing" in err
 
@@ -408,34 +420,69 @@ class TestStreamedScan:
         assert not (tmp_path / "out").exists()
         return captured.err
 
+    @pytest.mark.parametrize("emit", [cli._csv_series, lambda blocks: cli._scan_json(9, blocks)],
+                             ids=["csv", "json"])
+    def test_no_block_outlives_its_last_row(self, emit):
+        # each block is made only once every earlier one has been released
+        refs = []
+
+        def block(start):
+            assert all(ref() is None for ref in refs)
+            xis = np.arange(start, start + 3000, dtype=float)
+            values = np.exp(1j * xis)
+            refs.extend(map(weakref.ref, (xis, values)))
+            return xis, values
+
+        assert sum(map(len, emit(map(block, range(0, 9000, 3000))))) > 9000 * 20
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
     def test_memory_bounded_on_a_million_rows(self):
         # The 998,001-row scan held its whole series (values, an index split,
         # a concatenated copy and ScanSeries' np.diff): its peak rose 66 MB
-        # above the post-import level.  Streamed, it rises by about 15.5 MB,
-        # 8 MB of which is the grid.  A fresh interpreter keeps earlier
-        # tests' memory out of the high-water mark.
-        code = (
-            "from pathlib import Path\n"
-            "from gaussfactor import cli\n"
-            "def hwm_kb():\n"
-            "    for line in Path('/proc/self/status').read_text().splitlines():\n"
-            "        if line.startswith('VmHWM:'):\n"
-            "            return int(line.split()[1])\n"
-            "before = hwm_kb()\n"
-            "rc = cli.main(['scan', '--n', '1001', '--dm', '4', '--xi-min', '2',\n"
-            "               '--xi-max', '1000', '--step', '0.001', '--output', '/dev/null'])\n"
-            "print(rc, hwm_kb() - before)\n"
-        )
-        src = os.path.dirname(os.path.dirname(gs.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        env.pop(cli.OUTDIR_ENV, None)
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        rc, rise_kb = map(int, run.stdout.split())
-        assert rc == 0
-        assert rise_kb < 32 * 1024
+        # above the post-import level.  Streamed over a whole-array grid it
+        # rose about 15.3 MB against 8.9 MB at 249,501 rows; with the grid
+        # made a block at a time both rise about 6.5 MB, so the rise no
+        # longer grows with the grid.
+        base = ["scan", "--n", "1001", "--dm", "4", "--xi-min", "2", "--xi-max", "1000"]
+        quarter = fresh_hwm_rise_kb([*base, "--step", "0.004"])  # 249,501 rows
+        whole = fresh_hwm_rise_kb([*base, "--step", "0.001"])  # 998,001 rows
+        assert whole <= 10 * 1024
+        assert abs(whole - quarter) <= 2 * 1024
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
+    def test_pattern_memory_bounded_on_a_million_points(self):
+        # evaluated whole before its first row, this 1,000,001-point pattern
+        # rose about 24.8 MB above the post-import level; streamed, about 3.5 MB
+        rise = fresh_hwm_rise_kb(["nslit", "--n", "15", "--l", "3", "--xi-max", "1000",
+                                  "--step", "0.001"])
+        assert rise <= 10 * 1024
+
+
+def fresh_hwm_rise_kb(argv: list[str]) -> int:
+    """How far one cli.main(argv) run, written to /dev/null, raises the peak
+    RSS (VmHWM) above its post-import level, in KB.  A fresh interpreter
+    keeps earlier tests' memory out of the high-water mark."""
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from gaussfactor import cli\n"
+        "def hwm_kb():\n"
+        "    for line in Path('/proc/self/status').read_text().splitlines():\n"
+        "        if line.startswith('VmHWM:'):\n"
+        "            return int(line.split()[1])\n"
+        "before = hwm_kb()\n"
+        "rc = cli.main(sys.argv[1:] + ['--output', '/dev/null'])\n"
+        "print(rc, hwm_kb() - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(gs.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop(cli.OUTDIR_ENV, None)
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, check=True)
+    rc, rise_kb = map(int, run.stdout.split())
+    assert rc == 0
+    return rise_kb
 
 
 def joined_report_csv(report) -> str:

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -128,24 +130,35 @@ class TestScanSeries:
 
     @pytest.mark.parametrize("xi_min, xi_max, step", [
         (1e18, 1.000000000000001e18, 1.0), (1e18, 1e18 + 1e6, 100.0),
-        (-1e18, -1e18 + 1e6, 64.0), (1.0, 1.0 + 1e-14, 1e-17)])
+        (-1e18, -1e18 + 1e6, 64.0), (1.0, 1.0 + 1e-14, 1e-17),
+        # past 2^53 a step of 1 rounds two points together: the first
+        # repeat at index 100,000 (a later block), and the only repeat of a
+        # grid at the first block boundary (indices 32767 and 32768 both 2^53)
+        (9007199254640992.0, 9007199254840992.0, 1.0),
+        (2.0**53 - fz._SCAN_BLOCK_ROWS + 1, 2.0**53 + 2, 1.0)])
     def test_uniform_grid_rejects_repeated_points(self, xi_min, xi_max, step):
         # neighbouring points round to the same float
         with pytest.raises(ValueError, match="xi grid must be strictly increasing"):
             fz.uniform_grid(xi_min, xi_max, step)
 
+    def test_grid_past_the_address_space_refused_at_once(self):
+        with pytest.raises(MemoryError):
+            fz.uniform_grid(0.0, 1e15, 1.0)
+
 
 class TestScanBlocks:
     SPEC = gs.ContinuousSpec(1.0, 1001.0)
     W4 = gs.WeightProfile(4.0, 16)
+    EVALUATE = staticmethod(functools.partial(gs.continuous_sum_grid, spec=SPEC, w=W4))
 
     @pytest.mark.parametrize("count", [1, 255, 256, fz._SCAN_BLOCK_ROWS - 1,
                                        fz._SCAN_BLOCK_ROWS, 2 * fz._SCAN_BLOCK_ROWS + 1])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_blocks_in_grid_order_with_the_whole_call_bits(self, count, workers):
-        xis = fz.uniform_grid(2.0, 2.0 + 0.004 * (count - 1), 0.004)
-        assert len(xis) == count
-        blocks = list(fz.scan_blocks(self.SPEC, self.W4, xis, workers))
+        grid = fz.uniform_grid(2.0, 2.0 + 0.004 * (count - 1), 0.004)
+        assert grid.count == count
+        xis = grid.points()
+        blocks = list(fz.scan_blocks(self.EVALUATE, grid, workers))
         assert [len(x) for x, _ in blocks] == [
             min(fz._SCAN_BLOCK_ROWS, count - start)
             for start in range(0, count, fz._SCAN_BLOCK_ROWS)]
@@ -153,19 +166,41 @@ class TestScanBlocks:
         whole = gs.continuous_sum_grid(xis, self.SPEC, self.W4)
         assert np.concatenate([v for _, v in blocks]).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_block_outlives_its_yield(self, workers):
+        grid = fz.uniform_grid(2.0, 300.0, 0.004)
+        blocks = fz.scan_blocks(np.square, grid, workers)
+        for xis, values in blocks:
+            refs = [weakref.ref(xis), weakref.ref(values)]
+            del xis, values
+            assert all(ref() is None for ref in refs)
+
     def test_one_pool_per_scan(self, monkeypatch, pool_sizes):
         set_usable_cpus(monkeypatch, 4)
-        xis = fz.uniform_grid(2.0, 300.0, 0.004)
-        assert len(list(fz.scan_blocks(self.SPEC, self.W4, xis))) > 2
+        grid = fz.uniform_grid(2.0, 300.0, 0.004)
+        assert len(list(fz.scan_blocks(self.EVALUATE, grid))) > 2
         fz.scan_series(self.SPEC, self.W4, 2.0, 300.0, 0.004, n_label=1001)
         assert pool_sizes == [4, 4]
 
-    def test_uniform_grid_bits(self):
-        # built in place: the bits of xi_min + step * np.arange(count)
-        for lo, hi, step in ((2.0, 1000.0, 0.004), (-3.7, 11.3, 0.013), (1e18, 1e18 + 1e6, 128)):
-            count = len(fz.uniform_grid(lo, hi, step))
-            expect = lo + step * np.arange(count)
-            assert fz.uniform_grid(lo, hi, step).tobytes() == expect.tobytes()
+    @pytest.mark.parametrize("lo, hi, step", [
+        (2.0, 1000.0, 0.004), (-3.7, 11.3, 0.013), (-1e4, 1e4, 0.3),
+        (-2e4 - 1 / 3, -1e4, 0.07), (1e18, 1e18 + 128 * 70_000, 128.0),
+        (9007199254640992.0, 9007199254740991.0, 1.0)])
+    def test_blocks_join_to_the_whole_array_grid(self, lo, hi, step):
+        # the grid as it was built whole, in place
+        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        whole = np.arange(count, dtype=float)
+        whole *= step
+        whole += lo
+        grid = fz.uniform_grid(lo, hi, step)
+        assert grid.count == count
+        assert grid.points().tobytes() == whole.tobytes()
+        for size in (fz._SCAN_BLOCK_ROWS, 1000, 4097):
+            joined = np.concatenate([grid.points(i, i + size) for i in range(0, count, size)])
+            assert joined.tobytes() == whole.tobytes()
+        assert grid.points(count - 3, count + 5).tobytes() == whole[-3:].tobytes()
+        blocks = fz.scan_blocks(lambda x: x, grid)
+        assert np.concatenate([x for x, _ in blocks]).tobytes() == whole.tobytes()
 
 
 class TestCpuQuota:
