@@ -36,15 +36,13 @@ from .gausssums import (
 
 OUTDIR_ENV = "GAUSSFACTOR_OUTDIR"
 
-# CSV rows formatted and written per chunk: about 80 KB of text.  A chunk's
-# floats, their tuple and its text are held together while it is formatted;
-# at 4096 rows (about 1.2 MB together) the 249,501-row N=1001 scan peaked
-# about 1 MB higher than at this size, in the same time.
+# Rows of a table formatted and written per chunk, by format: about 56 KB
+# of CSV or 35 KB of JSON text.  The two sizes differ for peak RSS, not
+# speed: continuous_kernel (the 249,501-row N=1001 scan CSV) peaked about
+# 0.9 MB higher with 256-row CSV chunks, and integer_schemes (881-candidate
+# JSON reports) about 2.6 MB higher with 512-record JSON chunks and 2.8 MB
+# with one chunk per report.
 _CSV_BLOCK_ROWS = 1024
-
-# JSON records formatted and written per chunk: about 35 KB of text.  The
-# 881-candidate reports of integer_schemes written as one chunk each (about
-# 115 KB) raised its peak RSS by 2.8 MB.
 _JSON_BLOCK_RECORDS = 256
 
 
@@ -121,18 +119,32 @@ def _at_least(flag: str, value: int, low: int) -> int:
     return value
 
 
-def _l_max(cfg: RunConfig, low: int = 1) -> int:
-    """--l-max, or isqrt(N) when the flag is absent; below `low` is an error."""
+def _l_max(cfg: RunConfig, low: int = 1, first: int = 1) -> int:
+    """--l-max, or isqrt(N) when the flag is absent; below `low` is an error,
+    and so are more trial arguments first..l_max than fit in memory."""
     if cfg.l_max is not None:
-        return _at_least("--l-max", cfg.l_max, low)
-    l_max = math.isqrt(cfg.n_target)
-    if l_max < low:
-        raise ConfigError(f"--l-max must be >= {low}, and its default isqrt(--n) is {l_max}")
+        l_max, where = _at_least("--l-max", cfg.l_max, low), ""
+    else:
+        l_max, where = math.isqrt(cfg.n_target), ", where --l-max defaults to isqrt(--n)"
+        if l_max < low:
+            raise ConfigError(f"--l-max must be >= {low}, and its default isqrt(--n) is {l_max}")
+    _check_fits(max(l_max - first + 1, 0), "trial arguments", "--l-max", where)
     return l_max
 
 
-def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
-    """Write the text chunks in order to stdout or to the --output file."""
+class _Records(NamedTuple):
+    """A table: a list of records that all have `keys`, given as blocks of
+    columns (one sequence of values per key, all of one length), so it is
+    written one block at a time."""
+
+    keys: tuple[str, ...]
+    blocks: Iterable[Sequence[Sequence]]
+
+
+def _emit(cfg: RunConfig, doc: dict, fmt: str | None = None) -> None:
+    """Write doc, in fmt (default --format), to stdout or to the --output
+    file.  CSV writes the doc's one _Records table; JSON writes the doc."""
+    chunks = _csv_chunks(doc) if (fmt or cfg.format) == "csv" else _json_chunks(doc)
     if cfg.output_path is None:
         for chunk in chunks:
             sys.stdout.write(chunk)
@@ -150,46 +162,31 @@ def _emit(cfg: RunConfig, chunks: Iterable[str]) -> None:
         raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
 
+def _block_rows(fmt: str) -> int:
+    return _CSV_BLOCK_ROWS if fmt == "csv" else _JSON_BLOCK_RECORDS
+
+
 def _row_slices(count: int, size: int) -> Iterator[slice]:
     """Consecutive slices of `size` rows covering `count` rows."""
     return (slice(start, start + size) for start in range(0, count, size))
 
 
-def _csv_series(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
-    """The CSV header, then the rows of each (xis, values) block in chunks of
-    _CSV_BLOCK_ROWS, so the whole text is never held in memory, and no block
-    is held once its last chunk is written.
-
-    Each chunk's four columns go to Python floats in one tolist() call and
-    the chunk is one %-format of its rows.  abs(v) ** 2 stays a per-element
-    Python expression: a vectorized np.abs(values) ** 2 does not give the
-    same bits.
-    """
-    yield "xi,re,im,abs2\n"
-    yield from itertools.chain.from_iterable(itertools.starmap(_csv_rows, blocks))
+def _csv_chunks(doc: dict) -> Iterator[str]:
+    """The doc's one _Records table as CSV: a header of its keys, then the
+    rows of each block."""
+    records = next(v for v in doc.values() if isinstance(v, _Records))
+    yield ",".join(records.keys) + "\n"
+    # map keeps no block once its text is made, so none is held while the
+    # next one is evaluated
+    yield from map(_csv_block, records.blocks)
 
 
-def _csv_rows(xis: np.ndarray, values: np.ndarray) -> Iterator[str]:
-    """One block's CSV rows, in chunks of _CSV_BLOCK_ROWS."""
-    xis = np.asarray(xis, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    for rows in _row_slices(len(xis), _CSV_BLOCK_ROWS):
-        v = values[rows]
-        cols = np.empty((len(v), 4))
-        cols[:, 0] = xis[rows]
-        cols[:, 1] = v.real
-        cols[:, 2] = v.imag
-        cols[:, 3] = [abs(z) ** 2 for z in v.tolist()]
-        yield ("%.12g,%.12g,%.12g,%.12g\n" * len(v)) % tuple(cols.ravel().tolist())
-
-
-class _Records(NamedTuple):
-    """A JSON list of objects that all have `keys`, given as blocks of
-    columns (one sequence of values per key, all of one length), so the list
-    is written one block at a time."""
-
-    keys: tuple[str, ...]
-    blocks: Iterable[Sequence[Sequence]]
+def _csv_block(columns: Sequence[Sequence]) -> str:
+    """One block's rows: one %-format of its row template, %.12g for a
+    column of floats and %s for any other.  A table's columns each hold one
+    kind of value, so a column's first value gives its kind."""
+    row = ",".join("%.12g" if isinstance(c[0], float) else "%s" for c in columns) + "\n"
+    return (row * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 # stands in for the _Records value while json.dumps writes the rest of a doc
@@ -221,15 +218,18 @@ def _json_column(values: Sequence) -> Iterable[str]:
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
-    """The text of json.dumps(doc, indent=2) + "\n" in chunks, for a doc
-    with one top-level _Records value.
+    """The text of json.dumps(doc, indent=2) + "\n" in chunks.
 
-    json.dumps writes everything but the records, around a mark in their
-    place.  Each block of records is then one %-format of its row template,
-    with its values formatted a column at a time, so the records are never
-    held as text (or as dicts) all at once.
+    A doc without a _Records value is one chunk.  Otherwise json.dumps
+    writes everything but the records, around a mark in their place.  Each
+    block of records is then one %-format of its row template, with its
+    values formatted a column at a time, so the records are never held as
+    text (or as dicts) all at once.
     """
-    key = next(k for k, v in doc.items() if isinstance(v, _Records))
+    key = next((k for k, v in doc.items() if isinstance(v, _Records)), None)
+    if key is None:
+        yield json.dumps(doc, indent=2) + "\n"
+        return
     records = doc[key]
     text = json.dumps({**doc, key: _RECORDS_MARK}, indent=2)
     head, tail = text.split(json.dumps(_RECORDS_MARK))
@@ -251,41 +251,36 @@ def _column_blocks(rows: Sequence[tuple], size: int) -> Iterator[tuple]:
     return (tuple(zip(*rows[b])) for b in _row_slices(len(rows), size))
 
 
-def _scan_json(n_label: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
-    """The scan as JSON samples, from its (xis, values) blocks; no block is
-    held once its last record is written."""
-    columns = itertools.chain.from_iterable(itertools.starmap(_sample_columns, blocks))
+def _sample_columns(xis: np.ndarray, values: np.ndarray, size: int) -> Iterator[tuple[list, ...]]:
+    """The columns xi, re, im and |v|^2 of one block of samples, `size` rows
+    at a time.  |v|^2 is Python's per-element abs(v) ** 2: a vectorized
+    np.abs(values) ** 2 gives other bits."""
+    for b in _row_slices(len(xis), size):
+        v = values[b]
+        yield (xis[b].tolist(), v.real.tolist(), v.imag.tolist(),
+               [abs(z) ** 2 for z in v.tolist()])
+
+
+def _samples_doc(n_label: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+                 fmt: str) -> dict:
+    """The samples of a scan, pattern or series from its (xis, values)
+    blocks, chunked for fmt; no block is held once its last record is
+    written."""
+    per_block = partial(_sample_columns, size=_block_rows(fmt))
+    columns = itertools.chain.from_iterable(itertools.starmap(per_block, blocks))
     samples = _Records(("xi", "re", "im", "abs2"), columns)
-    return _json_chunks({"n": n_label, "unit_c": 1.0, "samples": samples})
+    return {"n": n_label, "unit_c": 1.0, "samples": samples}
 
 
-def _sample_columns(xis: np.ndarray, values: np.ndarray) -> Iterator[tuple[list, ...]]:
-    """One block's JSON sample columns, _JSON_BLOCK_RECORDS records at a
-    time.  The columns keep the per-sample semantics float(x), v.real,
-    v.imag and abs(v) ** 2 on np.complex128 (a vectorized np.abs(values) ** 2
-    gives other bits)."""
-    for b in _row_slices(len(xis), _JSON_BLOCK_RECORDS):
-        yield (list(map(float, xis[b])), values[b].real.tolist(), values[b].imag.tolist(),
-               [abs(v) ** 2 for v in values[b]])
-
-
-def _report_chunks(cfg: RunConfig, report: factorizer.FactorReport) -> Iterable[str]:
-    """The report as JSON (the layout of FactorReport.to_json_dict) or CSV,
-    its candidates sorted by l and formatted a block of columns at a time."""
-    size = _JSON_BLOCK_RECORDS if cfg.format == "json" else _CSV_BLOCK_ROWS
-    columns = (
-        (ls, measured, predicted, list(map(_class_name, classes)))
-        for ls, measured, predicted, classes in _column_blocks(sorted(report.candidates), size)
-    )
-    if cfg.format == "json":
-        doc = replace(report, candidates=[]).to_json_dict()  # all but the candidates
-        doc["candidates"] = _Records(("l", "measured", "predicted", "class"), columns)
-        return _json_chunks(doc)
-    rows = (
-        ("%s,%.12g,%.12g,%s\n" * len(block[0])) % tuple(itertools.chain.from_iterable(zip(*block)))
-        for block in columns
-    )
-    return itertools.chain(["l,measured,predicted,class\n"], rows)
+def _report_doc(report: factorizer.FactorReport, fmt: str) -> dict:
+    """The report in the layout of FactorReport.to_json_dict, its
+    candidates sorted by l and chunked for fmt."""
+    blocks = _column_blocks(sorted(report.candidates), _block_rows(fmt))
+    columns = ((ls, measured, predicted, list(map(_class_name, classes)))
+               for ls, measured, predicted, classes in blocks)
+    doc = replace(report, candidates=[]).to_json_dict()  # all but the candidates
+    doc["candidates"] = _Records(("l", "measured", "predicted", "class"), columns)
+    return doc
 
 
 def _cmd_scan(cfg: RunConfig) -> int:
@@ -310,10 +305,7 @@ def _emit_grid(cfg: RunConfig, evaluate: Callable[[np.ndarray], np.ndarray],
     # The first block is evaluated before the header is written or the
     # --output file made, so an evaluation error leaves no output behind.
     blocks = itertools.chain([next(blocks)], blocks)
-    if cfg.format == "csv":
-        _emit(cfg, _csv_series(blocks))
-    else:
-        _emit(cfg, _scan_json(n_label, blocks))
+    _emit(cfg, _samples_doc(n_label, blocks, cfg.format))
 
 
 def _cmd_factor(cfg: RunConfig) -> int:
@@ -333,6 +325,7 @@ def _cmd_factor(cfg: RunConfig) -> int:
             zero_factor=cfg.zero_factor,
         )
     elif cfg.scheme == "lines":
+        _check_fits(n, "trial arguments", "--n")
         report = factorizer.factor_lines_discrete(n, cfg.weight_profile())
     elif cfg.scheme == "reciprocate":
         report = factorizer.factor_reciprocate(n, _l_max(cfg))
@@ -343,7 +336,7 @@ def _cmd_factor(cfg: RunConfig) -> int:
         report = factorizer.factor_truncated(n, _l_max(cfg, 2), m_terms, cfg.threshold)
     else:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    _emit(cfg, _report_chunks(cfg, report))
+    _emit(cfg, _report_doc(report, cfg.format))
     return 0
 
 
@@ -359,15 +352,12 @@ def _cmd_reciprocate(cfg: RunConfig) -> int:
     else:
         values = reciprocate_complete_sweep(cfg.n_target, ls)
     if cfg.format == "json":
-        columns = (
-            (ls[b].tolist(), values[b].real.tolist(), values[b].imag.tolist(),
-             [abs(v) for v in values[b]])  # abs on np.complex128, as per element
-            for b in _row_slices(len(ls), _JSON_BLOCK_RECORDS)
-        )
-        samples = _Records(("l", "re", "im", "abs"), columns)
-        _emit(cfg, _json_chunks({"n": cfg.n_target, "samples": samples}))
+        columns = ((ls[b].tolist(), values[b].real.tolist(), values[b].imag.tolist(),
+                    list(map(abs, values[b].tolist())))
+                   for b in _row_slices(len(ls), _JSON_BLOCK_RECORDS))
+        _emit(cfg, {"n": cfg.n_target, "samples": _Records(("l", "re", "im", "abs"), columns)})
     else:
-        _emit(cfg, _csv_series([(ls.astype(float), values)]))
+        _emit(cfg, _samples_doc(cfg.n_target, [(ls.astype(float), values)], "csv"))
     return 0
 
 
@@ -390,7 +380,7 @@ def _cmd_nslit(cfg: RunConfig) -> int:
                          _column_blocks(rows, _JSON_BLOCK_RECORDS)),
         "factors": [r.l for r in rows if r.is_factor_flag and r.divides],
     }
-    _emit(cfg, _json_chunks(doc))
+    _emit(cfg, doc, "json")
     return 0
 
 
@@ -402,7 +392,7 @@ def _cmd_ghost(cfg: RunConfig) -> int:
         _at_least("--m-terms", cfg.m_terms, 1),
         cfg.threshold,
         _at_least("--l-min", cfg.l_min, 1),
-        _l_max(cfg),
+        _l_max(cfg, first=cfg.l_min),
     )
     doc = {
         "n": cfg.n_target,
@@ -411,7 +401,7 @@ def _cmd_ghost(cfg: RunConfig) -> int:
         "ghosts": census.ghosts,
         "count": census.count,
     }
-    _emit(cfg, [json.dumps(doc, indent=2) + "\n"])
+    _emit(cfg, doc, "json")
     return 0
 
 

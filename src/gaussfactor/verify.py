@@ -7,9 +7,11 @@ domains are covered by a fixed-seed sample of documented size.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +44,26 @@ class _Worst:
         return np.logical_not(dev < tol)
 
 
-def _result(name: str, failures: list[str], t0: float, worst: _Worst) -> SuiteResult:
-    ok = not failures
-    detail = f"ok, worst {worst.ratio:.2g} of tolerance" if ok else "; ".join(failures[:5])
-    return SuiteResult(name, ok, detail, time.perf_counter() - t0)
+def _suite(body: Callable[[list[str], _Worst], None]) -> Callable[[], SuiteResult]:
+    """The suite check_<name>: body(failures, worst) appends a message per
+    failed check, timed and reported as the SuiteResult of <name>."""
+    name = body.__name__.removeprefix("check_")
+
+    @functools.wraps(body)
+    def check() -> SuiteResult:
+        t0 = time.perf_counter()
+        failures = []
+        worst = _Worst()
+        body(failures, worst)
+        ok = not failures
+        detail = f"ok, worst {worst.ratio:.2g} of tolerance" if ok else "; ".join(failures[:5])
+        return SuiteResult(name, ok, detail, time.perf_counter() - t0)
+
+    return check
 
 
-def check_closedform() -> SuiteResult:
-    t0 = time.perf_counter()
-    failures = []
-    worst = _Worst()
+@_suite
+def check_closedform(failures: list[str], worst: _Worst) -> None:
     bs = np.arange(1, 1001)
     diff = np.array([gausssums.standard_gauss(1, int(b)) for b in bs]) - closedform.g1b_closed(bs)
     for b in bs[worst.over(np.hypot(diff.real, diff.imag), 1e-8)]:
@@ -79,17 +91,14 @@ def check_closedform() -> SuiteResult:
         rhs = p * gausssums.standard_gauss(ar, br)
         if worst.over(abs(lhs - rhs), 1e-9):
             failures.append(f"factor_out identity fails at (a={a}, b={b})")
-    return _result("closedform", failures, t0, worst)
 
 
 # number of random (N, l) pairs of the reciprocity check, and their seed
 _RECIPROCITY_PAIRS, _RECIPROCITY_SEED = 500, 11
 
 
-def check_reciprocity() -> SuiteResult:
-    t0 = time.perf_counter()
-    failures = []
-    worst = _Worst()
+@_suite
+def check_reciprocity(failures: list[str], worst: _Worst) -> None:
     rng = random.Random(_RECIPROCITY_SEED)
     for _ in range(_RECIPROCITY_PAIRS):
         n = rng.randint(2, 2000)
@@ -114,13 +123,10 @@ def check_reciprocity() -> SuiteResult:
     for n in range(203, 2002, 2):
         check_moduli(n, list({rng.randint(1, n) for _ in range(8)}
                              | {d for d in range(2, min(n, 60)) if n % d == 0}))
-    return _result("reciprocity", failures, t0, worst)
 
 
-def check_wtilde() -> SuiteResult:
-    t0 = time.perf_counter()
-    failures = []
-    worst = _Worst()
+@_suite
+def check_wtilde(failures: list[str], worst: _Worst) -> None:
     for r in range(1, 65):
         a_all = np.arange(1, 2 * r)
         a_all = a_all[np.gcd(a_all, r) == 1]
@@ -146,13 +152,10 @@ def check_wtilde() -> SuiteResult:
                          for q in qs.tolist()])
         for i, m in np.argwhere(worst.over(np.abs(brute - pred), 1e-9)):
             failures.append(f"parity table fails at (q={qs[i]}, r={r}, m={m})")
-    return _result("wtilde", failures, t0, worst)
 
 
-def check_decomposition() -> SuiteResult:
-    t0 = time.perf_counter()
-    failures = []
-    worst = _Worst()
+@_suite
+def check_decomposition(failures: list[str], worst: _Worst) -> None:
     w = WeightProfile(delta_m=10.0, m_max=40)
     for b, q, r in ((33, 1, 11), (33, 1, 3), (51, 7, 35)):
         spec = ContinuousSpec(1.0, float(b))
@@ -162,13 +165,10 @@ def check_decomposition() -> SuiteResult:
                 - decomposition.decomposed_sum(xis, q, r, spec, w))
         for xi in xis[worst.over(np.hypot(diff.real, diff.imag), 1e-6)]:
             failures.append(f"decomposition mismatch at (B={b}, q={q}, r={r}, xi={xi:.3f})")
-    return _result("decomposition", failures, t0, worst)
 
 
-def check_nslit() -> SuiteResult:
-    t0 = time.perf_counter()
-    failures = []
-    worst = _Worst()
+@_suite
+def check_nslit(failures: list[str], worst: _Worst) -> None:
     rng = random.Random(5)
     for _ in range(200):
         n = rng.randint(1, 60)
@@ -183,13 +183,10 @@ def check_nslit() -> SuiteResult:
         for row in nslit.nslit_factor_test(n, math.isqrt(n)):
             if row.is_factor_flag and not row.divides:
                 failures.append(f"unsound slit flag: N={n}, l={row.l}")
-    return _result("nslit", failures, t0, worst)
 
 
-def check_ring() -> SuiteResult:
-    t0 = time.perf_counter()
-    failures = []
-    worst = _Worst()
+@_suite
+def check_ring(failures: list[str], worst: _Worst) -> None:
     for n in range(3, 200, 2):
         if not is_prime(n):
             continue
@@ -221,7 +218,6 @@ def check_ring() -> SuiteResult:
                         failures.append(f"|G| != sqrt(n) at (n={n}, k={k}, beta={beta})")
                     if bad_reduction[i, j]:
                         failures.append(f"reduction identity fails at (n={n}, k={k}, beta={beta})")
-    return _result("ring", failures, t0, worst)
 
 
 SUITES = {

@@ -102,8 +102,9 @@ class TestCsvStreaming:
         assert capsys.readouterr().out.encode() == expect
 
     def test_empty_series_is_header_only(self):
-        assert "".join(cli._csv_series([([], [])])) == joined_csv([], [])
-        assert "".join(cli._csv_series([])) == joined_csv([], [])
+        for blocks in ([([], [])], []):
+            doc = cli._samples_doc(0, blocks, "csv")
+            assert "".join(cli._csv_chunks(doc)) == joined_csv([], [])
 
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
     def test_edge_values_give_the_f_string_bytes(self, monkeypatch, block_rows):
@@ -122,7 +123,7 @@ class TestCsvStreaming:
         expect = joined_csv(xis, values)
         assert expect.splitlines()[2] == "-0,-0,0,0"
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
-        assert "".join(cli._csv_series([(xis, values)])) == expect
+        assert "".join(cli._csv_chunks(cli._samples_doc(0, [(xis, values)], "csv"))) == expect
 
     def test_reciprocate_csv_bytes(self, tmp_path):
         args = ["reciprocate", "--n", "1911", "--l-max", "60"]
@@ -165,7 +166,7 @@ class TestCsvStreaming:
         cfg = cli.RunConfig(command="scan", output_path=str(tmp_path / "big.csv"))
         tracemalloc.start()
         try:
-            cli._emit(cfg, cli._csv_series([(xis, values)]))
+            cli._emit(cfg, cli._samples_doc(0, [(xis, values)], "csv"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -225,6 +226,14 @@ def record_columns(draw):
     return keys, columns
 
 
+# a report whose float columns hold only NaN and the infinities
+NONFINITE_REPORT = factorizer.FactorReport(
+    21, "nonfinite",
+    [factorizer.Candidate(l, m, p, factorizer.Classification.GHOST)
+     for l, m, p in ((2, math.nan, -math.inf), (3, math.inf, math.nan), (5, -math.inf, math.inf))],
+    [3])
+
+
 class TestJsonStreaming:
     @settings(max_examples=300, deadline=None)
     @given(record_columns())
@@ -244,7 +253,8 @@ class TestJsonStreaming:
         expect = joined_json_series(series)
         assert "NaN" in expect and "-Infinity" in expect and "-0.0" in expect
         monkeypatch.setattr(cli, "_JSON_BLOCK_RECORDS", block_rows)
-        assert "".join(cli._scan_json(1001, [(EDGE_XIS, EDGE_VALUES)])) == expect
+        doc = cli._samples_doc(1001, [(EDGE_XIS, EDGE_VALUES)], "json")
+        assert "".join(cli._json_chunks(doc)) == expect
 
     @pytest.mark.parametrize("block_rows", [1, 7, 4096])
     def test_scan_json_bytes(self, tmp_path, capsys, monkeypatch, block_rows):
@@ -262,8 +272,9 @@ class TestJsonStreaming:
 
     def test_empty_scan_json(self):
         series = SimpleNamespace(n_label=9, unit_c=1.0, xis=np.zeros(0), values=np.zeros(0, complex))
-        assert "".join(cli._scan_json(9, [(series.xis, series.values)])) == joined_json_series(series)
-        assert "".join(cli._scan_json(9, [])) == joined_json_series(series)
+        for blocks in ([(series.xis, series.values)], []):
+            doc = cli._samples_doc(9, blocks, "json")
+            assert "".join(cli._json_chunks(doc)) == joined_json_series(series)
 
     @pytest.mark.parametrize("block_rows", [1, 2, 4096])
     def test_reports_give_the_json_dumps_bytes(self, monkeypatch, block_rows):
@@ -275,12 +286,12 @@ class TestJsonStreaming:
             factorizer.factor_scan_even(2, W10),
             factorizer.FactorReport(15, "made_up", [odd, odd._replace(l=3, measured=-0.0)], [3],
                                     {"flag": True, "none": None, "neg": -math.inf}),
+            NONFINITE_REPORT,
         ]
         monkeypatch.setattr(cli, "_JSON_BLOCK_RECORDS", block_rows)
-        cfg = cli.RunConfig(command="factor", format="json")
         for report in reports:
             expect = json.dumps(report.to_json_dict(), indent=2) + "\n"
-            assert "".join(cli._report_chunks(cfg, report)) == expect
+            assert "".join(cli._json_chunks(cli._report_doc(report, "json"))) == expect
 
     def test_reciprocate_json_bytes(self, tmp_path):
         ls = np.arange(1, 61)
@@ -295,10 +306,10 @@ class TestJsonStreaming:
     def test_memory_does_not_hold_the_text(self, tmp_path):
         xis = np.linspace(2.0, 1000.0, 40_000)
         series = SimpleNamespace(n_label=1001, unit_c=1.0, xis=xis, values=np.exp(1j * xis) * 0.3)
-        cfg = cli.RunConfig(command="scan", output_path=str(tmp_path / "big.json"))
+        cfg = cli.RunConfig(command="scan", output_path=str(tmp_path / "big.json"), format="json")
         tracemalloc.start()
         try:
-            cli._emit(cfg, cli._scan_json(1001, [(xis, series.values)]))
+            cli._emit(cfg, cli._samples_doc(1001, [(xis, series.values)], "json"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -420,8 +431,10 @@ class TestStreamedScan:
         assert not (tmp_path / "out").exists()
         return captured.err
 
-    @pytest.mark.parametrize("emit", [cli._csv_series, lambda blocks: cli._scan_json(9, blocks)],
-                             ids=["csv", "json"])
+    @pytest.mark.parametrize("emit", [
+        lambda blocks: cli._csv_chunks(cli._samples_doc(9, blocks, "csv")),
+        lambda blocks: cli._json_chunks(cli._samples_doc(9, blocks, "json")),
+    ], ids=["csv", "json"])
     def test_no_block_outlives_its_last_row(self, emit):
         # each block is made only once every earlier one has been released
         refs = []
@@ -523,11 +536,12 @@ class TestReportCsv:
                                                     odd._replace(l=5, predicted=5e-324),
                                                     odd._replace(l=2, measured=-math.inf)], [3]),
             factorizer.FactorReport(15, "empty", [], []),
+            NONFINITE_REPORT,
         ]
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
-        cfg = cli.RunConfig(command="factor")
         for report in reports:
-            assert "".join(cli._report_chunks(cfg, report)) == joined_report_csv(report)
+            doc = cli._report_doc(report, "csv")
+            assert "".join(cli._csv_chunks(doc)) == joined_report_csv(report)
 
 
 class TestFactorCommand:
@@ -636,6 +650,18 @@ class TestNslitCommand:
         doc = json.loads(data)
         assert doc["factors"] == [3, 5]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_is_json_whatever_the_format(self, tmp_path, fmt):
+        rows = nslit.nslit_factor_test(15, 7)
+        doc = {"n": 15,
+               "rows": [{"l": r.l, "flag": r.is_factor_flag, "spread": r.relative_spread,
+                         "divides": r.divides} for r in rows],
+               "factors": [3, 5]}
+        out = tmp_path / "n.out"
+        cfg = cli.RunConfig("nslit", n_target=15, l_max=7, format=fmt, output_path=str(out))
+        assert cli.run(cfg) == 0
+        assert out.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
 
 class TestGhostCommand:
     def test_json(self, tmp_path):
@@ -647,6 +673,17 @@ class TestGhostCommand:
         assert rc == 0
         doc = json.loads(data)
         assert doc["count"] == len(doc["ghosts"]) > 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_json_whatever_the_format(self, tmp_path, fmt):
+        census = factorizer.ghost_census(100001, 10, 0.7, 2, 316)
+        doc = {"n": 100001, "m_terms": 10, "threshold": 0.7, "ghosts": census.ghosts,
+               "count": census.count}
+        out = tmp_path / "g.out"
+        cfg = cli.RunConfig("ghost", n_target=100001, m_terms=10, threshold=0.7, format=fmt,
+                            output_path=str(out))
+        assert cli.run(cfg) == 0
+        assert out.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 class TestVerifyCommand:
@@ -975,6 +1012,25 @@ class TestUnwritableOrOverflowingRuns:
         captured = capsys.readouterr()
         assert_one_error_line(rc, captured.out, captured.err)
         assert "too many slits: --n" in captured.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["factor", "--scheme", "lines", "--n", "100000000000000"], "--n"),
+        (["reciprocate", "--n", "15", "--l-max", "100000000000000"], "--l-max"),
+        (["factor", "--scheme", "reciprocate", "--n", "15", "--l-max", "100000000000000"],
+         "--l-max"),
+        (["factor", "--scheme", "truncated", "--m-terms", "3", "--n", "15",
+          "--l-max", "100000000000000"], "--l-max"),
+        (["ghost", "--m-terms", "3", "--n", "15", "--l-max", "100000000000000"], "--l-max"),
+        # the default --l-max, isqrt(--n), past any array
+        (["ghost", "--m-terms", "3", "--n", "10" + "0" * 40], "--l-max"),
+        (["factor", "--scheme", "reciprocate", "--n", "15", "--l-max", "9" * 23], "--l-max"),
+    ])
+    def test_trial_argument_count_past_memory_names_its_flag(self, argv, flag, capsys):
+        # NumPy refused the first three with "Unable to allocate ... TiB"
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert_one_error_line(rc, captured.out, captured.err)
+        assert f"too many trial arguments: {flag}" in captured.err
 
     def test_largest_term_count_passes_the_cap(self):
         # the largest count under the cap reaches the allocation check, whose
