@@ -502,13 +502,40 @@ def run(cfg: RunConfig) -> int:
                         ("--spread-threshold", cfg.spread_threshold)):
         if not 0 < value < math.inf:
             raise ConfigError(f"{flag} must be finite and positive")
-    return _COMMANDS[cfg.command](cfg)
+    try:
+        return _COMMANDS[cfg.command](cfg)
+    except factorizer.GridTooLarge as exc:
+        raise ConfigError(f"too many grid points: --step {cfg.step!r} makes {exc.count:.3g} "
+                          "points, which do not fit in memory") from None
+
+
+def _joined_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with each negative number that follows a flag joined to it, as
+    --flag=-1e5.  argparse reads only -digits[.digits] as a negative number
+    and any other word that starts with "-" as a flag, so -1e5, -1e-3 and
+    -inf would not reach the flag's type."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_number(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_negative_number(arg: str) -> bool:
+    """Whether arg is a float written with a leading minus."""
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return arg.startswith("-")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_joined_negative_values(sys.argv[1:] if argv is None else argv))
         status = run(RunConfig(**vars(ns)))
         sys.stdout.flush()  # a closed pipe shows here rather than at exit
         return status

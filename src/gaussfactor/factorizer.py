@@ -12,7 +12,7 @@ import contextlib
 import functools
 import math
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -125,6 +125,14 @@ class FactorReport:
         }
 
 
+class GridTooLarge(MemoryError):
+    """A grid with more points than one float64 array can hold."""
+
+    def __init__(self, count: int):
+        super().__init__(f"a grid of {count:.3g} points does not fit in memory")
+        self.count = count
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """The points xi_min + k * step, k = 0, 1, ..., count - 1, as a
@@ -132,17 +140,20 @@ class UniformGrid:
     accumulated sums), so a grid holds no array of its own.
 
     Construction refuses, at once, a grid that could not be held as one
-    float64 array (one unwritten np.empty(count), so a grid past the address
-    space fails before any point is made), and one whose neighbouring
-    points round to the same float, checked over the whole grid one block
-    at a time."""
+    float64 array (GridTooLarge, after one unwritten np.empty(count), so a
+    grid past the address space fails before any point is made), and one
+    whose neighbouring points round to the same float, checked over the
+    whole grid one block at a time."""
 
     xi_min: float
     step: float
     count: int
 
     def __post_init__(self) -> None:
-        np.empty(self.count)
+        try:
+            np.empty(self.count)
+        except (MemoryError, ValueError):  # ValueError: past any array size
+            raise GridTooLarge(self.count) from None
         for start in range(0, self.count, _SCAN_BLOCK_ROWS):
             # one point of overlap checks the join with the previous block
             block = self.points(max(start - 1, 0), start + _SCAN_BLOCK_ROWS)
@@ -229,12 +240,12 @@ def _usable_cpus() -> int:
     return cpus if quota is None else max(1, min(cpus, math.ceil(quota)))
 
 
-# Rows per block of a scan: as many rows as a kernel block of _real_sums
-# holds phasors, so a block's values take 512 KB.  Each block wakes the pool
+# Rows per run of a scan: as many rows as a kernel block of _real_sums
+# holds phasors, so a run's values take 512 KB.  Each run wakes the pool
 # threads and then the caller once.  On a loaded 2-vCPU host a wake-up took
-# up to about 3 ms, and 8192-row blocks (31 for the 249,501-row N=1001 scan)
-# ran that scan up to about 10% slower than one block, for 1.8 MB less peak
-# RSS than this size.
+# up to about 3 ms, and 8192-row runs (31 for the 249,501-row N=1001 scan)
+# ran that scan up to about 10% slower than one run, for 1.8 MB less peak
+# RSS than this size (measured when each run was joined into one block).
 _SCAN_BLOCK_ROWS = _BLOCK_PHASORS
 
 # Grids shorter than this are evaluated on the calling thread.
@@ -247,13 +258,15 @@ def scan_blocks(
     workers: int | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """evaluate (one value per point of an array of points: the continuous
-    rows, or an N-slit pattern) on the grid, as (xis, values) blocks of
-    _SCAN_BLOCK_ROWS rows in grid order.
+    rows, or an N-slit pattern) on the grid, as (xis, values) blocks in
+    grid order.
 
-    One thread pool serves the whole grid: each block is split over its
-    threads and its values gathered before the block is yielded, so only
-    one block's points and values are held at a time (the generator keeps
-    no reference to a block it has yielded) and the output is identical
+    The points are made _SCAN_BLOCK_ROWS at a time.  One thread pool serves
+    the whole grid: each run of points is split into one part per thread,
+    and each part is yielded as a block of its own, holding the values its
+    thread's evaluate call made, so no values are copied or joined.  Only
+    one run's points and values are held at a time (the generator keeps no
+    reference to a block it has yielded), and the values are identical
     regardless of worker count.  The pool has at most one thread per usable
     CPU (_usable_cpus); workers=None asks for one per usable CPU.  The
     worker count is checked at the first next(), before any block is
@@ -267,15 +280,18 @@ def scan_blocks(
     pool_size = min(workers, cpus) if grid.count >= _POOL_MIN_ROWS else 1
     pool = ThreadPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
 
-    def block(start: int) -> tuple[np.ndarray, np.ndarray]:
+    def run(start: int) -> list[tuple[np.ndarray, np.ndarray]]:
         x = grid.points(start, start + _SCAN_BLOCK_ROWS)
         if pool is None:
-            return x, evaluate(x)
-        parts = np.array_split(x, pool_size)
-        return x, np.concatenate(list(pool.map(evaluate, parts)))
+            return [(x, evaluate(x))]
+        parts = np.array_split(x, min(pool_size, len(x)))
+        return list(zip(parts, pool.map(evaluate, parts)))
 
     with pool or contextlib.nullcontext():
-        yield from map(block, range(0, grid.count, _SCAN_BLOCK_ROWS))
+        for start in range(0, grid.count, _SCAN_BLOCK_ROWS):
+            blocks = run(start)[::-1]
+            while blocks:
+                yield blocks.pop()
 
 
 def scan_series(
@@ -295,45 +311,100 @@ def scan_series(
     return ScanSeries(unit_c=1.0, xis=grid.points(), values=values, n_label=n_label)
 
 
+def _spans(xis: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The start and stop indices of the strictly increasing xis within
+    each [lo, hi], with two points of slack on each side for rounding: a
+    superset of any window predicate near those bounds, which the caller
+    then applies to it."""
+    start = np.maximum(np.searchsorted(xis, lo, side="left") - 2, 0)
+    stop = np.minimum(np.searchsorted(xis, hi, side="right") + 2, len(xis))
+    return start, stop
+
+
 def _span(xis: np.ndarray, lo: float, hi: float) -> slice:
-    """The indices of the strictly increasing xis within [lo, hi], with two
-    points of slack on each side for rounding: a superset of any window
-    predicate near those bounds, which the caller then applies to it."""
-    start = int(np.searchsorted(xis, lo, side="left"))
-    stop = int(np.searchsorted(xis, hi, side="right"))
-    return slice(max(start - 2, 0), stop + 2)
+    """The _spans of one interval, as a slice."""
+    start, stop = _spans(xis, lo, hi)
+    return slice(int(start), int(stop))
+
+
+# Window samples (candidates times window width) that one pass of
+# envelope_background handles at a time, so each of its arrays stays near
+# 128 KB.
+_BACKGROUND_CELLS = 1 << 14
 
 
 def envelope_background(
     xis: np.ndarray,
     abs2: np.ndarray,
-    center: float,
+    center: float | np.ndarray,
     candidate_unit: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """Background level near a candidate point: the median height of the
     local maxima of the oscillating signal within DEFAULT_BACKGROUND_WINDOW
     units, sampled more than DEFAULT_BACKGROUND_CORE away from candidates.
+    An array of centers gives one level each, in array passes over the
+    candidates' windows.
 
     The interference background passes through zero between fringes, so a
     plain median is dragged down by the nulls; the fringe-top median is the
     stable notion of "background level" the peak criterion compares against.
-    xis must be strictly increasing (a ScanSeries grid), so the window is
-    found by bisection and the cost is O(window), not O(grid).
+    xis must be strictly increasing (a ScanSeries grid), so each window is
+    found by bisection and the cost is O(window), not O(grid).  Each window
+    is the span of the samples within [center - half, center + half], with
+    two points of slack on each side for rounding, to which the window
+    predicate is then applied.
     """
+    centers = np.asarray(center, dtype=float).reshape(-1)
     half = DEFAULT_BACKGROUND_WINDOW * candidate_unit + 1e-12
-    span = _span(xis, center - half, center + half)
-    xis, abs2 = xis[span], abs2[span]
-    near = np.abs(xis - center) <= half
-    ratio = xis[near] / candidate_unit
-    off_core = np.abs(ratio - np.round(ratio)) > DEFAULT_BACKGROUND_CORE
-    v = abs2[near][off_core]
-    if len(v) < 3:
-        return float(np.median(abs2[near])) if near.any() else 0.0
-    interior = (v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])
-    tops = v[1:-1][interior]
-    if len(tops) == 0:
-        return float(np.median(v))
-    return float(np.median(tops))
+    start, stop = _spans(xis, centers - half, centers + half)
+    levels = np.zeros(len(centers))
+    if len(xis):
+        rows = max(1, _BACKGROUND_CELLS // int((stop - start).max(initial=1)))
+        for b in range(0, len(centers), rows):
+            chunk = slice(b, b + rows)
+            levels[chunk] = _window_levels(xis, abs2, centers[chunk], start[chunk], stop[chunk],
+                                           half, candidate_unit)
+    return float(levels[0]) if np.ndim(center) == 0 else levels
+
+
+def _window_levels(xis, abs2, centers, start, stop, half, unit) -> np.ndarray:
+    """envelope_background's level for each center, whose window samples
+    are xis[start:stop]: one row per center, padded to the widest window."""
+    width = int((stop - start).max())
+    cols = np.arange(width)
+    idx = start[:, None] + cols
+    inside = idx < stop[:, None]
+    np.minimum(idx, len(xis) - 1, out=idx)
+    x, a = xis[idx], abs2[idx]
+    near = inside & (np.abs(x - centers[:, None]) <= half)
+    ratio = x / unit
+    off_core = near & (np.abs(ratio - np.round(ratio)) > DEFAULT_BACKGROUND_CORE)
+    # the off-core samples v of each row, moved to its front in order
+    count = off_core.sum(axis=1)
+    v = np.zeros_like(a)
+    v[np.nonzero(off_core)[0], (np.cumsum(off_core, axis=1) - 1)[off_core]] = a[off_core]
+    tops = np.zeros_like(near)
+    tops[:, 1:-1] = ((v[:, 1:-1] >= v[:, :-2]) & (v[:, 1:-1] >= v[:, 2:])
+                     & (cols[1:-1] < count[:, None] - 1))
+    levels = np.where(tops.any(axis=1), _row_medians(v, tops), _row_medians(a, off_core))
+    few = count < 3
+    levels[few] = np.where(near[few].any(axis=1), _row_medians(a[few], near[few]), 0.0)
+    return levels
+
+
+def _row_medians(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """float(np.median(row[row_mask])) for each row, word for word: the
+    middle order statistic, or the mean of the middle two, and NaN where a
+    masked value is NaN.  A row with nothing masked gives inf."""
+    count = mask.sum(axis=1)
+    order = np.where(mask, values, np.inf)
+    order.sort(axis=1)
+    rows = np.arange(len(order))
+    medians = order[rows, np.maximum(count - 1, 0) // 2]
+    even = (count % 2 == 0) & (count > 0)
+    medians[even] = (medians[even] + order[rows[even], count[even] // 2]) / 2
+    medians[(mask & np.isnan(values)).any(axis=1)] = np.nan
+    return medians
 
 
 def _divides(n_target: int, ls: np.ndarray) -> np.ndarray:
@@ -366,31 +437,99 @@ def report_from_series(
     zero_factor: float | None = None,
 ) -> FactorReport:
     """Apply the peak (and optionally zero) criteria at every integer
-    candidate l whose position l * unit_c lies inside the series."""
-    n = series.n_label
-    xis, abs2, c = series.xis, series.abs2(), series.unit_c
-    lo = int(math.ceil((xis[0] + 1e-9) / c))
-    hi = int(math.floor((xis[-1] - 1e-9) / c))
+    candidate l whose position l * unit_c lies inside the series: the
+    streamed classifier read over the series as one block."""
+    xis = series.xis
+    return _report_blocks([(xis, series.values)], xis[0], xis[-1], series.unit_c,
+                          series.n_label, scheme, peak_factor, zero_factor)
+
+
+def _report_blocks(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    first: float,
+    last: float,
+    unit_c: float,
+    n: int,
+    scheme: str,
+    peak_factor: float,
+    zero_factor: float | None,
+) -> FactorReport:
+    """The peak (and optionally zero) criteria at every integer candidate l
+    whose position l * unit_c lies inside the grid from first to last, read
+    from the grid's (xis, values) blocks in order.
+
+    A candidate is classified once the samples it reads have arrived: its
+    nearest sample (two indices either side of its position) and
+    envelope_background's window, both found by bisection in the samples
+    held.  Those still needed by a candidate not yet classified are carried
+    into the next block, so each candidate reads the samples the whole
+    series would give it, and at most one block and one window are held.
+    The zero rule compares with the largest |S|^2 of the whole grid, so it
+    is applied once the last block is read.
+    """
+    c = unit_c
+    lo = int(math.ceil((first + 1e-9) / c))
+    hi = int(math.floor((last - 1e-9) / c))
     ls = np.arange(max(lo, 2), min(hi, n - 1) + 1)
     pos = ls * c
-    # the first nearest sample within each _span(xis, pos, pos)
-    start = np.searchsorted(xis, pos, side="left")
-    near = np.clip(start[:, None] + np.arange(-2, 3), 0, len(xis) - 1)
-    nearest = near[np.arange(len(ls)), np.argmin(np.abs(xis[near] - pos[:, None]), axis=1)]
-    measured = abs2[nearest]
-    bg = np.array([envelope_background(xis, abs2, p, candidate_unit=c) for p in pos.tolist()])
-    zero = measured < zero_factor * float(abs2.max()) if zero_factor is not None else False
+    half = DEFAULT_BACKGROUND_WINDOW * c + 1e-12
+    right = pos + half  # each window's right edge, as envelope_background finds it
+    measured, bg = np.empty(len(ls)), np.empty(len(ls))
+    maxima = []  # each block's largest |S|^2
+    xis = abs2 = np.empty(0)
+    done = 0
+
+    def classify(stop: int) -> None:
+        """Classify candidates done..stop-1 from the samples held."""
+        p = pos[done:stop]
+        # the first nearest sample of the five about each position
+        start = np.searchsorted(xis, p, side="left")
+        near = np.clip(start[:, None] + np.arange(-2, 3), 0, len(xis) - 1)
+        nearest = near[np.arange(len(p)), np.argmin(np.abs(xis[near] - p[:, None]), axis=1)]
+        measured[done:stop] = abs2[nearest]
+        bg[done:stop] = envelope_background(xis, abs2, p, candidate_unit=c)
+
+    for x, v in blocks:
+        a = np.abs(v) ** 2
+        maxima.append(a.max())
+        xis, abs2 = np.concatenate([xis, x]), np.concatenate([abs2, a])
+        if len(xis) < 3:
+            continue
+        # each candidate whose window closes before the third-last sample
+        # has its window's two points of slack and its nearest five
+        stop = done + int(np.searchsorted(right[done:], xis[-3], side="left"))
+        classify(stop)
+        done = stop
+        keep = len(xis) if done == len(ls) else int(np.searchsorted(xis, pos[done] - half))
+        xis, abs2 = xis[max(keep - 2, 0):], abs2[max(keep - 2, 0):]
+    classify(len(ls))
+    zero = measured < zero_factor * float(np.max(maxima)) if zero_factor is not None else False
     peak = (bg > 0) & (measured >= peak_factor * bg)
     codes = np.select([zero, peak], [_ZERO, _flag_codes(n, ls)], _NONFACTOR)
     params = {"unit_c": c, "peak_factor": peak_factor, "window": DEFAULT_BACKGROUND_WINDOW}
     return _classify(n, scheme, ls, measured, predict_discrete_moduli2(n, ls)[0], codes, params)
 
 
+def _scan_range(n_target: int) -> tuple[float, float]:
+    """The xi range of N's factor scan: every candidate 2..N-1 with its
+    background window."""
+    return max(2.0 - DEFAULT_BACKGROUND_WINDOW, 0.5), (n_target - 1.0) + DEFAULT_BACKGROUND_WINDOW
+
+
 def _scan_for(n_target: int, w: WeightProfile, grid_step: float) -> ScanSeries:
     spec = ContinuousSpec(a_param=1.0, b_param=float(n_target))
-    lo = max(2.0 - DEFAULT_BACKGROUND_WINDOW, 0.5)
-    hi = (n_target - 1.0) + DEFAULT_BACKGROUND_WINDOW
-    return scan_series(spec, w, lo, hi, grid_step, n_label=n_target)
+    return scan_series(spec, w, *_scan_range(n_target), grid_step, n_label=n_target)
+
+
+def _report_scan(n_target: int, w: WeightProfile, grid_step: float, scheme: str,
+                 peak_factor: float, zero_factor: float | None = None) -> FactorReport:
+    """The report of N's factor scan, classified block by block as
+    scan_blocks evaluates it, so the series is never held whole."""
+    spec = ContinuousSpec(a_param=1.0, b_param=float(n_target))
+    grid = uniform_grid(*_scan_range(n_target), grid_step)
+    blocks = scan_blocks(functools.partial(continuous_sum_grid, spec=spec, w=w), grid)
+    first, last = grid.points(0, 1)[0], grid.points(grid.count - 1)[0]
+    return _report_blocks(blocks, first, last, 1.0, n_target, scheme, peak_factor, zero_factor)
 
 
 def factor_scan_continuous(
@@ -405,8 +544,7 @@ def factor_scan_continuous(
         raise ValueError("continuous odd scheme requires odd N; use factor_scan_even")
     if n_target < 3:
         raise ValueError("N must be >= 3")
-    series = _scan_for(n_target, w, grid_step)
-    return report_from_series(series, "continuous_odd", peak_factor=peak_factor)
+    return _report_scan(n_target, w, grid_step, "continuous_odd", peak_factor)
 
 
 def factor_scan_even(
@@ -422,10 +560,7 @@ def factor_scan_even(
         raise ValueError("even scheme requires even N")
     if n_target < 4:
         return FactorReport(n_target, "continuous_even", [], [], params={})
-    series = _scan_for(n_target, w, grid_step)
-    return report_from_series(
-        series, "continuous_even", peak_factor=peak_factor, zero_factor=zero_factor
-    )
+    return _report_scan(n_target, w, grid_step, "continuous_even", peak_factor, zero_factor)
 
 
 def factor_lines_discrete(n_target: int, w: WeightProfile) -> FactorReport:

@@ -26,12 +26,13 @@ TWO_PI = 2.0 * math.pi
 # this bound; larger moduli take the Python-int path.
 _INT64_SAFE_MODULUS = 3_000_000_000
 
-# Phasors per row block of _real_sums, whose work arrays (41 bytes per
-# phasor, about 1.3 MB) are made once per call.  Measured on a 2-vCPU host,
-# fresh process per run: at 1 << 14 the N=1001 scan peaked 1.3 MB lower
-# (48.5 against 49.8 MB; the kernel that allocated per block peaked at
-# 53.0 MB) but the N=201 factor run took 5-8% longer; 1 << 16 raised the
-# factor run's peak by 2.6 MB for no time told apart from noise.
+# Phasors per row block of _real_sums, whose work arrays (25 bytes per
+# phasor, about 0.8 MB) are made once per call.  Measured on a 2-vCPU host,
+# fresh process per run, with the former 41-byte arrays: at 1 << 14 the
+# N=1001 scan peaked 1.3 MB lower (48.5 against 49.8 MB; the kernel that
+# allocated per block peaked at 53.0 MB) but the N=201 factor run took
+# 5-8% longer; 1 << 16 raised the factor run's peak by 2.6 MB for no time
+# told apart from noise.
 _BLOCK_PHASORS = 1 << 15
 
 # Phasors per block of the integer sweeps, so a block's complex arrays stay
@@ -199,7 +200,10 @@ def _real_sums(xis, spec: ContinuousSpec, m, weights) -> np.ndarray:
     Rows run in blocks of about _BLOCK_PHASORS phasors through work arrays
     made once per call, so memory does not grow with the grid and no block
     allocates; each row is summed on its own, so results are bitwise
-    identical however the grid is chunked.
+    identical however the grid is chunked.  A block's longdouble phases and
+    its complex phasors share one buffer: the phases are read into the
+    float64 turns before the phasors overwrite them, so a block phasor costs
+    25 bytes (16 shared, 8 of turns, 1 of sign mask), not 41.
 
     The reduction gives the value of np.mod(t, 1): t - trunc(t) is exact
     while |t| < 2^63 (trunc by the int64 cast), and adding 1 to a negative
@@ -225,12 +229,17 @@ def _real_sums(xis, spec: ContinuousSpec, m, weights) -> np.ndarray:
     # rounding; a NaN in xs makes it NaN, and the test False.
     truncate = len(xs) > rows and (
         max(float(xs.max()), -float(xs.min())) * float(np.abs(coeff).max()) < 2.0**62)
+    shape, phasors = (rows, len(coeff)), rows * len(coeff)
+    # one buffer holds the phases t and then the phasors p; sized in bytes,
+    # so a 12-byte longdouble works as well as a 16-byte one
+    ld_size = np.dtype(np.longdouble).itemsize
+    work = np.empty(phasors * max(ld_size, 16), dtype=np.uint8)
+    t_buf = work[:phasors * ld_size].view(np.longdouble).reshape(shape)
+    p_buf = work[:phasors * 16].view(complex).reshape(shape)
     x_buf = np.empty((rows, 1), dtype=np.longdouble)
-    t_buf = np.empty((rows, len(coeff)), dtype=np.longdouble)
-    f_buf = np.empty(t_buf.shape)
+    f_buf = np.empty(shape)
     k_buf = f_buf.view(np.int64)
-    neg_buf = np.empty(t_buf.shape, dtype=bool)
-    p_buf = np.empty(t_buf.shape, dtype=complex)
+    neg_buf = np.empty(shape, dtype=bool)
     for start in range(0, len(xs), rows):
         size = min(rows, len(xs) - start)
         x, t, f, k, neg, p = (a[:size] for a in (x_buf, t_buf, f_buf, k_buf, neg_buf, p_buf))
@@ -243,7 +252,7 @@ def _real_sums(xis, spec: ContinuousSpec, m, weights) -> np.ndarray:
             np.add(t, 1, out=t, where=neg)
         else:
             np.mod(t, 1, out=t)
-        np.copyto(f, t)
+        np.copyto(f, t)  # the last read of t: p overwrites its bytes
         f *= TWO_PI
         np.cos(f, out=p.real)
         np.sin(f, out=p.imag)

@@ -470,6 +470,26 @@ class TestStreamedScan:
                                   "--step", "0.001"])
         assert rise <= 10 * 1024
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux VmHWM")
+    def test_factor_scan_memory_grows_only_with_its_candidates(self):
+        # Gathered whole, the N=9001 scan (900,001 points) rose 20.7 MB more
+        # than the N=3001 one; classified block by block it rises 1.1-1.8 MB
+        # more.  Only the report grows with N: its N - 2 candidates, whose
+        # classification and list peak at about 2.8 MB under tracemalloc
+        # (read here from a two-points-a-unit series of the same N).
+        small = fresh_hwm_rise_kb(["factor", "--n", "3001", "--dm", "4"])
+        large = fresh_hwm_rise_kb(["factor", "--n", "9001", "--dm", "4"])
+        xis = np.arange(0.0, 9002.0, 0.5)
+        values = np.random.default_rng(1).random(len(xis)) + 0j
+        series = factorizer.ScanSeries(1.0, xis, values, 9001)
+        tracemalloc.start()
+        try:
+            assert len(factorizer.report_from_series(series, "continuous_odd").candidates) == 8999
+            _, report_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (large - small) * 1024 <= report_bytes
+
 
 def fresh_hwm_rise_kb(argv: list[str]) -> int:
     """How far one cli.main(argv) run, written to /dev/null, raises the peak
@@ -819,6 +839,32 @@ class TestInputContracts:
         err = capsys.readouterr().err
         assert "step must be positive" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["scan", "--n", "33", "--xi-min", "-inf", "--xi-max", "3"],
+         "error: grid bounds and step must be finite\n"),
+        (["nslit", "--n", "15", "--l", "3", "--xi-min", "-inf", "--xi-max", "3"],
+         "error: grid bounds and step must be finite\n"),
+        (["factor", "--n", "33", "--dm", "-1e5"], "error: --dm must be finite and positive\n"),
+        (["scan", "--n", "33", "--xi-max", "3", "--dm", "-1e-3"],
+         "error: --dm must be finite and positive\n"),
+        (["factor", "--n", "30", "--scheme", "even", "--zero-factor", "-1e-3"],
+         "error: --zero-factor must be finite and positive\n"),
+        (["scan", "--n", "33", "--xi-max", "3", "--step", "-1E-3"],
+         "error: step must be positive\n"),
+    ])
+    def test_negative_values_in_exponent_form_reach_their_check(self, argv, err, capsys):
+        # argparse took -1e5, -1e-3 and -inf for flags: "expected one argument"
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_negative_grid_bounds_in_exponent_form(self, capsys):
+        argv = ["scan", "--n", "33", "--dm", "2", "--xi-max", "-99999"]
+        assert cli.main([*argv, "--xi-min", "-1e5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("xi,re,im,abs2\n-100000,") and len(out.splitlines()) == 102
+        assert cli.main([*argv, "--xi-min=-1e5"]) == 0
+        assert capsys.readouterr().out == out
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1058,6 +1104,23 @@ class TestUnwritableOrOverflowingRuns:
         captured = capsys.readouterr()
         assert_one_error_line(rc, captured.out, captured.err)
         assert "step 1e-320 is too small" in captured.err
+
+    @pytest.mark.parametrize("argv, count", [
+        (["scan", "--n", "33", "--xi-max", "3", "--step", "1e-300"], "3e+300"),
+        (["factor", "--n", "33", "--step", "1e-200"], "3.2e+201"),
+        (["factor", "--n", "34", "--scheme", "even", "--step", "1e-300"], "3.3e+301"),
+        (["nslit", "--n", "15", "--l", "3", "--xi-max", "3", "--step", "1e-300"], "3e+300"),
+        (["factor", "--n", "33", "--step", "1e-13"], "3.2e+14"),
+    ])
+    def test_grid_past_memory_or_any_array_names_step(self, argv, count, capsys):
+        # NumPy refused these with "Maximum allowed dimension exceeded" and
+        # "Unable to allocate 2.27 PiB for an array with shape ..."
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert_one_error_line(rc, captured.out, captured.err)
+        step = argv[argv.index("--step") + 1]
+        assert captured.err == (f"error: too many grid points: --step {step} makes {count} "
+                                "points, which do not fit in memory\n")
 
     @pytest.mark.parametrize("argv", [
         ["factor", "--n", "33"],

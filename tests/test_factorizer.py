@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from gaussfactor import cli
 from gaussfactor import factorizer as fz
 from gaussfactor import gausssums as gs
+from gaussfactor import nslit
 from gaussfactor.decomposition import recommend_weight_width
 from gaussfactor.factorizer import Classification
 
@@ -154,17 +157,47 @@ class TestScanBlocks:
     @pytest.mark.parametrize("count", [1, 255, 256, fz._SCAN_BLOCK_ROWS - 1,
                                        fz._SCAN_BLOCK_ROWS, 2 * fz._SCAN_BLOCK_ROWS + 1])
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_blocks_in_grid_order_with_the_whole_call_bits(self, count, workers):
+    def test_blocks_in_grid_order_with_the_whole_call_bits(self, count, workers, monkeypatch):
+        set_usable_cpus(monkeypatch, 4)
         grid = fz.uniform_grid(2.0, 2.0 + 0.004 * (count - 1), 0.004)
         assert grid.count == count
         xis = grid.points()
         blocks = list(fz.scan_blocks(self.EVALUATE, grid, workers))
+        # each run of _SCAN_BLOCK_ROWS points, in one part per pool thread
+        threads = workers if count >= fz._POOL_MIN_ROWS else 1
+        runs = [min(fz._SCAN_BLOCK_ROWS, count - start)
+                for start in range(0, count, fz._SCAN_BLOCK_ROWS)]
         assert [len(x) for x, _ in blocks] == [
-            min(fz._SCAN_BLOCK_ROWS, count - start)
-            for start in range(0, count, fz._SCAN_BLOCK_ROWS)]
+            len(part) for run in runs for part in np.array_split(np.empty(run), min(threads, run))]
         assert np.concatenate([x for x, _ in blocks]).tobytes() == xis.tobytes()
         whole = gs.continuous_sum_grid(xis, self.SPEC, self.W4)
         assert np.concatenate([v for _, v in blocks]).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("count", [256, 1000, fz._SCAN_BLOCK_ROWS + 2])
+    def test_pattern_blocks_over_unequal_parts_have_the_whole_call_bits(self, count,
+                                                                         monkeypatch):
+        set_usable_cpus(monkeypatch, 4)
+        grid = fz.uniform_grid(-1.5, -1.5 + 0.0037 * (count - 1), 0.0037)
+        evaluate = functools.partial(nslit.green_sum, cfg=nslit.NSlitConfig(15, 3))
+        blocks = list(fz.scan_blocks(evaluate, grid, workers=3))
+        assert len({len(x) for x, _ in blocks}) > 1  # parts of unequal length
+        whole = nslit.green_sum(grid.points(), nslit.NSlitConfig(15, 3))
+        assert np.concatenate([v for _, v in blocks]).tobytes() == whole.tobytes()
+
+    def test_a_run_allocates_its_points_and_values_once(self, monkeypatch):
+        # each thread's values are yielded as they were made; joining them
+        # into one block allocated them twice, 40 bytes a point, not 24
+        set_usable_cpus(monkeypatch, 4)
+        grid = fz.uniform_grid(2.0, 2.0 + 0.004 * (fz._SCAN_BLOCK_ROWS - 1), 0.004)
+        tracemalloc.start()
+        try:
+            blocks = list(fz.scan_blocks(lambda x: x.astype(complex), grid, workers=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(x) for x, _ in blocks] == [10923, 10923, 10922]
+        assert all(np.array_equal(x, v) for x, v in blocks)
+        assert peak <= 24 * grid.count + 64 * 1024  # and a thread pool's small objects
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_block_outlives_its_yield(self, workers):
@@ -491,6 +524,71 @@ class TestWindowedClassification:
         for n, w in ((30, W8), (60, W10)):
             series = fz._scan_for(n, w, 0.01)
             self.assert_full_grid_equal(series, zero_factor=fz.DEFAULT_ZERO_FACTOR)
+
+
+# SHA-256 of each `factor ... --format json` report as the classifier
+# wrote it from the whole series, before it read the scan block by block
+STREAMED_REPORTS = [
+    (["factor", "--n", "33", "--dm", "10"],
+     "7e02bf030eb6e9feaabd4c3a32604c8ab207c53b1f2788df5bfe84ebe0dd86fe"),
+    (["factor", "--n", "91", "--dm", "3", "--step", "0.013"],
+     "0ea82a4565c351ad9b0d8479a734286641eb39d7fbda5e7e3fe7f89e49318107"),
+    (["factor", "--n", "105", "--dm", "2.5", "--peak-factor", "1.5"],
+     "28e2ef024ae1157f811aaac08133796f8123eff59f239912677c51c4346ad558"),
+    (["factor", "--n", "30", "--scheme", "even", "--dm", "8"],
+     "39e8c04b123a7cbbbfea08f30bbed34532c2b4f72ea85b4beb57edf6a1ab71dc"),
+    (["factor", "--n", "60", "--scheme", "even", "--dm", "2", "--step", "0.007"],
+     "bd9bfbe0d06f9a2fc851bcf7694042dc32f8f25c08434b227a88768c23f34252"),
+    # about five samples a window: the fallbacks of fewer than 3 off-core samples
+    (["factor", "--n", "51", "--dm", "10", "--step", "0.37"],
+     "204b658fe66caa0f922525839c094b97fad39c4fd911a2e0cb516be9fbb6e875"),
+]
+
+
+class TestStreamedClassification:
+    """factor --scheme continuous|even classify each block of the scan as
+    it arrives.  At blocks far smaller than a candidate's window, split
+    again over threads, every window and nearest sample falls across block
+    joins; the report bytes must still be those of the whole series."""
+
+    @pytest.mark.parametrize("argv, digest", STREAMED_REPORTS)
+    @pytest.mark.parametrize("rows", [7, 100, 1001])
+    def test_report_bytes_at_any_block_size(self, argv, digest, rows, monkeypatch, capsys):
+        self.assert_report_bytes(argv, digest, rows, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("argv, digest", [STREAMED_REPORTS[0], STREAMED_REPORTS[-1]])
+    def test_report_bytes_at_one_row_blocks(self, argv, digest, monkeypatch, capsys):
+        self.assert_report_bytes(argv, digest, 1, monkeypatch, capsys)
+
+    @staticmethod
+    def assert_report_bytes(argv, digest, rows, monkeypatch, capsys):
+        monkeypatch.setattr(fz, "_SCAN_BLOCK_ROWS", rows)
+        for cpus in (1, 3):
+            set_usable_cpus(monkeypatch, cpus)
+            assert cli.main([*argv, "--format", "json"]) == 0
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == digest
+
+    def test_array_levels_are_the_per_center_levels(self, master51):
+        xis, abs2 = master51.xis, master51.abs2()
+        # centers inside, at and beyond the grid's ends
+        centers = np.concatenate([np.arange(-1.0, 27.0, 0.37), [xis[0], xis[-1], 2.0, 25.0]])
+        for unit in (1.0, 51 / 35, 0.05):
+            got = fz.envelope_background(xis, abs2, centers, candidate_unit=unit)
+            want = [full_grid_background(xis, abs2, c, unit) for c in centers.tolist()]
+            assert got.tolist() == want
+
+    def test_row_medians_are_np_median(self):
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 4, size=(2000, 9)) / 3  # many ties
+        values[rng.random(values.shape) < 0.01] = np.nan
+        values[rng.random(values.shape) < 0.02] = np.inf
+        mask = rng.random(values.shape) < 0.6
+        mask[:, 0] |= ~mask.any(axis=1)
+        got = fz._row_medians(values, mask)
+        want = np.array([np.median(v[m]) for v, m in zip(values, mask)])
+        assert np.isnan(want).any() and (got == want).sum() > 1500
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestGhostCensus:

@@ -165,17 +165,47 @@ class TestBlockedKernel:
     def test_empty_grid(self):
         assert gs.continuous_sum_grid(np.array([]), SPEC33, W10).shape == (0,)
 
+    @staticmethod
+    def traced_peak(call) -> tuple[int, np.ndarray]:
+        tracemalloc.start()
+        try:
+            out = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, out
+
+    @staticmethod
+    def working_set_bound(out: np.ndarray, terms: int) -> int:
+        """The output, 25 bytes per block phasor (the shared phase and phasor
+        buffer, the float64 turns and the sign mask), and a stated slack:
+        two NumPy cast buffers of np.getbufsize() longdoubles (t -= k casts
+        the int64 turns, np.copyto the phases), the (rows, 1) argument
+        column, eight rows of `terms` longdoubles for the coefficients and
+        their temporaries, and 16 KiB of small objects."""
+        rows = max(1, gs._BLOCK_PHASORS // terms)
+        slack = 2 * np.getbufsize() * 16 + 16 * (rows + 8 * terms) + 16 * 1024
+        return out.nbytes + 25 * rows * terms + slack
+
+    @pytest.mark.parametrize("n, xis, w", [
+        (1001, 2.0 + 0.004 * np.arange(100_000), gs.WeightProfile.for_width(4.0)),
+        (201, 1.0 + 0.01 * np.arange(20001), broad_profile(201)),
+    ])
+    def test_working_set_is_25_bytes_a_block_phasor(self, n, xis, w):
+        # with the phases and the phasors in arrays of their own, a block
+        # phasor took 41 bytes: about 510 KB more than this bound allows
+        m, weights = w.indices(), w.weights()
+        peak, out = self.traced_peak(
+            lambda: gs._real_sums(xis, gs.ContinuousSpec(1.0, float(n)), m, weights))
+        assert peak <= self.working_set_bound(out, len(m))
+
     def test_peak_memory_bounded_at_n201(self):
         # the one-piece kernel peaks near 1 GB here (20001 x 1139 phases)
         w = broad_profile(201)
         xis = 1.0 + 0.01 * np.arange(20001)
-        tracemalloc.start()
-        try:
-            gs.continuous_sum_grid(xis, gs.ContinuousSpec(1.0, 201.0), w)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 25 * 2**20
+        peak, out = self.traced_peak(
+            lambda: gs.continuous_sum_grid(xis, gs.ContinuousSpec(1.0, 201.0), w))
+        assert peak <= self.working_set_bound(out, 2 * w.m_max + 1)
 
 
 def mod_reference(xis, spec, m, weights, rows=64):
