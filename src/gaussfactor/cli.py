@@ -57,6 +57,12 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An absent flag sets no attribute, so RunConfig's field defaults are
+    the only copy of each default (subparsers are made of this class too)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     def error(self, message):  # config errors exit 1, not argparse's 2
         raise ConfigError(message)
 
@@ -424,19 +430,17 @@ def build_parser() -> _Parser:
 
     flags = {
         "--n": dict(dest="n_target", type=int),
-        "--dm": dict(dest="delta_m", type=float, default=10.0),
-        "--m-terms": dict(dest="m_terms", type=int, default=None,
-                          help="truncation M (default ceil(4*dm))"),
-        "--xi-min": dict(type=float, default=0.0),
-        "--xi-max": dict(type=float, default=0.0),
-        "--step": dict(type=float, default=0.01),
-        "--workers": dict(type=int, default=None,
-                          help="worker threads, at most one per usable CPU "
-                               "(default: one per usable CPU)"),
-        "--l-min": dict(type=int, default=2),
-        "--l-max": dict(type=int, default=None),
-        "--output": dict(dest="output_path", default=None),
-        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--dm": dict(dest="delta_m", type=float),
+        "--m-terms": dict(dest="m_terms", type=int, help="truncation M (default ceil(4*dm))"),
+        "--xi-min": dict(type=float),
+        "--xi-max": dict(type=float),
+        "--step": dict(type=float),
+        "--workers": dict(type=int, help="worker threads, at most one per usable CPU "
+                                         "(default: one per usable CPU)"),
+        "--l-min": dict(type=int),
+        "--l-max": dict(type=int),
+        "--output": dict(dest="output_path"),
+        "--format": dict(choices=("csv", "json")),
     }
 
     def add(sp, *names):
@@ -446,37 +450,34 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("scan", help="continuous-sum scan over a xi grid")
     add(sp, "--n", "--dm", "--m-terms", "--xi-min", "--xi-max", "--step", "--workers",
         "--output", "--format")
-    sp.add_argument("--a", dest="a_param", type=float, default=1.0)
-    sp.add_argument("--b", dest="b_param", type=float, default=None)
+    sp.add_argument("--a", dest="a_param", type=float)
+    sp.add_argument("--b", dest="b_param", type=float)
 
     sp = sub.add_parser("factor", help="run a factor-extraction scheme")
     add(sp, "--n", "--dm", "--m-terms", "--step", "--l-max", "--output", "--format")
-    sp.add_argument("--scheme", choices=("continuous", "even", "lines", "reciprocate", "truncated"),
-                    default="continuous")
-    sp.add_argument("--peak-factor", type=float, default=factorizer.DEFAULT_PEAK_FACTOR)
-    sp.add_argument("--zero-factor", type=float, default=factorizer.DEFAULT_ZERO_FACTOR)
-    sp.add_argument("--threshold", type=float, default=factorizer.DEFAULT_GHOST_THRESHOLD)
+    sp.add_argument("--scheme", choices=("continuous", "even", "lines", "reciprocate", "truncated"))
+    sp.add_argument("--peak-factor", type=float)
+    sp.add_argument("--zero-factor", type=float)
+    sp.add_argument("--threshold", type=float)
 
     sp = sub.add_parser("reciprocate", help="complete reciprocate series")
     add(sp, "--n", "--l-max", "--output", "--format")
-    sp.add_argument("--samples", type=int, default=None,
-                    help="Monte-Carlo term count (default: complete sum)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--samples", type=int, help="Monte-Carlo term count (default: complete sum)")
+    sp.add_argument("--seed", type=int)
 
     sp = sub.add_parser("nslit", help="N-slit pattern (CSV) or factor sweep (JSON)")
     add(sp, "--n", "--xi-min", "--xi-max", "--step", "--l-max", "--output")
-    sp.add_argument("--l", dest="l_talbot", type=int, default=None,
+    sp.add_argument("--l", dest="l_talbot", type=int,
                     help="emit the intensity pattern at this Talbot distance")
-    sp.add_argument("--spread-threshold", type=float, default=nslit.DEFAULT_SPREAD_THRESHOLD)
+    sp.add_argument("--spread-threshold", type=float)
 
     sp = sub.add_parser("ghost", help="ghost-factor census of the truncated sum (JSON)")
     add(sp, "--n", "--l-min", "--l-max", "--output")
     sp.add_argument("--m-terms", dest="m_terms", type=int, required=True)
-    sp.add_argument("--threshold", type=float, default=factorizer.DEFAULT_GHOST_THRESHOLD)
+    sp.add_argument("--threshold", type=float)
 
     sp = sub.add_parser("verify", help="run the named verification suites")
-    sp.add_argument("--suite", dest="suites", nargs="+", default=["all"],
-                    choices=sorted(verify.SUITES) + ["all"])
+    sp.add_argument("--suite", dest="suites", nargs="+", choices=sorted(verify.SUITES) + ["all"])
     return p
 
 

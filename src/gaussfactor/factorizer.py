@@ -8,7 +8,6 @@ candidates that actually divide the target (checked by integer division).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -241,15 +240,13 @@ def _usable_cpus() -> int:
 
 
 # Rows per run of a scan: as many rows as a kernel block of _real_sums
-# holds phasors, so a run's values take 512 KB.  Each run wakes the pool
-# threads and then the caller once.  On a loaded 2-vCPU host a wake-up took
-# up to about 3 ms, and 8192-row runs (31 for the 249,501-row N=1001 scan)
-# ran that scan up to about 10% slower than one run, for 1.8 MB less peak
-# RSS than this size (measured when each run was joined into one block).
+# holds phasors, so a run's values take 512 KB.  Each run of every grid,
+# however short, wakes the pool threads and then the caller once.  On a
+# loaded 2-vCPU host a wake-up took up to about 3 ms, and 8192-row runs
+# (31 for the 249,501-row N=1001 scan) ran that scan up to about 10% slower
+# than one run, for 1.8 MB less peak RSS than this size (measured when each
+# run was joined into one block).
 _SCAN_BLOCK_ROWS = _BLOCK_PHASORS
-
-# Grids shorter than this are evaluated on the calling thread.
-_POOL_MIN_ROWS = 256
 
 
 def scan_blocks(
@@ -261,35 +258,30 @@ def scan_blocks(
     rows, or an N-slit pattern) on the grid, as (xis, values) blocks in
     grid order.
 
-    The points are made _SCAN_BLOCK_ROWS at a time.  One thread pool serves
-    the whole grid: each run of points is split into one part per thread,
+    The points are made _SCAN_BLOCK_ROWS at a time.  One pool of
+    min(workers, usable CPUs) threads serves every grid, even one of a row
+    (workers=1 gives a pool of one thread): each run of points is split
+    into one part per thread (one per point in a run of fewer points),
     and each part is yielded as a block of its own, holding the values its
     thread's evaluate call made, so no values are copied or joined.  Only
     one run's points and values are held at a time (the generator keeps no
     reference to a block it has yielded), and the values are identical
-    regardless of worker count.  The pool has at most one thread per usable
-    CPU (_usable_cpus); workers=None asks for one per usable CPU.  The
-    worker count is checked at the first next(), before any block is
-    evaluated.
+    regardless of worker count.  workers=None asks for one thread per
+    usable CPU (_usable_cpus).  The worker count is checked at the first
+    next(), before any block is evaluated.
     """
     cpus = _usable_cpus()
     if workers is None:
         workers = cpus
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    pool_size = min(workers, cpus) if grid.count >= _POOL_MIN_ROWS else 1
-    pool = ThreadPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
-
-    def run(start: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        x = grid.points(start, start + _SCAN_BLOCK_ROWS)
-        if pool is None:
-            return [(x, evaluate(x))]
-        parts = np.array_split(x, min(pool_size, len(x)))
-        return list(zip(parts, pool.map(evaluate, parts)))
-
-    with pool or contextlib.nullcontext():
+    threads = min(workers, cpus)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         for start in range(0, grid.count, _SCAN_BLOCK_ROWS):
-            blocks = run(start)[::-1]
+            x = grid.points(start, start + _SCAN_BLOCK_ROWS)
+            parts = np.array_split(x, min(threads, len(x)))
+            blocks = list(zip(parts, pool.map(evaluate, parts)))[::-1]
+            del x, parts  # so a yielded block is held by its caller alone
             while blocks:
                 yield blocks.pop()
 

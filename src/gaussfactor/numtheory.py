@@ -85,29 +85,16 @@ def _jacobi_array(a, b) -> np.ndarray:
     return out
 
 
-# Witnesses giving a deterministic Miller-Rabin test below 2^64.
+# Witnesses giving a deterministic Miller-Rabin test below 3.18e23, past
+# 2^64 (Sorenson and Webster, Math. Comp. 86, 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TRIAL_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Primality test, deterministic for n < 2^64.
-
-    Trial division below 1e6, Miller-Rabin with a fixed witness set above.
-    """
-    if n < 2:
-        return False
-    if n < _TRIAL_LIMIT:
-        if n < 4:
-            return True
-        if n % 2 == 0:
-            return False
-        f = 3
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
+    """Primality test, deterministic for n < 2^64: Miller-Rabin with a fixed
+    witness set for every n >= 4."""
+    if n < 4:
+        return n >= 2
     if n % 2 == 0:
         return False
     d = n - 1

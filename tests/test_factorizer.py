@@ -96,7 +96,7 @@ class TestScanSeries:
         spec = gs.ContinuousSpec(1.0, 33.0)
         a = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1_000_000)
         b = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1)
-        assert pool_sizes == ([cpus] if cpus else [])
+        assert pool_sizes == [cpus or 1, 1]
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_default_workers_one_per_cpu(self, monkeypatch, pool_sizes):
@@ -104,7 +104,7 @@ class TestScanSeries:
         spec = gs.ContinuousSpec(1.0, 33.0)
         a = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33)
         b = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1)
-        assert pool_sizes == [4]
+        assert pool_sizes == [4, 1]
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_pool_sized_by_cpu_affinity(self, monkeypatch, pool_sizes):
@@ -164,11 +164,10 @@ class TestScanBlocks:
         xis = grid.points()
         blocks = list(fz.scan_blocks(self.EVALUATE, grid, workers))
         # each run of _SCAN_BLOCK_ROWS points, in one part per pool thread
-        threads = workers if count >= fz._POOL_MIN_ROWS else 1
         runs = [min(fz._SCAN_BLOCK_ROWS, count - start)
                 for start in range(0, count, fz._SCAN_BLOCK_ROWS)]
         assert [len(x) for x, _ in blocks] == [
-            len(part) for run in runs for part in np.array_split(np.empty(run), min(threads, run))]
+            len(part) for run in runs for part in np.array_split(np.empty(run), min(workers, run))]
         assert np.concatenate([x for x, _ in blocks]).tobytes() == xis.tobytes()
         whole = gs.continuous_sum_grid(xis, self.SPEC, self.W4)
         assert np.concatenate([v for _, v in blocks]).tobytes() == whole.tobytes()
@@ -293,7 +292,7 @@ class TestCpuQuota:
         spec = gs.ContinuousSpec(1.0, 33.0)
         a = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33)
         b = fz.scan_series(spec, W10, 2.0, 17.0, 0.01, n_label=33, workers=1)
-        assert pool_sizes == [2]
+        assert pool_sizes == [2, 1]
         assert a.values.tobytes() == b.values.tobytes()
 
 
@@ -311,7 +310,7 @@ class TestFactorSchemesUseEveryCpu:
             set_usable_cpus(monkeypatch, cpus)
             assert cli.main(argv + ["--format", "json"]) == 0
             out[cpus] = capsys.readouterr().out.encode()
-        assert pool_sizes == [4]
+        assert pool_sizes == [1, 4]
         assert out[1] == out[4]
         assert json.loads(out[1])["factors"]
 

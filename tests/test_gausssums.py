@@ -222,12 +222,29 @@ def mod_reference(xis, spec, m, weights, rows=64):
     return out
 
 
+# xi one ulp off a multiple of B = 33 puts every A = 1 phase m xi + m^2 xi / B
+# just below or just above an integer
+NEAR_33 = np.array([np.nextafter(33.0 * k, d) for k in range(-3, 4) for d in (-np.inf, np.inf)])
+
+# (A, xis): a grid of three blocks of W10's 81 terms, then calls of one
+# block (at most 404 rows), which took np.mod while only calls of more than
+# one block truncated
+KERNEL_GRIDS = [
+    *(pytest.param(a, np.concatenate([
+        [0.0, -0.0, -3.0, -2.5, -1e6 - 0.37, 1e6 + 0.123, 987654.321],
+        NEAR_33, np.linspace(-40.0, 40.0, 1001)]), id=str(a)) for a in (1.0, 0.37)),
+    *(pytest.param(a, np.array(x, dtype=float), id=f"{a}-{name}") for a in (1.0, 0.37)
+      for name, x in [("0.0", [0.0]), ("-0.0", [-0.0]), ("-3", [-3.0]), ("12.345", [12.345]),
+                      ("1e8", [1e8]), ("-1e12", [-1e12]),
+                      ("61-points", np.linspace(-40.0, 40.0, 61)), ("empty", [])]),
+]
+
+
 class TestKernelBitwise:
     """_real_sums must give the words of the np.mod and np.exp formula.
 
-    The kernel reduces phases by int64 truncation (in calls of more than one
-    block whose phases stay below 2^62, else by np.mod) and writes
-    phasors with cos and sin.  NumPy picks its SIMD sin, cos and exp loops
+    The kernel reduces phases by int64 truncation (in calls whose phases
+    stay below 2^62, else by np.mod) and writes phasors with cos and sin.  NumPy picks its SIMD sin, cos and exp loops
     per build and CPU, so this is checked on the kernel's real grids, not
     assumed: a build whose sin/cos differ from its complex exp fails here,
     and the continuous outputs would then move.
@@ -253,17 +270,12 @@ class TestKernelBitwise:
         xis = 2.0 + 0.004 * np.arange(60_000)
         assert self.differing_words(xis, gs.ContinuousSpec(1.0, 1001.0), w) == 0
 
-    @pytest.mark.parametrize("a_param", [1.0, 0.37])
-    def test_signed_zeros_negative_and_near_integer_phases(self, a_param):
-        # xi one ulp off a multiple of B puts every A = 1 phase m xi + m^2 xi / B
-        # just below or just above an integer
-        near = np.array([np.nextafter(33.0 * k, d) for k in range(-3, 4) for d in (-np.inf, np.inf)])
-        xis = np.concatenate([[0.0, -0.0, -3.0, -2.5, -1e6 - 0.37, 1e6 + 0.123, 987654.321],
-                              near, np.linspace(-40.0, 40.0, 1001)])
+    @pytest.mark.parametrize("a_param, xis", KERNEL_GRIDS)
+    def test_signed_zeros_negative_and_near_integer_phases(self, a_param, xis):
         spec = gs.ContinuousSpec(a_param, 33.0)
         assert self.differing_words(xis, spec, W10) == 0
         m = W10.indices().astype(np.longdouble)
-        turns = np.mod(np.outer(near.astype(np.longdouble), m + m * m / 33), 1)
+        turns = np.mod(np.outer(NEAR_33.astype(np.longdouble), m + m * m / 33), 1)
         assert turns.max() > 1 - 1e-12 and 0 < turns[turns > 0].min() < 1e-12
 
     def test_phases_past_2_63_take_np_mod(self, monkeypatch):

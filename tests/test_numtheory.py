@@ -137,6 +137,40 @@ def test_is_prime_against_sieve():
         assert nt.is_prime(n) == bool(sieve[n]), n
 
 
+def test_is_prime_within_ten_thousand_of_a_million_against_a_sieve():
+    # trial division used to hand over to Miller-Rabin at 10^6; a composite
+    # of the segment has a factor f <= isqrt(hi) < lo, so crossing out the
+    # multiples of every such f leaves the primes
+    lo, hi = 10**6 - 10**4, 10**6 + 10**4
+    segment = bytearray([1]) * (hi - lo + 1)
+    for f in range(2, math.isqrt(hi) + 1):
+        first = -lo % f
+        segment[first::f] = bytearray(len(segment[first::f]))
+    for n in range(lo, hi + 1):
+        assert nt.is_prime(n) == bool(segment[n - lo]), n
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the strong (Miller-Rabin) test to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+# Each the least composite that passes the strong test to the first k prime
+# bases, and fails it at the next; the last fails only at 37.
+@pytest.mark.parametrize("n, k", [
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 8), (3825123056546413051, 11)])
+def test_strong_pseudoprimes_are_composite(n, k):
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    assert all(strong_probable_prime(n, a) for a in bases[:k])
+    assert not strong_probable_prime(n, bases[k])
+    assert not nt.is_prime(n)
+
+
 def test_is_prime_large_values():
     assert nt.is_prime(2**61 - 1)
     assert not nt.is_prime(2**61 + 1)
