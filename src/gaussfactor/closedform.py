@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import jacobi_symbol
-from .gausssums import _reduced, _trial_arguments, standard_gauss
+from .gausssums import _period_sums, _reduced, _trial_arguments
 
 
 @dataclass(frozen=True)
@@ -115,24 +115,44 @@ def predict_finite_w_modulus(q: int, r: int, m: int) -> float:
     return 0.0 if m % 2 == 0 else math.sqrt(2.0 / r)
 
 
-def reciprocity_transform(n_target: int, l: int) -> complex:
+# e^{-i pi/4}, the unit factor of the reciprocity transform
+_EIGHTH_ROOT = cmath.exp(-1j * math.pi / 4)
+
+
+def reciprocity_transform(n_target, l) -> complex | np.ndarray:
     """Reciprocity route to the complete reciprocate sum:
-    e^{-i pi/4} / (2 sqrt(2 l N)) * G(l, 4N)."""
-    if l < 1 or n_target < 1:
+    e^{-i pi/4} / (2 sqrt(2 l N)) * G(l, 4N).
+
+    Integer arrays of N and l broadcast and give one value per element, with
+    the bits of a scalar call.  G(l, 4N) is a _period_sums row of 4N terms
+    (4 | 4N, so N + 1 of them are exponentiated); the factor and the product
+    are taken in float64 parts in the order of Python's complex division by
+    a float and complex product, so a scalar call has the bits of that
+    complex expression.
+    """
+    n, ls = np.broadcast_arrays(n_target, l)
+    if np.any(ls < 1) or np.any(n < 1):
         raise ValueError("n_target and l must be positive")
-    g = standard_gauss(l, 4 * n_target)
-    return cmath.exp(-1j * math.pi / 4) / (2.0 * math.sqrt(2.0 * l * n_target)) * g
+    b = (4 * n).reshape(-1)
+    g = _period_sums(_reduced(ls.reshape(-1), b), b)
+    scale = 2.0 * np.sqrt(2.0 * ls.reshape(-1) * n.reshape(-1))
+    re, im = _EIGHTH_ROOT.real / scale, _EIGHTH_ROOT.imag / scale
+    out = np.empty(len(b), dtype=complex)
+    out.real = re * g.real - im * g.imag
+    out.imag = re * g.imag + im * g.real
+    return complex(out[0]) if n.ndim == 0 else out.reshape(n.shape)
 
 
 def predict_reciprocate_moduli(n_target: int, ls) -> tuple[np.ndarray, np.ndarray]:
     """|A_N^(l-1)(l)| for odd N and every l in ls, with the shared factors
     s = gcd(l, N): one array formula, each value the bits of
-    predict_reciprocate_modulus(n_target, l).value.
+    predict_reciprocate_modulus(n_target, l).value.  n_target may be an
+    integer array with one N per l.
 
     With k = l/s the modulus is 1 at factors (k = 1), otherwise
     sqrt(2/k), sqrt(1/k), 0 or sqrt(1/k) for k in M0, M1, M2 or M3.
     """
-    if n_target % 2 == 0:
+    if np.any(np.asarray(n_target) % 2 == 0):
         raise ValueError("N must be odd")
     ls = _trial_arguments(ls)
     shared = np.gcd(ls, _reduced(n_target, ls))

@@ -40,6 +40,10 @@ _BLOCK_PHASORS = 1 << 15
 # its heap.  At 1 << 15 the integer_schemes peak RSS was 2.5 MB higher.
 _SWEEP_PHASORS = 1 << 13
 
+# Rows of one modulus that _period_sums sums as one 2-D block rather than
+# row by row: a block call costs about as much as eight single rows.
+_SHARED_ROWS = 8
+
 # Mantissa bits of the platform longdouble.  Real-argument phases run to
 # 1e5 turns and beyond; an 80-bit (63-bit mantissa) or wider format keeps
 # their fractional part 2^11 times more accurate than float64 would.
@@ -140,20 +144,31 @@ def _quad_residues(m, c, b) -> np.ndarray:
     """Exact residues (m^2 * c) mod b, elementwise over broadcast arrays, for
     coefficients c already reduced into [0, b).
 
-    int64 stays exact for (m*m) % b and the follow-up multiply while every
-    modulus and every |m| is at most _INT64_SAFE_MODULUS; otherwise the same
-    expression runs on Python ints in an object array.
+    While m^2 (b - 1) < 2^63 for the largest |m| and modulus, one int64
+    residue (m*m*c) % b is exact.  Past that, int64 stays exact for
+    (m*m) % b and the follow-up multiply while every modulus and every |m|
+    is at most _INT64_SAFE_MODULUS; otherwise the same expression runs on
+    Python ints in an object array.  All three give the same residues.
     """
-    small = np.max(b) <= _INT64_SAFE_MODULUS and np.max(np.abs(m)) <= _INT64_SAFE_MODULUS
+    m_top = int(np.abs(np.asarray(m)).max(initial=0))
+    b_top = int(np.asarray(b).max(initial=1))
+    if m_top * m_top * max(b_top - 1, 1) < 2**63:
+        m, c, b = (np.asarray(x, dtype=np.int64) for x in (m, c, b))
+        return (m * m * c) % b
+    small = b_top <= _INT64_SAFE_MODULUS and m_top <= _INT64_SAFE_MODULUS
     dtype = np.int64 if small else object
     m, c, b = (np.asarray(x, dtype=dtype) for x in (m, c, b))
     return ((m * m) % b * c) % b
 
 
 def _reduced(x, b) -> np.ndarray:
-    """x mod b elementwise, computed in Python ints (exact for integers of any
-    size) and returned in b's dtype, where the residues fit."""
-    return np.asarray(np.asarray(x, dtype=object) % b, dtype=np.asarray(b).dtype)
+    """x mod b elementwise, exact for integers of any size, returned in b's
+    dtype (the residues fit it): in int64 when x and b are both int64
+    arrays or ints, otherwise in Python ints through an object array."""
+    xa, ba = np.asarray(x), np.asarray(b)
+    if xa.dtype.kind == "i" and ba.dtype.kind == "i":
+        return np.remainder(xa, ba).astype(ba.dtype, copy=False)
+    return np.asarray(np.asarray(x, dtype=object) % b, dtype=ba.dtype)
 
 
 def _phase_exp(residues, modulus, sign: float = 1.0) -> np.ndarray:
@@ -178,17 +193,20 @@ def _phase_exp(residues, modulus, sign: float = 1.0) -> np.ndarray:
     return out
 
 
-# Callers sweep one modulus at a time (the verify suites and acceptance
-# criteria), so a few cached tables give every hit and a caller's large
-# modulus is not kept alive for long.
+# Tables serve a modulus shared by many rows, one modulus at a time (G(a, b)
+# over many a, a run of rows of one modulus in _period_sums, the lines sweep,
+# the wtilde and ring moduli), so a few cached tables give every hit and a
+# caller's large modulus is not kept alive for long.  A row whose modulus is
+# its own (most of the reciprocate sweep, G(l, 4N) over many N) makes its
+# own phasors and builds no table.
 _TABLE_CACHE = 4
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def _root_table(n: int) -> np.ndarray:
-    """Read-only table of the n-th roots of unity exp(2 pi i k / n), k in [0, n),
-    each entry the bits _phase_exp gives for its residue k."""
-    table = _phase_exp(np.arange(n), n)
+def _root_table(n: int, sign: float = 1.0) -> np.ndarray:
+    """Read-only table of the n-th roots of unity exp(sign 2 pi i k / n), k in
+    [0, n), each entry the bits _phase_exp gives for its residue k."""
+    table = _phase_exp(np.arange(n), n, sign)
     table.flags.writeable = False
     return table
 
@@ -304,25 +322,90 @@ def _blocks(sizes: Sequence[int]) -> Iterator[slice]:
         yield slice(start, len(sizes))
 
 
-def _quad_sums(m, coeffs, moduli, sign: float = 1.0, weights=None) -> np.ndarray:
+def _quad_sums(m, coeffs, moduli, sign: float = 1.0, weights=None, layout=None) -> np.ndarray:
     """Row sums sum_j weights[j] exp(sign 2 pi i m_j^2 c / n), one per residue
     coefficient c in coeffs, with one modulus n per row or one shared by all.
 
+    With a layout, each row sums the terms row[layout] instead: a term
+    computed once stands for every position of the row that repeats it.
     Each row is summed on its own (the pairwise order of a 1-D sum),
-    _SWEEP_PHASORS phasors at a time.  With a shared modulus, a positive
-    sign and at least n phasors to make, they are gathered from
-    _root_table(n) (the bits exponentiating each residue gives).
+    _SWEEP_PHASORS summed terms at a time.  With a shared modulus and at
+    least n phasors to make, they are gathered from _root_table(n, sign)
+    (the bits exponentiating each residue gives).
     """
     shared = np.ndim(moduli) == 0
     table = None
-    if shared and sign > 0 and moduli <= min(_INT64_SAFE_MODULUS, len(coeffs) * len(m)):
-        table = _root_table(moduli)
+    if shared and moduli <= min(_INT64_SAFE_MODULUS, len(coeffs) * len(m)):
+        table = _root_table(moduli, sign)
     out = np.empty(len(coeffs), dtype=complex)
-    for block in _blocks([len(m)] * len(coeffs)):
+    rows = max(1, _SWEEP_PHASORS // (len(m) if layout is None else len(layout)))
+    for start in range(0, len(coeffs), rows):
+        block = slice(start, start + rows)
         b = moduli if shared else moduli[block, None]
         res = _quad_residues(m, coeffs[block, None], b)
-        phasors = _phase_exp(res, b, sign) if table is None else table[res]
-        out[block] = (phasors if weights is None else weights * phasors).sum(axis=1)
+        terms = _phase_exp(res, b, sign) if table is None else table[res]
+        if weights is not None:
+            terms *= weights
+        if layout is not None:
+            terms = np.take(terms, layout, axis=1)  # C order: each row summed on its own
+        out[block] = terms.sum(axis=1)
+    return out
+
+
+def _period_terms(b):
+    """Terms m = 0 .. _period_terms(b) - 1 of a period b are all its distinct
+    ones: b // 2 + 1, or b // 4 + 1 when 4 | b (elementwise over arrays)."""
+    return np.where(b % 4 == 0, b // 4, b // 2) + 1
+
+
+def _period_sums(coeffs, moduli, sign: float = 1.0) -> np.ndarray:
+    """Complete sums sum_{m=0}^{b-1} exp(sign 2 pi i m^2 c / b), one per
+    residue coefficient c in coeffs, with one modulus b per row or one
+    shared by all.
+
+    Term b - m has the residue of term m, since (b - m)^2 = m^2 (mod b), and
+    when 4 | b so has term m + b/2, since (m + b/2)^2 = m^2 + b (m + b/4).
+    So only the _period_terms(b) terms m <= b // 2 (m <= b // 4 when 4 | b)
+    are exponentiated.  Each row is laid out in the order m = 0 .. b-1: the
+    computed terms, then their mirror, then that half repeated when 4 | b;
+    and it is summed on its own, so every sum keeps the bits of the pairwise
+    sum over its b terms.  A modulus shared by the whole call or by at least
+    _SHARED_ROWS rows lays its rows out as 2-D _quad_sums blocks (phasors
+    from _root_table(b, sign) when there are enough); the other rows are
+    exponentiated _SWEEP_PHASORS computed terms at a time and laid out one
+    by one.
+    """
+    if np.ndim(moduli) == 0:
+        b = int(moduli)
+        p = b // 2 if b % 4 == 0 else b
+        m = np.arange(b) % p
+        return _quad_sums(np.arange(_period_terms(b)), coeffs, b, sign,
+                          layout=np.minimum(m, p - m))
+    out = np.empty(len(moduli), dtype=complex)
+    order = np.argsort(moduli, kind="stable")
+    values, firsts, counts = np.unique(moduli[order], return_index=True, return_counts=True)
+    many = counts >= _SHARED_ROWS
+    for b, first, count in zip(values[many].tolist(), firsts[many].tolist(),
+                               counts[many].tolist()):
+        rows = order[first:first + count]
+        out[rows] = _period_sums(coeffs[rows], b, sign)
+    rows = order[~np.repeat(many, counts)]
+    terms = _period_terms(moduli[rows]).astype(np.int64)
+    for block in _blocks(terms.tolist()):
+        b, k, at = moduli[rows[block]], terms[block], rows[block]
+        starts = np.cumsum(k) - k
+        flat = np.repeat(b, k)
+        m = np.arange(len(flat)) - np.repeat(starts, k)
+        q = _phase_exp(_quad_residues(m, np.repeat(coeffs[at], k), flat), flat, sign)
+        row_buf = np.empty(int(b.max()), dtype=complex)
+        for i, l, a, h in zip(at.tolist(), b.tolist(), starts.tolist(), k.tolist()):
+            p = l // 2 if l % 4 == 0 else l
+            row = row_buf[:l]
+            row[:h] = q[a:a + h]
+            # m = h .. p-1 take the phasor of p - m = p-h .. 1
+            row[h:p] = q[a + p - h:a:-1]
+            row[p:] = row[:l - p]
+            out[i] = row.sum()
     return out
 
 
@@ -333,22 +416,29 @@ def discrete_sum(n_target: int, l: int, w: WeightProfile) -> complex:
 
 def discrete_sweep(n_target: int, ls, w: WeightProfile) -> np.ndarray:
     """discrete_sum(n_target, l, w) for every l in ls, bitwise the same: one
-    _quad_sums row of 2M+1 weighted terms per l, all of modulus N."""
+    _quad_sums row of 2M+1 weighted terms per l, all of modulus N.
+
+    Terms m and -m are equal: m^2 has one residue, and the weights are
+    symmetric bit for bit.  So only the M+1 terms m >= 0 are exponentiated
+    and weighted, and each row is laid out as the term of |m| for
+    m = -M .. M.
+    """
     if n_target < 1:
         raise ValueError("n_target and l must be positive")
     coeffs = _reduced(_trial_arguments(ls), n_target)
-    return _quad_sums(w.indices(), coeffs, n_target, weights=w.weights())
+    return _quad_sums(np.arange(w.m_max + 1), coeffs, n_target,
+                      weights=w.weights()[w.m_max:], layout=np.abs(w.indices()))
 
 
 def standard_gauss(a, b: int) -> complex | np.ndarray:
     """Standard quadratic Gauss sum G(a, b): sum over one period b of exp(2 pi i m^2 a / b).
 
     `a` may be an integer array; the result then has a's shape, one sum per
-    element, each a _quad_sums row of b terms with the bits of a scalar call.
+    element, each a _period_sums row of b terms with the bits of a scalar call.
     """
     if b < 1:
         raise ValueError("b must be positive")
-    out = _quad_sums(np.arange(b), _reduced(a, b).reshape(-1), b)
+    out = _period_sums(_reduced(a, b).reshape(-1), b)
     return complex(out[0]) if np.ndim(a) == 0 else out.reshape(np.shape(a))
 
 
@@ -400,35 +490,15 @@ def reciprocate_complete(n_target: int, l: int) -> complex:
     return complex(reciprocate_complete_sweep(n_target, [l])[0])
 
 
-def reciprocate_complete_sweep(n_target: int, ls) -> np.ndarray:
-    """reciprocate_complete(n_target, l) for every l in ls, bitwise the same.
+def reciprocate_complete_sweep(n_target, ls) -> np.ndarray:
+    """reciprocate_complete(n_target, l) for every l in ls, bitwise the same:
+    one _period_sums row of l terms per l, of which only l // 2 + 1
+    (l // 4 + 1 when 4 | l) are exponentiated.
 
-    Term l - m has the residue of term m, since (l - m)^2 = m^2 (mod l), so
-    only the terms m <= l // 2 are exponentiated, for runs of l holding
-    _SWEEP_PHASORS of them.  Each l's terms are then laid out in the order
-    m = 0 .. l-1 (its half, then the half mirrored) and summed on their own,
-    so every sum keeps the pairwise order of a 1-D sum over its l terms.
+    n_target may be an integer array with one N per l.
     """
     ls = _trial_arguments(ls)
-    halves = (ls // 2 + 1).astype(np.int64)
-    out = np.empty(len(ls), dtype=complex)
-    for block in _blocks(halves.tolist()):
-        b, h = ls[block], halves[block]
-        starts = np.cumsum(h) - h
-        moduli = np.repeat(b, h)
-        m = np.arange(len(moduli)) - np.repeat(starts, h)
-        q = _phase_exp(_quad_residues(m, np.repeat(_reduced(n_target, b), h), moduli),
-                       moduli, sign=-1.0)
-        terms = np.empty(int(b.max()), dtype=complex)
-        sums = np.empty(len(b), dtype=complex)
-        for i, (l, a, k) in enumerate(zip(b.tolist(), starts.tolist(), h.tolist())):
-            row = terms[:l]
-            row[:k] = q[a:a + k]
-            # m = k .. l-1 take the phasor of l - m = l-k .. 1
-            row[k:] = q[a + l - k:a:-1]
-            sums[i] = row.sum()
-        out[block] = sums / b.astype(float)
-    return out
+    return _period_sums(_reduced(n_target, ls), ls, sign=-1.0) / ls.astype(float)
 
 
 def monte_carlo_sum(n_target: int, l: int, sample_count: int, seed: int) -> complex:

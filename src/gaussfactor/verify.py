@@ -8,10 +8,11 @@ domains are covered by a fixed-seed sample of documented size.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,16 @@ def _suite(body: Callable[[list[str], _Worst], None]) -> Callable[[], SuiteResul
     return check
 
 
+def _gauss_sums(a, b) -> np.ndarray:
+    """G(a, b) elementwise over integer arrays: one _period_sums row per
+    element, with the bits of standard_gauss(a, b)."""
+    return gausssums._period_sums(gausssums._reduced(a, b), b)
+
+
 @_suite
 def check_closedform(failures: list[str], worst: _Worst) -> None:
     bs = np.arange(1, 1001)
-    diff = np.array([gausssums.standard_gauss(1, int(b)) for b in bs]) - closedform.g1b_closed(bs)
+    diff = _gauss_sums(np.ones_like(bs), bs) - closedform.g1b_closed(bs)
     for b in bs[worst.over(np.hypot(diff.real, diff.imag), 1e-8)]:
         failures.append(f"g1b mismatch at b={b}")
     # brute-force G(a, b) for every coprime a at once, one sweep per b; the
@@ -82,47 +89,61 @@ def check_closedform(failures: list[str], worst: _Worst) -> None:
             dev = np.abs(gausssums.standard_gauss(a, b) - part)
             for i in np.flatnonzero(worst.over(dev, 1e-8)):
                 failures.append(f"gab mismatch at (a={a[i]}, b={b})")
+    # the 300 draws: G(a, b) and G(a/p, b/p) in one call
     rng = random.Random(20)
+    draws = []
     for _ in range(300):
         b = rng.randint(1, 400)
         a = rng.randint(1, 4 * b)
-        p, ar, br = closedform.factor_out(a, b)
-        lhs = gausssums.standard_gauss(a, b)
-        rhs = p * gausssums.standard_gauss(ar, br)
-        if worst.over(abs(lhs - rhs), 1e-9):
-            failures.append(f"factor_out identity fails at (a={a}, b={b})")
+        draws.append((a, b, *closedform.factor_out(a, b)))
+    a, b, p, ar, br = np.array(draws).T
+    g = _gauss_sums(np.concatenate([a, ar]), np.concatenate([b, br]))
+    diff = g[:len(a)] - p * g[len(a):]
+    for i in np.flatnonzero(worst.over(np.hypot(diff.real, diff.imag), 1e-9)):
+        failures.append(f"factor_out identity fails at (a={a[i]}, b={b[i]})")
 
 
 # number of random (N, l) pairs of the reciprocity check, and their seed
 _RECIPROCITY_PAIRS, _RECIPROCITY_SEED = 500, 11
+# modulus-check rows (N, l) per sweep and predictor call
+_MODULUS_ROWS = 2048
+
+
+def _modulus_rows(rng: random.Random) -> Iterator[tuple[int, int]]:
+    """The (N, l) rows of the reciprocate modulus check: every l for small
+    odd N, sampled arguments and small divisors for every odd N up to 2001."""
+    for n in range(3, 202, 2):
+        for l in range(1, n + 1):
+            yield n, l
+    for n in range(203, 2002, 2):
+        for l in ({rng.randint(1, n) for _ in range(8)}
+                  | {d for d in range(2, min(n, 60)) if n % d == 0}):
+            yield n, l
 
 
 @_suite
 def check_reciprocity(failures: list[str], worst: _Worst) -> None:
     rng = random.Random(_RECIPROCITY_SEED)
+    pairs = []
     for _ in range(_RECIPROCITY_PAIRS):
         n = rng.randint(2, 2000)
-        l = rng.randint(1, n)
-        diff = abs(
-            gausssums.reciprocate_complete(n, l) - closedform.reciprocity_transform(n, l)
-        )
-        if worst.over(diff, 1e-8):
-            failures.append(f"reciprocity mismatch at (N={n}, l={l}): {diff:.2e}")
-    # modulus predictor against brute force: full sweep for small odd N,
-    # sampled arguments for every odd N up to 2001, one sum sweep and one
-    # predictor call per N
-    def check_moduli(n: int, ls: list[int]) -> None:
-        sums = gausssums.reciprocate_complete_sweep(n, ls)
-        pred, _ = closedform.predict_reciprocate_moduli(n, ls)
+        pairs.append((n, rng.randint(1, n)))
+    ns, ls = np.array(pairs).T
+    diff = (gausssums.reciprocate_complete_sweep(ns, ls)
+            - closedform.reciprocity_transform(ns, ls))
+    diff = np.hypot(diff.real, diff.imag)
+    for i in np.flatnonzero(worst.over(diff, 1e-8)):
+        failures.append(f"reciprocity mismatch at (N={ns[i]}, l={ls[i]}): {diff[i]:.2e}")
+    # modulus predictor against brute force: one sum sweep and one predictor
+    # call per _MODULUS_ROWS rows
+    rows = itertools.chain.from_iterable(_modulus_rows(rng))
+    while len(block := np.fromiter(itertools.islice(rows, 2 * _MODULUS_ROWS), np.int64)):
+        ns, ls = block.reshape(-1, 2).T
+        sums = gausssums.reciprocate_complete_sweep(ns, ls)
+        pred, _ = closedform.predict_reciprocate_moduli(ns, ls)
         diff = np.abs(np.hypot(sums.real, sums.imag) - pred)
         for i in np.flatnonzero(worst.over(diff, 1e-9)):
-            failures.append(f"reciprocate modulus mismatch at (N={n}, l={ls[i]})")
-
-    for n in range(3, 202, 2):
-        check_moduli(n, list(range(1, n + 1)))
-    for n in range(203, 2002, 2):
-        check_moduli(n, list({rng.randint(1, n) for _ in range(8)}
-                             | {d for d in range(2, min(n, 60)) if n % d == 0}))
+            failures.append(f"reciprocate modulus mismatch at (N={ns[i]}, l={ls[i]})")
 
 
 @_suite

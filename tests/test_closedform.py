@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -227,6 +228,42 @@ class TestReciprocityTransform:
             assert diff < 1e-9, (n, l, diff)
 
 
+def transform_by_complex_arithmetic(n: int, l: int) -> complex:
+    """The transform as one Python complex expression over G(l, 4N) summed
+    from all of its 4N terms."""
+    b = 4 * n
+    g = complex(np.exp(2j * np.pi * (np.array([m * m * l % b for m in range(b)]) / b)).sum())
+    return cmath.exp(-1j * math.pi / 4) / (2.0 * math.sqrt(2.0 * l * n)) * g
+
+
+class TestReciprocityTransformArrays:
+    PAIRS = [(1, 1), (2, 1), (7, 3), (100, 64), (1911, 12), (1911, 1911), (2000, 1999), (333, 4)]
+
+    def test_scalar_calls_have_the_bits_of_the_complex_expression(self):
+        for n, l in self.PAIRS:
+            got = cf.reciprocity_transform(n, l)
+            assert isinstance(got, complex)
+            expect = transform_by_complex_arithmetic(n, l)
+            assert (got.real, got.imag) == (expect.real, expect.imag), (n, l)
+
+    def test_arrays_broadcast_with_the_bits_of_scalar_calls(self):
+        ns = np.array([n for n, _ in self.PAIRS])
+        ls = np.array([l for _, l in self.PAIRS])
+        got = cf.reciprocity_transform(ns, ls)
+        expect = np.array([cf.reciprocity_transform(n, l) for n, l in self.PAIRS])
+        assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+        grid = cf.reciprocity_transform(ns[:, None], ls[None, :3])
+        assert grid.shape == (len(ns), 3)
+        assert grid[4:5, 2].view(np.uint64).tolist() == np.array(
+            [cf.reciprocity_transform(1911, 3)]).view(np.uint64).tolist()
+        assert cf.reciprocity_transform(np.array([], dtype=np.int64), 3).shape == (0,)
+
+    @pytest.mark.parametrize("n, l", [(0, 1), (5, 0), (np.array([3, -1]), 1)])
+    def test_rejects_nonpositive(self, n, l):
+        with pytest.raises(ValueError, match="positive"):
+            cf.reciprocity_transform(n, l)
+
+
 class TestReciprocatePredictor:
     def test_examples(self):
         assert cf.predict_reciprocate_modulus(1911, 21).value == 1.0
@@ -292,9 +329,20 @@ class TestReciprocatePredictorArray:
             expect = np.array([reciprocate_by_class(n, l)[0] for l in ls])
             assert values.view(np.uint64).tolist() == expect.view(np.uint64).tolist(), n
 
+    def test_one_n_per_l(self):
+        ns = np.array([3, 1911, 1911, 10**17 + 3, 9, 2**63 - 25])
+        ls = np.array([3, 12, 21, 10**12 + 1, 6, 2**40])
+        values, shared = cf.predict_reciprocate_moduli(ns, ls)
+        for i, (n, l) in enumerate(zip(ns.tolist(), ls.tolist())):
+            v, s = cf.predict_reciprocate_moduli(n, [l])
+            assert values[i:i + 1].view(np.uint64).tolist() == v.view(np.uint64).tolist()
+            assert int(shared[i]) == int(s[0]) == math.gcd(n, l)
+
     def test_rejections(self):
         with pytest.raises(ValueError, match="odd"):
             cf.predict_reciprocate_moduli(40, [1, 2])
+        with pytest.raises(ValueError, match="odd"):
+            cf.predict_reciprocate_moduli(np.array([41, 40]), [1, 2])
         with pytest.raises(ValueError, match="l must be positive"):
             cf.predict_reciprocate_moduli(41, [3, 0])
 

@@ -6,12 +6,14 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussfactor import factorizer as fz
 from gaussfactor import gausssums as gs
 from gaussfactor.decomposition import recommend_weight_width
 
@@ -821,6 +823,117 @@ class TestSweepsAgainstExactResidues:
         assert l > SWITCH
         expect = complex(reference_phasors(1911, l, range(20), -1.0).sum() / 20)
         assert gs.reciprocate_truncated_sweep(1911, [l], 20)[0] == expect
+
+
+def full_row_sum(c: int, b: int, sign: float) -> complex:
+    """sum_{m=0}^{b-1} exp(sign 2 pi i m^2 c / b) with every one of the b
+    terms exponentiated, in the order m = 0 .. b-1, as one 1-D sum."""
+    return complex(reference_phasors(c, b, range(b), sign).sum())
+
+
+# periods with 4 | b (the quarter layout), b = 2 mod 4 and odd b (the
+# mirrored layout), and the smallest ones where a layout is a single term
+periods = st.sampled_from([1, 2, 3, 4, 5, 8, 12, 16, 18, 27, 64, 100]) | st.integers(1, 700)
+# coefficients before reduction, on both sides of the int64 / Python-int switch
+coefficients = (st.integers(0, 10**4) | st.integers(SWITCH - 40, SWITCH + 40)
+                | st.integers(2**63 - 40, 2**63 + 40) | st.integers(0, 10**30))
+
+
+class TestPeriodSums:
+    """_period_sums exponentiates only the distinct terms of a period and
+    lays the row out again; each path has the bits of the full row."""
+
+    @given(b=periods, cs=st.lists(coefficients, max_size=12), sign=st.sampled_from([1.0, -1.0]),
+           block=st.sampled_from([1, 7, gs._SWEEP_PHASORS]))
+    @settings(max_examples=80, deadline=None)
+    def test_shared_modulus(self, b, cs, sign, block):
+        coeffs = np.array([c % b for c in cs], dtype=np.int64)
+        with mock.patch.object(gs, "_SWEEP_PHASORS", block):
+            got = gs._period_sums(coeffs, b, sign)
+        expect = np.array([full_row_sum(c % b, b, sign) for c in cs], dtype=complex)
+        assert np.array_equal(bits(got), bits(expect))
+
+    @given(rows=st.lists(st.tuples(coefficients, periods | st.sampled_from([4, 5, 12])),
+                         max_size=40),
+           sign=st.sampled_from([1.0, -1.0]), block=st.sampled_from([1, 7, gs._SWEEP_PHASORS]),
+           shared_rows=st.sampled_from([1, 3, gs._SHARED_ROWS, 10**9]))
+    @settings(max_examples=80, deadline=None)
+    def test_one_modulus_per_row(self, rows, sign, block, shared_rows):
+        # moduli repeated often enough that some take the 2-D path and the
+        # rest the row-by-row one
+        moduli = np.array([b for _, b in rows], dtype=np.int64)
+        coeffs = np.array([c % b for c, b in rows], dtype=np.int64)
+        with mock.patch.multiple(gs, _SWEEP_PHASORS=block, _SHARED_ROWS=shared_rows):
+            got = gs._period_sums(coeffs, moduli, sign)
+        expect = np.array([full_row_sum(c % b, b, sign) for c, b in rows], dtype=complex)
+        assert np.array_equal(bits(got), bits(expect))
+
+    @pytest.mark.parametrize("b", [3_000_000, 3_400_003])
+    def test_either_side_of_the_one_step_residue(self, b):
+        # m^2 (b - 1) passes 2^63 between b = 3.0e6 and 3.4e6 (m <= b // 2):
+        # below it one int64 residue, above it the two-step one; the
+        # reference's two steps are exact while b^2 < 2^63
+        c = np.array([1, b - 1], dtype=np.int64)
+        got = gs._period_sums(c, np.full(2, b), -1.0)
+        m = np.arange(b, dtype=np.int64)
+        for i, ci in enumerate(c.tolist()):
+            res = (m * m % b) * ci % b
+            row = np.exp(-2j * np.pi * (res / b))
+            assert bits(got[i:i + 1]).tolist() == bits(np.array([row.sum()])).tolist()
+
+    @pytest.mark.parametrize("m, c, b", [
+        (np.arange(-1500, 1501), 2999, 3000),
+        (np.array([3_036_000_000, -3_036_000_000, 1, 0]), 0, 1),
+        (np.array([1_700_001, 1_699_999, 7]), 3_400_002, 3_400_003),
+        (np.array([2**40, 5]), 10**12 + 38, 10**12 + 39)])
+    def test_residue_routes_agree(self, m, c, b):
+        expect = [int(v) ** 2 * c % b for v in m.tolist()]
+        assert gs._quad_residues(m, c, b).tolist() == expect
+
+    @given(delta_m=st.floats(0.05, 1e4), m_max=st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_weights_are_symmetric_bit_for_bit(self, delta_m, m_max):
+        # discrete_sweep computes the terms m >= 0 only and mirrors them
+        w = gs.WeightProfile(delta_m, m_max).weights()
+        assert bits(w).tolist() == bits(w[::-1]).tolist()
+
+
+class TestReduced:
+    """_reduced takes an int64 remainder when x and b are int64, and Python
+    ints otherwise; both give x mod b exactly."""
+
+    @pytest.mark.parametrize("x", [2**63 - 1, 2**63, 10**30, -(2**63), -(10**30), 0, 1911])
+    def test_against_python_ints(self, x):
+        ls = np.array([1, 2, 3, 7, 1000, 2**31 - 1, 2**62 + 3, 2**63 - 1], dtype=np.int64)
+        got = gs._reduced(x, ls)
+        assert got.dtype == np.int64
+        assert got.tolist() == [x % int(l) for l in ls]
+
+    def test_arrays_of_x_and_a_scalar_modulus(self):
+        x = np.array([2**63 - 1, -(2**63), 5, -5], dtype=np.int64)
+        assert gs._reduced(x, 1_000_003).tolist() == [int(v) % 1_000_003 for v in x]
+        big = np.array([2**63, 10**30, -(10**30)], dtype=object)
+        assert gs._reduced(big, 97).tolist() == [int(v) % 97 for v in big]
+        assert gs._reduced([1, 2**64 + 5], 7).tolist() == [1, (2**64 + 5) % 7]
+
+    @pytest.mark.parametrize("n", [2**63 - 1, 2**63, 10**30])
+    def test_sweeps_and_flags_at_large_n(self, n):
+        ls = np.arange(1, 200)
+        residues = [n % int(l) for l in ls]
+        assert bits(gs.reciprocate_complete_sweep(n, ls)).tolist() == bits(
+            gs.reciprocate_complete_sweep(np.array(residues), ls)).tolist()
+        assert fz._divides(n, ls).tolist() == [r == 0 for r in residues]
+        codes = fz._flag_codes(n, ls)
+        assert codes.tolist() == fz._flag_codes(np.array(residues) + ls, ls).tolist()
+
+
+class TestCompleteSweepArrays:
+    def test_one_n_per_l_has_the_bits_of_one_call_per_n(self):
+        ns = np.array([15, 1911, 100001, 2**63 - 25, 4, 9])
+        ls = np.array([4, 12, 317, 1000, 3, 3])
+        got = gs.reciprocate_complete_sweep(ns, ls)
+        expect = [gs.reciprocate_complete_sweep(int(n), [int(l)])[0] for n, l in zip(ns, ls)]
+        assert bits(got).tolist() == bits(np.array(expect)).tolist()
 
 
 class TestPackageExports:
