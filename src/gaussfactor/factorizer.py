@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -249,36 +248,6 @@ def _usable_cpus() -> int:
 # run was joined into one block).
 _SCAN_BLOCK_ROWS = _BLOCK_PHASORS
 
-# The scan pool, with its thread count and executor class: one pool per
-# process, made at the first scan and made anew when the usable CPU count
-# changes, or when this module's ThreadPoolExecutor names another class (an
-# executor patched in from outside, as the benchmark's tracer does, gets a
-# pool of its own).  A pool per scan started its threads on every call, so a
-# short grid paid for them.
-_pool: tuple[int, type, ThreadPoolExecutor] | None = None
-_pool_lock = threading.Lock()
-
-
-def _scan_pool(cpus: int) -> ThreadPoolExecutor:
-    """The process-wide scan pool, of `cpus` threads."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[:2] != (cpus, ThreadPoolExecutor):
-            # a replaced pool's threads end once no scan holds it
-            _pool = (cpus, ThreadPoolExecutor,
-                     ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="gaussfactor-scan"))
-        return _pool[2]
-
-
-def _forget_pool() -> None:
-    """In a forked child: its parent's pool threads did not come along."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def scan_blocks(
     evaluate: Callable[[np.ndarray], np.ndarray],
@@ -289,17 +258,17 @@ def scan_blocks(
     rows, or an N-slit pattern) on the grid, as (xis, values) blocks in
     grid order.
 
-    The points are made _SCAN_BLOCK_ROWS at a time, and evaluated on the
-    process-wide pool of one thread per usable CPU (_scan_pool), even for a
-    grid of one row: each run of points is split into min(workers, usable
-    CPUs) parts (one per point in a run of fewer points), and each part is
-    yielded as a block of its own, holding the values its thread's evaluate
-    call made, so no values are copied or joined.  Only one run's points
-    and values are held at a time (the generator keeps no reference to a
-    block it has yielded), and the values are identical regardless of
-    worker count.  workers=None asks for one part per usable CPU
-    (_usable_cpus).  The worker count is checked at the first next(),
-    before any block is evaluated.
+    The points are made _SCAN_BLOCK_ROWS at a time.  One pool of
+    min(workers, usable CPUs) threads serves every grid, even one of a row
+    (workers=1 gives a pool of one thread): each run of points is split
+    into one part per thread (one per point in a run of fewer points),
+    and each part is yielded as a block of its own, holding the values its
+    thread's evaluate call made, so no values are copied or joined.  Only
+    one run's points and values are held at a time (the generator keeps no
+    reference to a block it has yielded), and the values are identical
+    regardless of worker count.  workers=None asks for one thread per
+    usable CPU (_usable_cpus).  The worker count is checked at the first
+    next(), before any block is evaluated.
     """
     cpus = _usable_cpus()
     if workers is None:
@@ -307,14 +276,14 @@ def scan_blocks(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     threads = min(workers, cpus)
-    pool = _scan_pool(cpus)
-    for start in range(0, grid.count, _SCAN_BLOCK_ROWS):
-        x = grid.points(start, start + _SCAN_BLOCK_ROWS)
-        parts = np.array_split(x, min(threads, len(x)))
-        blocks = list(zip(parts, pool.map(evaluate, parts)))[::-1]
-        del x, parts  # so a yielded block is held by its caller alone
-        while blocks:
-            yield blocks.pop()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for start in range(0, grid.count, _SCAN_BLOCK_ROWS):
+            x = grid.points(start, start + _SCAN_BLOCK_ROWS)
+            parts = np.array_split(x, min(threads, len(x)))
+            blocks = list(zip(parts, pool.map(evaluate, parts)))[::-1]
+            del x, parts  # so a yielded block is held by its caller alone
+            while blocks:
+                yield blocks.pop()
 
 
 def scan_series(

@@ -534,6 +534,17 @@ class TestWtildeTables:
         with pytest.raises(ValueError):
             gs._root_table(14)[0] = 0.0
 
+    def test_one_cache_entry_per_table(self):
+        # the +1 table a shared-modulus sweep gathers from is the one the
+        # wtilde and ring callers ask for; the sign -1 table is a second one
+        gs._root_table.cache_clear()
+        gs.standard_gauss(np.arange(1, 40), 13)
+        gs._root_table(13)
+        gs.reciprocate_complete_sweep(5, [13] * gs._SHARED_ROWS)
+        info = gs._root_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+        gs._root_table.cache_clear()
+
 
 class TestReciprocate:
     def test_divisor_gives_unity(self):
