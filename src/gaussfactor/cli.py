@@ -289,11 +289,22 @@ def _report_doc(report: factorizer.FactorReport, fmt: str) -> dict:
     return doc
 
 
+def _continuous_n(cfg: RunConfig) -> float:
+    """--n as the float B = N of a continuous sum."""
+    try:
+        return float(cfg.n_target)
+    except OverflowError:
+        raise ConfigError("--n must be below 1.8e308 for a continuous sum") from None
+
+
 def _cmd_scan(cfg: RunConfig) -> int:
     if cfg.b_param is None:
         if cfg.n_target is None:
             raise ConfigError("scan needs --n or --b")
-        cfg.b_param = float(cfg.n_target)
+        cfg.b_param = _continuous_n(cfg)
+    for flag, value in (("--a", cfg.a_param), ("--b", cfg.b_param)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{flag} must be finite and positive")
     if cfg.xi_max <= cfg.xi_min:
         raise ConfigError("need --xi-max > --xi-min")
     spec = ContinuousSpec(a_param=cfg.a_param, b_param=cfg.b_param)
@@ -318,7 +329,16 @@ def _cmd_factor(cfg: RunConfig) -> int:
     if cfg.n_target is None:
         raise ConfigError("factor needs --n")
     n = cfg.n_target
+    if cfg.scheme in ("continuous", "reciprocate") and n % 2 == 0:
+        hint = "; --scheme even takes an even --n" if cfg.scheme == "continuous" else ""
+        raise ConfigError(f"--scheme {cfg.scheme} needs an odd --n{hint}")
+    if cfg.scheme == "even" and n % 2 == 1:
+        raise ConfigError("--scheme even needs an even --n")
+    if cfg.scheme in ("continuous", "even"):
+        _continuous_n(cfg)
     if cfg.scheme == "continuous":
+        if n < 3:
+            raise ConfigError("--scheme continuous needs --n >= 3")
         report = factorizer.factor_scan_continuous(
             n, cfg.weight_profile(), grid_step=cfg.step, peak_factor=cfg.peak_factor
         )
@@ -379,6 +399,8 @@ def _cmd_nslit(cfg: RunConfig) -> int:
         c = nslit.NSlitConfig(cfg.n_target, cfg.l_talbot)
         _emit_grid(cfg, partial(nslit.green_sum, cfg=c), cfg.n_target)
         return 0
+    if cfg.n_target % 2 == 0:
+        raise ConfigError("the nslit factor sweep needs an odd --n")
     rows = nslit.nslit_factor_test(cfg.n_target, _l_max(cfg), cfg.spread_threshold)
     doc = {
         "n": cfg.n_target,
@@ -499,6 +521,10 @@ def run(cfg: RunConfig) -> int:
         raise ConfigError("--n must be a positive integer")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.step <= 0:
+        raise ConfigError("--step must be positive")
+    if not 0 < cfg.threshold < 1:
+        raise ConfigError("--threshold must lie in (0, 1)")
     for flag, value in (("--peak-factor", cfg.peak_factor), ("--zero-factor", cfg.zero_factor),
                         ("--spread-threshold", cfg.spread_threshold)):
         if not 0 < value < math.inf:

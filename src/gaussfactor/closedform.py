@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import jacobi_symbol
-from .gausssums import _period_sums, _reduced, _trial_arguments
+from .gausssums import _integers, _period_sums, _reduced, _trial_arguments
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class ModulusPrediction:
 
 
 # G(1, b) / sqrt(b) for b = 0, 1, 2, 3 mod 4 (the classes M0 .. M3)
-_G1B_UNIT = (1 + 1j, 1 + 0j, 0j, 1j)
+_G1B_UNIT = np.array([1 + 1j, 1 + 0j, 0j, 1j])
 # |G(1, b)|^2 / b for b in M0 .. M3: the weights of both modulus predictors
 _CLASS_WEIGHT = np.array([2.0, 1.0, 0.0, 1.0])
 
@@ -39,36 +39,29 @@ def g1b_closed(b):
     """Elementary Gauss sum G(1, b) by residue class of b:
     (1+i)sqrt(b), sqrt(b), 0, i*sqrt(b) for b in M0, M1, M2, M3.
 
-    An integer array of b gives one value per element, with the bits of a
-    scalar call.
+    An integer array of b gives one value per element, and an int b a
+    complex: each the complex product of the class unit and sqrt(b).
     """
-    if np.ndim(b):
-        b = np.asarray(b)
-        if np.any(b < 1):
-            raise ValueError("b must be positive")
-        unit = np.array(_G1B_UNIT)[np.asarray(b % 4, dtype=np.int64)]
-        return unit * np.sqrt(np.asarray(b, dtype=float))
-    if b < 1:
+    b = _integers(b)
+    if np.any(b < 1):
         raise ValueError("b must be positive")
-    return _G1B_UNIT[b % 4] * math.sqrt(b)
+    g = _G1B_UNIT[np.asarray(b % 4, dtype=np.int64)] * np.sqrt(b.astype(float))
+    return complex(g) if b.ndim == 0 else g
 
 
 def gab_closed(a, b):
     """G(a, b) = (a/b) G(1, b) for odd b coprime to a.
 
-    Integer arrays of a and b broadcast and give one value per element, with
-    the bits of a scalar call.
+    Integer arrays of a and b broadcast and give one value per element, and
+    ints a and b a complex.
     """
-    if np.ndim(a) or np.ndim(b):
-        a, b = np.broadcast_arrays(a, b)
-        valid, coprime = np.all((b >= 1) & (b % 2 == 1)), np.all(np.gcd(a, b) == 1)
-    else:
-        valid, coprime = b >= 1 and b % 2 == 1, math.gcd(a, b) == 1
-    if not valid:
+    a, b = np.broadcast_arrays(_integers(a), _integers(b))
+    if not np.all((b >= 1) & (b % 2 == 1)):
         raise ValueError("b must be odd and positive")
-    if not coprime:
+    if not np.all(np.gcd(a, b) == 1):
         raise ValueError("a and b share a factor; apply factor_out first")
-    return jacobi_symbol(a, b) * g1b_closed(b)
+    g = jacobi_symbol(a, b) * g1b_closed(b)
+    return complex(g) if b.ndim == 0 else g
 
 
 def factor_out(a: int, b: int) -> tuple[int, int, int]:
@@ -100,19 +93,23 @@ def predict_discrete_moduli2(n_target: int, ls) -> tuple[np.ndarray, np.ndarray]
     return np.asarray(shared, dtype=float) * weight / n_target, shared
 
 
-def predict_finite_w_modulus(q: int, r: int, m: int) -> float:
-    """|W_m^(r)| by the parity table: sqrt(1/r) for odd r; for even r either
-    sqrt(2/r) or 0 depending on the parities of rq/2 and m."""
-    if r < 1:
+def predict_finite_w_modulus(q, r, m):
+    """|W_m^(r)| by the parity table: sqrt(1/r) for odd r; for even r
+    sqrt(2/r) where rq/2 and m have one parity, else 0.
+
+    Integer arrays of q, r and m broadcast and give one value per element,
+    and ints a float.
+    """
+    q, r, m = np.broadcast_arrays(_integers(q), _integers(r), _integers(m))
+    if np.any(r < 1):
         raise ValueError("r must be positive")
-    if math.gcd(q, r) != 1:
+    if np.any(np.gcd(q, r) != 1):
         raise ValueError("q and r must be coprime")
-    if r % 2 == 1:
-        return math.sqrt(1.0 / r)
-    half = (r * q) // 2
-    if half % 2 == 0:
-        return math.sqrt(2.0 / r) if m % 2 == 0 else 0.0
-    return 0.0 if m % 2 == 0 else math.sqrt(2.0 / r)
+    # the parities of r, r/2, q and m: rq/2 is odd where r/2 and q are
+    r_odd, half_odd, q_odd, m_odd = (np.asarray(x % 2, dtype=bool) for x in (r, r // 2, q, m))
+    weight = np.where(r_odd, 1.0, 2.0 * ((half_odd & q_odd) == m_odd))
+    value = np.sqrt(weight / r.astype(float))
+    return float(value) if r.ndim == 0 else value
 
 
 # e^{-i pi/4}, the unit factor of the reciprocity transform

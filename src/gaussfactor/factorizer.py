@@ -313,12 +313,6 @@ def _spans(xis: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return start, stop
 
 
-def _span(xis: np.ndarray, lo: float, hi: float) -> slice:
-    """The _spans of one interval, as a slice."""
-    start, stop = _spans(xis, lo, hi)
-    return slice(int(start), int(stop))
-
-
 # Window samples (candidates times window width) that one pass of
 # envelope_background handles at a time, so each of its arrays stays near
 # 128 KB.
@@ -411,14 +405,24 @@ def _flag_codes(n_target: int, ls: np.ndarray) -> np.ndarray:
     return np.select([residues == 0, np.gcd(ls, residues) > 1], [_FACTOR, _MULTIPLE], _GHOST)
 
 
+# Candidates that _classify builds from one block of its arrays: the Python
+# ints, floats and classes of a block exist only while its Candidate tuples
+# are made.
+_CANDIDATE_BLOCK = 4096
+
+
 def _classify(n_target: int, scheme: str, ls: np.ndarray, measured: np.ndarray,
               predicted: np.ndarray, codes: np.ndarray, params: dict) -> FactorReport:
     """The report of a scheme's rule: one element of measured, predicted and
     class code per trial argument in ls.  A flag becomes a verified factor
     only when its class is FACTOR or ZERO_SIGNAL and division confirms it."""
     kept = ((codes == _FACTOR) | (codes == _ZERO)) & (ls >= 2) & _divides(n_target, ls)
-    classes = [_CLASSES[k] for k in codes.tolist()]
-    candidates = list(map(Candidate, ls.tolist(), measured.tolist(), predicted.tolist(), classes))
+    candidates = []
+    for b in range(0, len(ls), _CANDIDATE_BLOCK):
+        block = slice(b, b + _CANDIDATE_BLOCK)
+        classes = map(_CLASSES.__getitem__, codes[block].tolist())
+        candidates += map(Candidate, ls[block].tolist(), measured[block].tolist(),
+                          predicted[block].tolist(), classes)
     return FactorReport(n_target, scheme, candidates, ls[kept].tolist(), params)
 
 
@@ -506,11 +510,6 @@ def _scan_range(n_target: int) -> tuple[float, float]:
     """The xi range of N's factor scan: every candidate 2..N-1 with its
     background window."""
     return max(2.0 - DEFAULT_BACKGROUND_WINDOW, 0.5), (n_target - 1.0) + DEFAULT_BACKGROUND_WINDOW
-
-
-def _scan_for(n_target: int, w: WeightProfile, grid_step: float) -> ScanSeries:
-    spec = ContinuousSpec(a_param=1.0, b_param=float(n_target))
-    return scan_series(spec, w, *_scan_range(n_target), grid_step, n_label=n_target)
 
 
 def _report_scan(n_target: int, w: WeightProfile, grid_step: float, scheme: str,

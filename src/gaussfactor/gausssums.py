@@ -298,17 +298,22 @@ def continuous_sum_grid(
     return _real_sums(xis, spec, w.indices(), w.weights())
 
 
-def _trial_arguments(ls) -> np.ndarray:
-    """Trial arguments as a 1-D integer array, all of them positive.
+def _integers(x) -> np.ndarray:
+    """x as an integer array: an array as it is; an int or a sequence as
+    int64, or as an object array of Python ints when some value does not fit
+    (np.asarray would make such a list float64, and such an int uint64)."""
+    if isinstance(x, np.ndarray):
+        return x
+    try:
+        return np.array(x, dtype=np.int64)
+    except OverflowError:
+        return np.array(x, dtype=object)
 
-    A sequence becomes int64, or an object array of Python ints when some
-    value does not fit (np.asarray would make such a list float64).
-    """
-    if not isinstance(ls, np.ndarray):
-        try:
-            ls = np.array(ls, dtype=np.int64)
-        except OverflowError:
-            ls = np.array(ls, dtype=object)
+
+def _trial_arguments(ls) -> np.ndarray:
+    """Trial arguments as a 1-D integer array (_integers), all of them
+    positive."""
+    ls = _integers(ls)
     if ls.size and ls.min() < 1:
         raise ValueError("l must be positive")
     return ls

@@ -30,6 +30,7 @@ def jacobi_symbol(a, b):
     """
     if np.ndim(a) or np.ndim(b):
         return _jacobi_array(a, b)
+    a, b = int(a), int(b)  # Python ints also from a 0-d array or a NumPy integer
     if b < 1 or b % 2 == 0:
         raise ValueError("lower argument must be odd and positive")
     a %= b

@@ -169,8 +169,7 @@ def check_wtilde(failures: list[str], worst: _Worst) -> None:
         qs = qs[np.gcd(qs, r) == 1]
         # finite_w(q, r, m) for every m is the row wtilde(2q, m, 0, r)
         brute = np.abs(gausssums.wtilde_b_sweep(2 * qs, 0, r))
-        pred = np.array([[closedform.predict_finite_w_modulus(q, r, m) for m in range(r)]
-                         for q in qs.tolist()])
+        pred = closedform.predict_finite_w_modulus(qs[:, None], r, np.arange(r))
         for i, m in np.argwhere(worst.over(np.abs(brute - pred), 1e-9)):
             failures.append(f"parity table fails at (q={qs[i]}, r={r}, m={m})")
 

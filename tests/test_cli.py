@@ -837,7 +837,7 @@ class TestInputContracts:
         argv = ["nslit", "--n", "15", "--l", "3", "--xi-min", "0", "--xi-max", "3", "--step", step]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert "step must be positive" in err and "Traceback" not in err
+        assert err == "error: --step must be positive\n"
 
     @pytest.mark.parametrize("argv, err", [
         (["scan", "--n", "33", "--xi-min", "-inf", "--xi-max", "3"],
@@ -850,7 +850,7 @@ class TestInputContracts:
         (["factor", "--n", "30", "--scheme", "even", "--zero-factor", "-1e-3"],
          "error: --zero-factor must be finite and positive\n"),
         (["scan", "--n", "33", "--xi-max", "3", "--step", "-1E-3"],
-         "error: step must be positive\n"),
+         "error: --step must be positive\n"),
     ])
     def test_negative_values_in_exponent_form_reach_their_check(self, argv, err, capsys):
         # argparse took -1e5, -1e-3 and -inf for flags: "expected one argument"
@@ -980,7 +980,38 @@ class TestInputContracts:
         assert cli.main(["scan", *params, "--xi-min", "2", "--xi-max", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: A and B must be finite and positive\n"
+        assert captured.err == f"error: {params[0]} must be finite and positive\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["factor", "--n", "2"], "--scheme continuous needs an odd --n; "
+                                 "--scheme even takes an even --n"),
+        (["factor", "--n", "1"], "--scheme continuous needs --n >= 3"),
+        (["factor", "--scheme", "even", "--n", "35"], "--scheme even needs an even --n"),
+        (["factor", "--scheme", "reciprocate", "--n", "34"],
+         "--scheme reciprocate needs an odd --n"),
+        (["nslit", "--n", "4", "--l-max", "2"], "the nslit factor sweep needs an odd --n"),
+        (["factor", "--n", "15", "--scheme", "truncated", "--m-terms", "3", "--threshold", "1.5"],
+         "--threshold must lie in (0, 1)"),
+        (["ghost", "--n", "15", "--m-terms", "3", "--threshold", "0"],
+         "--threshold must lie in (0, 1)"),
+        (["scan", "--n", "33", "--xi-max", "3", "--step", "0"], "--step must be positive"),
+        (["factor", "--n", "33", "--step", "-1"], "--step must be positive"),
+        (["scan", "--n", "33", "--xi-max", "3", "--a", "0"], "--a must be finite and positive"),
+        (["scan", "--b", "-2", "--xi-max", "3"], "--b must be finite and positive"),
+        (["scan", "--n", "1" + "0" * 400, "--xi-max", "3"],
+         "--n must be below 1.8e308 for a continuous sum"),
+        (["factor", "--n", "1" + "0" * 400 + "1"], "--n must be below 1.8e308 for a continuous sum"),
+        (["factor", "--n", "1" + "0" * 400, "--scheme", "even"],
+         "--n must be below 1.8e308 for a continuous sum"),
+    ])
+    def test_library_rejections_name_their_flag(self, argv, err, capsys):
+        # each used to reach the CLI as the library's message, which names
+        # N, A, B, step or threshold but no flag; the last three leaked an
+        # OverflowError
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert_one_error_line(rc, captured.out, captured.err)
+        assert captured.err == f"error: {err}\n"
 
     @pytest.mark.parametrize(
         "argv",

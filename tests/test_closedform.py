@@ -78,6 +78,11 @@ class TestClosedFormArrays:
         expect = np.array([cf.g1b_closed(b) for b in range(1, 20_001)])
         assert cf.g1b_closed(bs).view(np.uint64).tolist() == expect.view(np.uint64).tolist()
 
+    def test_scalars_are_complex(self):
+        for value in (cf.g1b_closed(7), cf.g1b_closed(2**64 + 3), cf.gab_closed(3, 7),
+                      cf.gab_closed(3 - 2**63, 2**64 + 3), cf.gab_closed(np.int64(2), 9)):
+            assert type(value) is complex
+
     def test_python_ints_past_int64(self):
         bs = [2**63 + 1, 2**64 + 3, 10**20 + 7, 2**61 - 1, 5]
         a_s = [2, 3 - 2**63, 10**19 + 1, 6, 4]
@@ -209,6 +214,40 @@ class TestFiniteWPredictor:
                         abs(cf.predict_finite_w_modulus(q, r, m) - abs(gs.finite_w(q, r, m)))
                         < 1e-10
                     )
+
+
+def finite_w_by_parity(q: int, r: int, m: int) -> float:
+    """The scalar parity table predict_finite_w_modulus replaced."""
+    if r % 2 == 1:
+        return math.sqrt(1.0 / r)
+    half = (r * q) // 2
+    if half % 2 == 0:
+        return math.sqrt(2.0 / r) if m % 2 == 0 else 0.0
+    return 0.0 if m % 2 == 0 else math.sqrt(2.0 / r)
+
+
+class TestFiniteWPredictorArray:
+    def test_every_coprime_q_r_and_m(self):
+        # q and r up to 64, m over two periods and below zero
+        for r in range(1, 65):
+            qs = np.array([q for q in range(-r, 65) if math.gcd(q, r) == 1])
+            ms = np.arange(-r, 2 * r)
+            got = cf.predict_finite_w_modulus(qs[:, None], r, ms)
+            expect = np.array([[finite_w_by_parity(q, r, m) for m in ms.tolist()]
+                               for q in qs.tolist()])
+            assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist(), r
+
+    def test_scalars_are_floats_with_the_table_bits(self):
+        for q, r, m in ((1, 3, 0), (1, 2, 0), (1, 4, 0), (3, 4, 1), (1, 2**64 + 2, 1),
+                        (7, 2**64 + 1, 2), (2**63 - 1, 2**62, 5), (2**70 + 1, 2**66, -3)):
+            got = cf.predict_finite_w_modulus(q, r, m)
+            assert type(got) is float and got == finite_w_by_parity(q, r, m), (q, r, m)
+
+    def test_array_rejections(self):
+        with pytest.raises(ValueError, match="coprime"):
+            cf.predict_finite_w_modulus(np.array([1, 2]), 4, 0)
+        with pytest.raises(ValueError, match="r must be positive"):
+            cf.predict_finite_w_modulus(1, np.array([3, 0]), 0)
 
 
 class TestReciprocityTransform:

@@ -23,6 +23,12 @@ def broad(n: int) -> gs.WeightProfile:
     return gs.WeightProfile.for_width(recommend_weight_width(n, 2.0))
 
 
+def factor_series(n: int, w: gs.WeightProfile, step: float) -> fz.ScanSeries:
+    """N's factor scan gathered whole: the grid the continuous schemes read."""
+    return fz.scan_series(gs.ContinuousSpec(1.0, float(n)), w, *fz._scan_range(n), step,
+                          n_label=n)
+
+
 def flagged_of(report):
     return [c.l for c in report.candidates if c.classification is not Classification.NONFACTOR]
 
@@ -503,7 +509,7 @@ class TestWindowedClassification:
 
     def test_odd_series(self, master51):
         self.assert_full_grid_equal(master51)
-        self.assert_full_grid_equal(fz._scan_for(91, W10, 0.01))
+        self.assert_full_grid_equal(factor_series(91, W10, 0.01))
 
     @pytest.mark.parametrize("n_prime, peak_factor", [(35, 2.0), (65, 1.5), (77, 2.0)])
     def test_rescaled_series(self, master51, n_prime, peak_factor):
@@ -521,7 +527,7 @@ class TestWindowedClassification:
 
     def test_even_zero_rule_series(self):
         for n, w in ((30, W8), (60, W10)):
-            series = fz._scan_for(n, w, 0.01)
+            series = factor_series(n, w, 0.01)
             self.assert_full_grid_equal(series, zero_factor=fz.DEFAULT_ZERO_FACTOR)
 
 
@@ -660,6 +666,32 @@ class TestVerifiedEqualsDivisors:
         assert self.mismatches(fz.factor_lines_discrete, range(4, 120)) == {}
 
 
+def at_margin(n: int, margin: float) -> list[int]:
+    """Verified factors of the continuous odd scheme at weights of margin
+    delta_m * sqrt(8) / N, with the CLI's default term count."""
+    dm = margin * n / math.sqrt(8)
+    return fz.factor_scan_continuous(n, gs.WeightProfile(dm, math.ceil(4 * dm))).verified_factors
+
+
+class TestCompletenessRegion:
+    """The claimed completeness region of the continuous odd scheme: from
+    margin 1 up, the verified factors are the divisors.  Mapped at margins
+    0.5, 0.75, 1.0 and 1.25 over 18 odd composite N in [45, 315] (a
+    random.Random(16) sample of 16 with 45, 105, 231 and 315), every N was
+    complete at 1.0 and 1.25; below 1.0 small divisors (3 or 5) were
+    missed at twelve N."""
+
+    @pytest.mark.parametrize("n", [45, 105, 165, 231, 315])
+    def test_complete_at_the_boundary_margin(self, n):
+        assert at_margin(n, 1.0) == proper_divisors(n)
+
+    @pytest.mark.parametrize("n, margin, missed", [(45, 0.75, [3]), (155, 0.5, [5])])
+    def test_documented_misses_below_it(self, n, margin, missed):
+        got = at_margin(n, margin)
+        assert sorted(set(proper_divisors(n)) - set(got)) == missed
+        assert set(got) <= set(proper_divisors(n))
+
+
 class TestFactorReport:
     def test_divisibility_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -702,7 +734,7 @@ def old_series_report(series, peak_factor=fz.DEFAULT_PEAK_FACTOR, zero_factor=No
 
     def rule(l):
         pos = l * c
-        span = fz._span(series.xis, pos, pos)
+        span = slice(*map(int, fz._spans(series.xis, pos, pos)))
         measured = float(abs2[span][int(np.argmin(np.abs(series.xis[span] - pos)))])
         bg = fz.envelope_background(series.xis, abs2, pos, candidate_unit=c)
         predicted = old_predict_discrete(n, l)
@@ -802,13 +834,13 @@ class TestArrayDriver:
 
     @pytest.mark.parametrize("n", [51, 91, 201])
     def test_continuous_odd_margin2(self, n):
-        series = fz._scan_for(n, broad(n), 0.01)
+        series = factor_series(n, broad(n), 0.01)
         self.assert_same(fz.report_from_series(series, "continuous_odd"),
                          old_series_report(series))
 
     @pytest.mark.parametrize("n", [30, 60])
     def test_continuous_even_zero_rule(self, n):
-        series = fz._scan_for(n, broad(n), 0.01)
+        series = factor_series(n, broad(n), 0.01)
         self.assert_same(
             fz.report_from_series(series, "continuous_even", zero_factor=fz.DEFAULT_ZERO_FACTOR),
             old_series_report(series, zero_factor=fz.DEFAULT_ZERO_FACTOR))
