@@ -14,10 +14,9 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -96,7 +95,10 @@ class RunConfig:
     def weight_profile(self) -> WeightProfile:
         if not 0 < self.delta_m < math.inf:
             raise ConfigError("--dm must be finite and positive")
-        _check_width(self.delta_m)  # before ceil(4 * dm), which overflows first
+        try:  # before ceil(4 * dm), which overflows first
+            _check_width(self.delta_m)
+        except ValueError as exc:  # "delta_m <dm> is too small: ...", or too large
+            raise ConfigError("--dm" + str(exc).removeprefix("delta_m")) from None
         m_max = self.m_terms if self.m_terms is not None else math.ceil(4 * self.delta_m)
         _at_least("--m-terms", m_max, 1)
         _check_fits(2 * m_max + 1, "terms", "2 * M + 1",
@@ -123,6 +125,14 @@ def _at_least(flag: str, value: int, low: int) -> int:
     if value < low:
         raise ConfigError(f"{flag} must be >= {low}")
     return value
+
+
+def _m_terms(cfg: RunConfig) -> int:
+    """--m-terms of a truncated sum: at least 1, and few enough that one row
+    of its M phasors fits in memory."""
+    m_terms = _at_least("--m-terms", cfg.m_terms, 1)
+    _check_fits(m_terms, "terms", "--m-terms")
+    return m_terms
 
 
 def _l_max(cfg: RunConfig, low: int = 1, first: int = 1) -> int:
@@ -199,9 +209,8 @@ def _csv_block(columns: Sequence[Sequence]) -> str:
 _RECORDS_MARK = "\x00records"
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_BOOLS = ("false", "true")
-# a Classification member's name in the reports, read in C: Enum's own
-# __hash__ and .value run Python code for every candidate
-_class_name = attrgetter("_value_")
+# the name of each class code of a FactorReport, an index into _CLASSES
+_CLASS_NAMES = tuple(c.value for c in factorizer._CLASSES)
 
 
 def _json_column(values: Sequence) -> Iterable[str]:
@@ -279,14 +288,14 @@ def _samples_doc(n_label: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
 
 
 def _report_doc(report: factorizer.FactorReport, fmt: str) -> dict:
-    """The report in the layout of FactorReport.to_json_dict, its
-    candidates sorted by l and chunked for fmt."""
-    blocks = _column_blocks(sorted(report.candidates), _block_rows(fmt))
-    columns = ((ls, measured, predicted, list(map(_class_name, classes)))
-               for ls, measured, predicted, classes in blocks)
-    doc = replace(report, candidates=[]).to_json_dict()  # all but the candidates
-    doc["candidates"] = _Records(("l", "measured", "predicted", "class"), columns)
-    return doc
+    """The report in the layout of FactorReport.to_json_dict, its columns
+    read in blocks chunked for fmt."""
+    columns = ((report.ls[b].tolist(), report.measured[b].tolist(), report.predicted[b].tolist(),
+                list(map(_CLASS_NAMES.__getitem__, report.codes[b].tolist())))
+               for b in _row_slices(len(report.ls), _block_rows(fmt)))
+    return {"n": report.n_target, "scheme": report.scheme, "params": report.params,
+            "candidates": _Records(("l", "measured", "predicted", "class"), columns),
+            "factors": sorted(report.verified_factors)}
 
 
 def _continuous_n(cfg: RunConfig) -> float:
@@ -313,10 +322,18 @@ def _cmd_scan(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_point_count(xi_min: float, xi_max: float, step: float) -> None:
+    """uniform_grid's check that the grid's point count is finite, naming
+    --step."""
+    if (xi_max - xi_min) / step + 1e-9 == math.inf:
+        raise ConfigError(f"--step {step!r} is too small: the point count overflows to inf")
+
+
 def _emit_grid(cfg: RunConfig, evaluate: Callable[[np.ndarray], np.ndarray],
                n_label: int) -> None:
     """Write evaluate on the --xi-min/--xi-max/--step grid, as CSV or JSON
     samples, one scan_blocks block at a time."""
+    _check_point_count(cfg.xi_min, cfg.xi_max, cfg.step)
     grid = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
     blocks = factorizer.scan_blocks(evaluate, grid, workers=cfg.workers)
     # The first block is evaluated before the header is written or the
@@ -336,6 +353,7 @@ def _cmd_factor(cfg: RunConfig) -> int:
         raise ConfigError("--scheme even needs an even --n")
     if cfg.scheme in ("continuous", "even"):
         _continuous_n(cfg)
+        _check_point_count(*factorizer._scan_range(n), cfg.step)
     if cfg.scheme == "continuous":
         if n < 3:
             raise ConfigError("--scheme continuous needs --n >= 3")
@@ -358,8 +376,7 @@ def _cmd_factor(cfg: RunConfig) -> int:
     elif cfg.scheme == "truncated":
         if cfg.m_terms is None:
             raise ConfigError("truncated scheme needs --m-terms")
-        m_terms = _at_least("--m-terms", cfg.m_terms, 1)
-        report = factorizer.factor_truncated(n, _l_max(cfg, 2), m_terms, cfg.threshold)
+        report = factorizer.factor_truncated(n, _l_max(cfg, 2), _m_terms(cfg), cfg.threshold)
     else:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     _emit(cfg, _report_doc(report, cfg.format))
@@ -417,10 +434,10 @@ def _cmd_ghost(cfg: RunConfig) -> int:
         raise ConfigError("ghost needs --n and --m-terms")
     census = factorizer.ghost_census(
         cfg.n_target,
-        _at_least("--m-terms", cfg.m_terms, 1),
+        _m_terms(cfg),
         cfg.threshold,
         _at_least("--l-min", cfg.l_min, 1),
-        _l_max(cfg, first=cfg.l_min),
+        _l_max(cfg, low=cfg.l_min, first=cfg.l_min),
     )
     doc = {
         "n": cfg.n_target,
@@ -519,14 +536,19 @@ def run(cfg: RunConfig) -> int:
         raise ConfigError(f"unknown command {cfg.command!r}")
     if cfg.n_target is not None and cfg.n_target < 1:
         raise ConfigError("--n must be a positive integer")
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
+    if cfg.workers is not None:
+        _at_least("--workers", cfg.workers, 1)
     if cfg.step <= 0:
         raise ConfigError("--step must be positive")
-    if not 0 < cfg.threshold < 1:
-        raise ConfigError("--threshold must lie in (0, 1)")
-    for flag, value in (("--peak-factor", cfg.peak_factor), ("--zero-factor", cfg.zero_factor),
+    for flag, value in (("--xi-min", cfg.xi_min), ("--xi-max", cfg.xi_max), ("--step", cfg.step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite")
+    # a truncated-sum modulus and a relative spread both lie in [0, 1]
+    for flag, value in (("--threshold", cfg.threshold),
                         ("--spread-threshold", cfg.spread_threshold)):
+        if not 0 < value < 1:
+            raise ConfigError(f"{flag} must lie in (0, 1)")
+    for flag, value in (("--peak-factor", cfg.peak_factor), ("--zero-factor", cfg.zero_factor)):
         if not 0 < value < math.inf:
             raise ConfigError(f"{flag} must be finite and positive")
     try:

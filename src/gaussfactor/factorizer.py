@@ -93,18 +93,35 @@ class ScanSeries:
         return np.abs(self.values) ** 2
 
 
-@dataclass
+@dataclass(eq=False)
 class FactorReport:
+    """A scheme's rule as columns: for each trial argument in ls (strictly
+    increasing), the measured and predicted values and a uint8 class code
+    indexing _CLASSES.  The candidates property makes Candidate tuples of
+    them, in order of l, on each read.  eq=False: == on arrays is ambiguous."""
+
     n_target: int
     scheme: str
-    candidates: list[Candidate]
+    ls: np.ndarray
+    measured: np.ndarray
+    predicted: np.ndarray
+    codes: np.ndarray
     verified_factors: list[int]
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not len(self.ls) == len(self.measured) == len(self.predicted) == len(self.codes):
+            raise ValueError("report columns must have equal length")
+        if np.any(np.diff(self.ls) <= 0):
+            raise ValueError("trial arguments must be strictly increasing")
         for l in self.verified_factors:
             if self.n_target % l != 0:
                 raise ValueError(f"verified factor {l} does not divide {self.n_target}")
+
+    @property
+    def candidates(self) -> list[Candidate]:
+        return list(map(Candidate, self.ls.tolist(), self.measured.tolist(),
+                        self.predicted.tolist(), map(_CLASSES.__getitem__, self.codes.tolist())))
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,13 +129,9 @@ class FactorReport:
             "scheme": self.scheme,
             "params": self.params,
             "candidates": [
-                {
-                    "l": c.l,
-                    "measured": c.measured,
-                    "predicted": c.predicted,
-                    "class": c.classification.value,
-                }
-                for c in sorted(self.candidates)
+                {"l": c.l, "measured": c.measured, "predicted": c.predicted,
+                 "class": c.classification.value}
+                for c in self.candidates
             ],
             "factors": sorted(self.verified_factors),
         }
@@ -405,25 +418,14 @@ def _flag_codes(n_target: int, ls: np.ndarray) -> np.ndarray:
     return np.select([residues == 0, np.gcd(ls, residues) > 1], [_FACTOR, _MULTIPLE], _GHOST)
 
 
-# Candidates that _classify builds from one block of its arrays: the Python
-# ints, floats and classes of a block exist only while its Candidate tuples
-# are made.
-_CANDIDATE_BLOCK = 4096
-
-
 def _classify(n_target: int, scheme: str, ls: np.ndarray, measured: np.ndarray,
               predicted: np.ndarray, codes: np.ndarray, params: dict) -> FactorReport:
     """The report of a scheme's rule: one element of measured, predicted and
     class code per trial argument in ls.  A flag becomes a verified factor
     only when its class is FACTOR or ZERO_SIGNAL and division confirms it."""
     kept = ((codes == _FACTOR) | (codes == _ZERO)) & (ls >= 2) & _divides(n_target, ls)
-    candidates = []
-    for b in range(0, len(ls), _CANDIDATE_BLOCK):
-        block = slice(b, b + _CANDIDATE_BLOCK)
-        classes = map(_CLASSES.__getitem__, codes[block].tolist())
-        candidates += map(Candidate, ls[block].tolist(), measured[block].tolist(),
-                          predicted[block].tolist(), classes)
-    return FactorReport(n_target, scheme, candidates, ls[kept].tolist(), params)
+    return FactorReport(n_target, scheme, ls, measured, predicted, codes.astype(np.uint8),
+                        ls[kept].tolist(), params)
 
 
 def report_from_series(
@@ -550,7 +552,7 @@ def factor_scan_even(
     if n_target % 2 != 0:
         raise ValueError("even scheme requires even N")
     if n_target < 4:
-        return FactorReport(n_target, "continuous_even", [], [], params={})
+        return _classify(n_target, "continuous_even", *[np.arange(0)] * 4, {})
     return _report_scan(n_target, w, grid_step, "continuous_even", peak_factor, zero_factor)
 
 

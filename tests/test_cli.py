@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import gaussfactor
 from gaussfactor import cli, factorizer, nslit
 from gaussfactor import gausssums as gs
+from factor_reports import report_of
 
 SPEC33 = gs.ContinuousSpec(1.0, 33.0)
 W10 = gs.WeightProfile(10.0, 40)
@@ -227,7 +228,7 @@ def record_columns(draw):
 
 
 # a report whose float columns hold only NaN and the infinities
-NONFINITE_REPORT = factorizer.FactorReport(
+NONFINITE_REPORT = report_of(
     21, "nonfinite",
     [factorizer.Candidate(l, m, p, factorizer.Classification.GHOST)
      for l, m, p in ((2, math.nan, -math.inf), (3, math.inf, math.nan), (5, -math.inf, math.inf))],
@@ -284,8 +285,8 @@ class TestJsonStreaming:
             factorizer.factor_truncated(777777, 40, 20),
             factorizer.factor_lines_discrete(42, gs.WeightProfile.for_width(2 * 42 / math.sqrt(8))),
             factorizer.factor_scan_even(2, W10),
-            factorizer.FactorReport(15, "made_up", [odd, odd._replace(l=3, measured=-0.0)], [3],
-                                    {"flag": True, "none": None, "neg": -math.inf}),
+            report_of(15, "made_up", [odd, odd._replace(l=3, measured=-0.0)], [3],
+                      {"flag": True, "none": None, "neg": -math.inf}),
             NONFINITE_REPORT,
         ]
         monkeypatch.setattr(cli, "_JSON_BLOCK_RECORDS", block_rows)
@@ -490,6 +491,22 @@ class TestStreamedScan:
             tracemalloc.stop()
         assert (large - small) * 1024 <= report_bytes
 
+    def test_factor_report_holds_only_its_columns(self):
+        # The report of 8,999 candidates held 1.52 MB (168 bytes each) as
+        # Candidate tuples; as its columns (three 8-byte values and a 1-byte
+        # class code each) it holds about 26 bytes each
+        xis = np.arange(0.0, 9002.0, 0.5)
+        values = np.random.default_rng(1).random(len(xis)) + 0j
+        series = factorizer.ScanSeries(1.0, xis, values, 9001)
+        tracemalloc.start()
+        try:
+            report = factorizer.report_from_series(series, "continuous_odd")
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.ls) == 8999
+        assert held <= 40 * 8999
+
 
 def fresh_hwm_rise_kb(argv: list[str]) -> int:
     """How far one cli.main(argv) run, written to /dev/null, raises the peak
@@ -552,10 +569,10 @@ class TestReportCsv:
     def test_edge_values_give_the_f_string_bytes(self, monkeypatch, block_rows):
         odd = factorizer.Candidate(4, math.nan, math.inf, factorizer.Classification.GHOST)
         reports = [
-            factorizer.FactorReport(15, "made_up", [odd, odd._replace(l=3, measured=-0.0),
-                                                    odd._replace(l=5, predicted=5e-324),
-                                                    odd._replace(l=2, measured=-math.inf)], [3]),
-            factorizer.FactorReport(15, "empty", [], []),
+            report_of(15, "made_up", [odd, odd._replace(l=3, measured=-0.0),
+                                      odd._replace(l=5, predicted=5e-324),
+                                      odd._replace(l=2, measured=-math.inf)], [3]),
+            report_of(15, "empty", [], []),
             NONFINITE_REPORT,
         ]
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
@@ -841,9 +858,9 @@ class TestInputContracts:
 
     @pytest.mark.parametrize("argv, err", [
         (["scan", "--n", "33", "--xi-min", "-inf", "--xi-max", "3"],
-         "error: grid bounds and step must be finite\n"),
+         "error: --xi-min must be finite\n"),
         (["nslit", "--n", "15", "--l", "3", "--xi-min", "-inf", "--xi-max", "3"],
-         "error: grid bounds and step must be finite\n"),
+         "error: --xi-min must be finite\n"),
         (["factor", "--n", "33", "--dm", "-1e5"], "error: --dm must be finite and positive\n"),
         (["scan", "--n", "33", "--xi-max", "3", "--dm", "-1e-3"],
          "error: --dm must be finite and positive\n"),
@@ -948,7 +965,7 @@ class TestInputContracts:
         assert captured.out == ""
         dm = argv[argv.index("--dm") + 1]
         assert captured.err == (
-            f"error: delta_m {float(dm)!r} is too small: its square underflows to 0\n")
+            f"error: --dm {float(dm)!r} is too small: its square underflows to 0\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
     @pytest.mark.parametrize(
@@ -957,7 +974,6 @@ class TestInputContracts:
             ("--peak-factor", ["factor", "--n", "33"]),
             ("--peak-factor", ["factor", "--n", "30", "--scheme", "even"]),
             ("--zero-factor", ["factor", "--n", "30", "--scheme", "even"]),
-            ("--spread-threshold", ["nslit", "--n", "33"]),
         ],
     )
     def test_factor_flags_must_be_finite_and_positive(self, flag, argv, value, capsys):
@@ -966,6 +982,15 @@ class TestInputContracts:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be finite and positive\n"
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1", "2"])
+    def test_spread_threshold_must_lie_in_unit_interval(self, value, capsys):
+        # a relative spread lies in [0, 1]: a threshold of 1 or more flagged
+        # every l, with exit 0
+        assert cli.main(["nslit", "--n", "33", f"--spread-threshold={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --spread-threshold must lie in (0, 1)\n"
 
     def test_factor_flags_small_positive_values_accepted(self, capsys):
         assert cli.main(["factor", "--n", "33", "--peak-factor", "1e-300"]) == 0
@@ -1003,11 +1028,39 @@ class TestInputContracts:
         (["factor", "--n", "1" + "0" * 400 + "1"], "--n must be below 1.8e308 for a continuous sum"),
         (["factor", "--n", "1" + "0" * 400, "--scheme", "even"],
          "--n must be below 1.8e308 for a continuous sum"),
+        (["scan", "--n", "33", "--xi-max", "3", "--workers", "0"], "--workers must be >= 1"),
+        (["factor", "--n", "33", "--dm", "1e200"],
+         "--dm 1e+200 is too large: its square overflows to inf"),
+        (["factor", "--n", "33", "--dm", "1e-300"],
+         "--dm 1e-300 is too small: its square underflows to 0"),
+        (["factor", "--n", "33", "--step", "5e-324"],
+         "--step 5e-324 is too small: the point count overflows to inf"),
+        (["scan", "--n", "33", "--xi-max", "3", "--step", "5e-324"],
+         "--step 5e-324 is too small: the point count overflows to inf"),
+        (["scan", "--n", "33", "--xi-min", "nan", "--xi-max", "3"], "--xi-min must be finite"),
+        (["scan", "--n", "33", "--xi-max", "nan"], "--xi-max must be finite"),
+        (["scan", "--n", "33", "--xi-max", "3", "--step", "nan"], "--step must be finite"),
+        (["factor", "--n", "33", "--scheme", "truncated", "--m-terms", "9" * 20],
+         "too many terms: --m-terms must be at most 5.76e+17"),
+        (["factor", "--n", "33", "--scheme", "truncated", "--m-terms", "10000000000000"],
+         "too many terms: --m-terms = 1e+13 terms do not fit in memory"),
+        (["ghost", "--n", "33", "--m-terms", "9" * 20],
+         "too many terms: --m-terms must be at most 5.76e+17"),
+        (["ghost", "--n", "33", "--m-terms", "10000000000000"],
+         "too many terms: --m-terms = 1e+13 terms do not fit in memory"),
+        (["nslit", "--n", "33", "--spread-threshold", "2"],
+         "--spread-threshold must lie in (0, 1)"),
+        (["ghost", "--n", "33", "--m-terms", "3", "--l-min", "9", "--l-max", "3"],
+         "--l-max must be >= 9"),
+        (["ghost", "--n", "50", "--m-terms", "3", "--l-min", "10"],
+         "--l-max must be >= 10, and its default isqrt(--n) is 7"),
     ])
     def test_library_rejections_name_their_flag(self, argv, err, capsys):
         # each used to reach the CLI as the library's message, which names
-        # N, A, B, step or threshold but no flag; the last three leaked an
-        # OverflowError
+        # N, A, B, step, threshold, delta_m or workers but no flag (the three
+        # --n cases leaked an OverflowError), or as NumPy's own message
+        # (--m-terms), or was accepted with exit 0 (--spread-threshold 2, and
+        # an --l-max below --l-min, which gave an empty census)
         rc = cli.main(argv)
         captured = capsys.readouterr()
         assert_one_error_line(rc, captured.out, captured.err)
@@ -1054,7 +1107,7 @@ class TestUnwritableOrOverflowingRuns:
         captured = capsys.readouterr()
         assert_one_error_line(rc, captured.out, captured.err)
         dm = float(argv[argv.index("--dm") + 1])
-        assert captured.err == f"error: delta_m {dm!r} is too large: its square overflows to inf\n"
+        assert captured.err == f"error: --dm {dm!r} is too large: its square overflows to inf\n"
 
     @pytest.mark.parametrize("argv", [
         ["factor", "--n", "33", "--dm", "1e154"],

@@ -14,6 +14,7 @@ from gaussfactor import gausssums as gs
 from gaussfactor import nslit
 from gaussfactor.decomposition import recommend_weight_width
 from gaussfactor.factorizer import Classification
+from factor_reports import report_of
 
 W10 = gs.WeightProfile(10.0, 40)
 W8 = gs.WeightProfile(8.0, 32)
@@ -695,7 +696,22 @@ class TestCompletenessRegion:
 class TestFactorReport:
     def test_divisibility_invariant_enforced(self):
         with pytest.raises(ValueError):
-            fz.FactorReport(15, "reciprocate", [], [4])
+            report_of(15, "reciprocate", [], [4])
+
+    def test_columns_of_unequal_length_rejected(self):
+        ls, values, codes = np.arange(2, 5), np.ones(3), np.zeros(3, dtype=np.uint8)
+        for measured, predicted, classes in ((values[:2], values, codes),
+                                             (values, values[:2], codes),
+                                             (values, values, codes[:2])):
+            with pytest.raises(ValueError, match="equal length"):
+                fz.FactorReport(15, "made_up", ls, measured, predicted, classes, [])
+
+    @pytest.mark.parametrize("ls", [[3, 2, 4], [2, 2, 4]])
+    def test_trial_arguments_not_strictly_increasing_rejected(self, ls):
+        values = np.ones(3)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fz.FactorReport(15, "made_up", np.array(ls), values, values,
+                            np.zeros(3, dtype=np.uint8), [])
 
     def test_json_schema(self):
         rep = fz.factor_reciprocate(15, 5)
