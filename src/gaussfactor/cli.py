@@ -28,6 +28,7 @@ from .gausssums import (
     PrecisionError,
     WeightProfile,
     _check_width,
+    abs2,
     continuous_sum_grid,
     monte_carlo_sum,
     reciprocate_complete_sweep,
@@ -93,17 +94,77 @@ class RunConfig:
     format: str = "csv"
 
     def weight_profile(self) -> WeightProfile:
-        if not 0 < self.delta_m < math.inf:
-            raise ConfigError("--dm must be finite and positive")
         try:  # before ceil(4 * dm), which overflows first
             _check_width(self.delta_m)
         except ValueError as exc:  # "delta_m <dm> is too small: ...", or too large
             raise ConfigError("--dm" + str(exc).removeprefix("delta_m")) from None
         m_max = self.m_terms if self.m_terms is not None else math.ceil(4 * self.delta_m)
-        _at_least("--m-terms", m_max, 1)
         _check_fits(2 * m_max + 1, "terms", "2 * M + 1",
                     ", where M is --m-terms (default ceil(4 * --dm))")
         return WeightProfile(delta_m=self.delta_m, m_max=m_max)
+
+
+class _Values(NamedTuple):
+    """The values a flag accepts: a test, and the rule that the error for a
+    value failing it states."""
+
+    test: Callable[[object], bool]
+    rule: str
+
+
+_COUNT = _Values(lambda v: v >= 1, "must be >= 1")
+_FINITE = _Values(math.isfinite, "must be finite")
+_POSITIVE = _Values(lambda v: 0 < v < math.inf, "must be finite and positive")
+# a truncated-sum modulus and a relative spread both lie in [0, 1]
+_UNIT = _Values(lambda v: 0 < v < 1, "must lie in (0, 1)")
+
+
+class _Flag(NamedTuple):
+    """A CLI flag: the RunConfig field it sets, the type argparse reads it
+    with, the values it accepts (None: any), the commands that need it, and
+    argparse's other keywords for it."""
+
+    field: str
+    type: Callable[[str], object] | None = None
+    values: _Values | None = None
+    required_by: tuple[str, ...] = ()
+    options: dict = {}
+
+
+# Each flag's accepted values, stated once: build_parser reads the types and
+# run checks every set field against the values.  The command bodies check
+# only what spans several flags or depends on the scheme.
+_FLAGS = {
+    "--n": _Flag("n_target", int, _COUNT, ("factor", "reciprocate", "nslit", "ghost")),
+    "--dm": _Flag("delta_m", float, _POSITIVE),
+    "--m-terms": _Flag("m_terms", int, _COUNT, ("ghost",),
+                       {"help": "truncation M (a weighted sum's default: ceil(4*dm))"}),
+    "--a": _Flag("a_param", float, _POSITIVE),
+    "--b": _Flag("b_param", float, _POSITIVE),
+    "--xi-min": _Flag("xi_min", float, _FINITE),
+    "--xi-max": _Flag("xi_max", float, _FINITE),
+    "--step": _Flag("step", float, _POSITIVE),
+    "--l-min": _Flag("l_min", int, _COUNT),
+    "--l-max": _Flag("l_max", int, _COUNT),
+    "--l": _Flag("l_talbot", int, _COUNT,
+                 options={"help": "emit the intensity pattern at this Talbot distance"}),
+    "--peak-factor": _Flag("peak_factor", float, _POSITIVE),
+    "--zero-factor": _Flag("zero_factor", float, _POSITIVE),
+    "--threshold": _Flag("threshold", float, _UNIT),
+    "--spread-threshold": _Flag("spread_threshold", float, _UNIT),
+    "--samples": _Flag("samples", int, _COUNT,
+                       options={"help": "Monte-Carlo term count (default: complete sum)"}),
+    "--seed": _Flag("seed", int),
+    "--workers": _Flag("workers", int, _COUNT,
+                       options={"help": "worker threads, at most one per usable CPU "
+                                        "(default: one per usable CPU)"}),
+    "--scheme": _Flag("scheme", options={
+        "choices": ("continuous", "even", "lines", "reciprocate", "truncated")}),
+    "--suite": _Flag("suites", options={"nargs": "+",
+                                        "choices": sorted(verify.SUITES) + ["all"]}),
+    "--output": _Flag("output_path"),
+    "--format": _Flag("format", options={"choices": ("csv", "json")}),
+}
 
 
 def _check_fits(count: int, what: str, name: str, where: str = "") -> None:
@@ -120,30 +181,18 @@ def _check_fits(count: int, what: str, name: str, where: str = "") -> None:
                           f"in memory{where}") from None
 
 
-def _at_least(flag: str, value: int, low: int) -> int:
-    """value, or a ConfigError naming flag when value is below low."""
-    if value < low:
-        raise ConfigError(f"{flag} must be >= {low}")
-    return value
-
-
-def _m_terms(cfg: RunConfig) -> int:
-    """--m-terms of a truncated sum: at least 1, and few enough that one row
-    of its M phasors fits in memory."""
-    m_terms = _at_least("--m-terms", cfg.m_terms, 1)
-    _check_fits(m_terms, "terms", "--m-terms")
-    return m_terms
-
-
-def _l_max(cfg: RunConfig, low: int = 1, first: int = 1) -> int:
-    """--l-max, or isqrt(N) when the flag is absent; below `low` is an error,
-    and so are more trial arguments first..l_max than fit in memory."""
+def _l_max(cfg: RunConfig, low: int = 1, first: int = 1, low_flag: str = "") -> int:
+    """--l-max, or isqrt(N) when the flag is absent; below `low` (the value
+    of low_flag, when given) is an error, and so are more trial arguments
+    first..l_max than fit in memory."""
     if cfg.l_max is not None:
-        l_max, where = _at_least("--l-max", cfg.l_max, low), ""
+        l_max, where = cfg.l_max, ""
     else:
         l_max, where = math.isqrt(cfg.n_target), ", where --l-max defaults to isqrt(--n)"
-        if l_max < low:
-            raise ConfigError(f"--l-max must be >= {low}, and its default isqrt(--n) is {l_max}")
+    if l_max < low:
+        bound = f"{low_flag} {low}" if low_flag else low
+        default = "" if cfg.l_max is not None else f", and its default isqrt(--n) is {l_max}"
+        raise ConfigError(f"--l-max must be >= {bound}{default}")
     _check_fits(max(l_max - first + 1, 0), "trial arguments", "--l-max", where)
     return l_max
 
@@ -268,12 +317,10 @@ def _column_blocks(rows: Sequence[tuple], size: int) -> Iterator[tuple]:
 
 def _sample_columns(xis: np.ndarray, values: np.ndarray, size: int) -> Iterator[tuple[list, ...]]:
     """The columns xi, re, im and |v|^2 of one block of samples, `size` rows
-    at a time.  |v|^2 is Python's per-element abs(v) ** 2: a vectorized
-    np.abs(values) ** 2 gives other bits."""
+    at a time."""
     for b in _row_slices(len(xis), size):
         v = values[b]
-        yield (xis[b].tolist(), v.real.tolist(), v.imag.tolist(),
-               [abs(z) ** 2 for z in v.tolist()])
+        yield xis[b].tolist(), v.real.tolist(), v.imag.tolist(), abs2(v).tolist()
 
 
 def _samples_doc(n_label: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -311,29 +358,25 @@ def _cmd_scan(cfg: RunConfig) -> int:
         if cfg.n_target is None:
             raise ConfigError("scan needs --n or --b")
         cfg.b_param = _continuous_n(cfg)
-    for flag, value in (("--a", cfg.a_param), ("--b", cfg.b_param)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{flag} must be finite and positive")
-    if cfg.xi_max <= cfg.xi_min:
-        raise ConfigError("need --xi-max > --xi-min")
     spec = ContinuousSpec(a_param=cfg.a_param, b_param=cfg.b_param)
     evaluate = partial(continuous_sum_grid, spec=spec, w=cfg.weight_profile())
     _emit_grid(cfg, evaluate, cfg.n_target or round(cfg.b_param))
     return 0
 
 
-def _check_point_count(xi_min: float, xi_max: float, step: float) -> None:
-    """uniform_grid's check that the grid's point count is finite, naming
-    --step."""
-    if (xi_max - xi_min) / step + 1e-9 == math.inf:
-        raise ConfigError(f"--step {step!r} is too small: the point count overflows to inf")
+def _grid_span(cfg: RunConfig) -> str:
+    """The flags behind the xi range of the command's grid."""
+    if cfg.command == "factor":
+        return f"the scan range of --n {cfg.n_target}"
+    return f"--xi-min {cfg.xi_min!r} to --xi-max {cfg.xi_max!r}"
 
 
 def _emit_grid(cfg: RunConfig, evaluate: Callable[[np.ndarray], np.ndarray],
                n_label: int) -> None:
     """Write evaluate on the --xi-min/--xi-max/--step grid, as CSV or JSON
     samples, one scan_blocks block at a time."""
-    _check_point_count(cfg.xi_min, cfg.xi_max, cfg.step)
+    if cfg.xi_max <= cfg.xi_min:
+        raise ConfigError("need --xi-max > --xi-min")
     grid = factorizer.uniform_grid(cfg.xi_min, cfg.xi_max, cfg.step)
     blocks = factorizer.scan_blocks(evaluate, grid, workers=cfg.workers)
     # The first block is evaluated before the header is written or the
@@ -343,8 +386,6 @@ def _emit_grid(cfg: RunConfig, evaluate: Callable[[np.ndarray], np.ndarray],
 
 
 def _cmd_factor(cfg: RunConfig) -> int:
-    if cfg.n_target is None:
-        raise ConfigError("factor needs --n")
     n = cfg.n_target
     if cfg.scheme in ("continuous", "reciprocate") and n % 2 == 0:
         hint = "; --scheme even takes an even --n" if cfg.scheme == "continuous" else ""
@@ -353,7 +394,6 @@ def _cmd_factor(cfg: RunConfig) -> int:
         raise ConfigError("--scheme even needs an even --n")
     if cfg.scheme in ("continuous", "even"):
         _continuous_n(cfg)
-        _check_point_count(*factorizer._scan_range(n), cfg.step)
     if cfg.scheme == "continuous":
         if n < 3:
             raise ConfigError("--scheme continuous needs --n >= 3")
@@ -376,7 +416,9 @@ def _cmd_factor(cfg: RunConfig) -> int:
     elif cfg.scheme == "truncated":
         if cfg.m_terms is None:
             raise ConfigError("truncated scheme needs --m-terms")
-        report = factorizer.factor_truncated(n, _l_max(cfg, 2), _m_terms(cfg), cfg.threshold)
+        l_max = _l_max(cfg, 2)
+        _check_fits(cfg.m_terms, "terms", "--m-terms")
+        report = factorizer.factor_truncated(n, l_max, cfg.m_terms, cfg.threshold)
     else:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     _emit(cfg, _report_doc(report, cfg.format))
@@ -384,19 +426,22 @@ def _cmd_factor(cfg: RunConfig) -> int:
 
 
 def _cmd_reciprocate(cfg: RunConfig) -> int:
-    if cfg.n_target is None:
-        raise ConfigError("reciprocate needs --n")
-    ls = np.arange(1, _l_max(cfg) + 1)
+    l_max = _l_max(cfg)
+    ls = np.arange(1, l_max + 1)
     if cfg.samples is not None:
-        samples = _at_least("--samples", cfg.samples, 1)
+        if cfg.samples >= l_max:  # min(--samples, l) would be l for every l
+            default = "" if cfg.l_max is not None else ", whose default isqrt(--n) is"
+            raise ConfigError(f"--samples {cfg.samples} must be below --l-max{default} {l_max}: "
+                              "every sum would be complete")
         values = np.array(
-            [monte_carlo_sum(cfg.n_target, int(l), min(samples, int(l)), cfg.seed) for l in ls]
+            [monte_carlo_sum(cfg.n_target, int(l), min(cfg.samples, int(l)), cfg.seed)
+             for l in ls]
         )
     else:
         values = reciprocate_complete_sweep(cfg.n_target, ls)
     if cfg.format == "json":
         columns = ((ls[b].tolist(), values[b].real.tolist(), values[b].imag.tolist(),
-                    list(map(abs, values[b].tolist())))
+                    np.hypot(values[b].real, values[b].imag).tolist())
                    for b in _row_slices(len(ls), _JSON_BLOCK_RECORDS))
         _emit(cfg, {"n": cfg.n_target, "samples": _Records(("l", "re", "im", "abs"), columns)})
     else:
@@ -405,14 +450,9 @@ def _cmd_reciprocate(cfg: RunConfig) -> int:
 
 
 def _cmd_nslit(cfg: RunConfig) -> int:
-    if cfg.n_target is None:
-        raise ConfigError("nslit needs --n")
     # each sum over the slits holds one complex per slit
     _check_fits(cfg.n_target, "slits", "--n")
     if cfg.l_talbot is not None:
-        _at_least("--l", cfg.l_talbot, 1)
-        if cfg.xi_max <= cfg.xi_min:
-            raise ConfigError("nslit pattern needs --xi-max > --xi-min")
         c = nslit.NSlitConfig(cfg.n_target, cfg.l_talbot)
         _emit_grid(cfg, partial(nslit.green_sum, cfg=c), cfg.n_target)
         return 0
@@ -430,15 +470,9 @@ def _cmd_nslit(cfg: RunConfig) -> int:
 
 
 def _cmd_ghost(cfg: RunConfig) -> int:
-    if cfg.n_target is None or cfg.m_terms is None:
-        raise ConfigError("ghost needs --n and --m-terms")
-    census = factorizer.ghost_census(
-        cfg.n_target,
-        _m_terms(cfg),
-        cfg.threshold,
-        _at_least("--l-min", cfg.l_min, 1),
-        _l_max(cfg, low=cfg.l_min, first=cfg.l_min),
-    )
+    _check_fits(cfg.m_terms, "terms", "--m-terms")
+    census = factorizer.ghost_census(cfg.n_target, cfg.m_terms, cfg.threshold, cfg.l_min,
+                                     _l_max(cfg, cfg.l_min, cfg.l_min, "--l-min"))
     doc = {
         "n": cfg.n_target,
         "m_terms": cfg.m_terms,
@@ -467,56 +501,25 @@ def build_parser() -> _Parser:
     p = _Parser(prog="gaussfactor", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    flags = {
-        "--n": dict(dest="n_target", type=int),
-        "--dm": dict(dest="delta_m", type=float),
-        "--m-terms": dict(dest="m_terms", type=int, help="truncation M (default ceil(4*dm))"),
-        "--xi-min": dict(type=float),
-        "--xi-max": dict(type=float),
-        "--step": dict(type=float),
-        "--workers": dict(type=int, help="worker threads, at most one per usable CPU "
-                                         "(default: one per usable CPU)"),
-        "--l-min": dict(type=int),
-        "--l-max": dict(type=int),
-        "--output": dict(dest="output_path"),
-        "--format": dict(choices=("csv", "json")),
-    }
+    def add(command: str, help: str, *flags: str) -> None:
+        sp = sub.add_parser(command, help=help)
+        for name in flags:
+            flag = _FLAGS[name]
+            sp.add_argument(name, dest=flag.field, type=flag.type,
+                            required=command in flag.required_by, **flag.options)
 
-    def add(sp, *names):
-        for name in names:
-            sp.add_argument(name, **flags[name])
-
-    sp = sub.add_parser("scan", help="continuous-sum scan over a xi grid")
-    add(sp, "--n", "--dm", "--m-terms", "--xi-min", "--xi-max", "--step", "--workers",
+    add("scan", "continuous-sum scan over a xi grid", "--n", "--dm", "--m-terms", "--xi-min",
+        "--xi-max", "--step", "--workers", "--a", "--b", "--output", "--format")
+    add("factor", "run a factor-extraction scheme", "--n", "--dm", "--m-terms", "--step",
+        "--l-max", "--scheme", "--peak-factor", "--zero-factor", "--threshold", "--output",
+        "--format")
+    add("reciprocate", "complete reciprocate series", "--n", "--l-max", "--samples", "--seed",
         "--output", "--format")
-    sp.add_argument("--a", dest="a_param", type=float)
-    sp.add_argument("--b", dest="b_param", type=float)
-
-    sp = sub.add_parser("factor", help="run a factor-extraction scheme")
-    add(sp, "--n", "--dm", "--m-terms", "--step", "--l-max", "--output", "--format")
-    sp.add_argument("--scheme", choices=("continuous", "even", "lines", "reciprocate", "truncated"))
-    sp.add_argument("--peak-factor", type=float)
-    sp.add_argument("--zero-factor", type=float)
-    sp.add_argument("--threshold", type=float)
-
-    sp = sub.add_parser("reciprocate", help="complete reciprocate series")
-    add(sp, "--n", "--l-max", "--output", "--format")
-    sp.add_argument("--samples", type=int, help="Monte-Carlo term count (default: complete sum)")
-    sp.add_argument("--seed", type=int)
-
-    sp = sub.add_parser("nslit", help="N-slit pattern (CSV) or factor sweep (JSON)")
-    add(sp, "--n", "--xi-min", "--xi-max", "--step", "--l-max", "--output")
-    sp.add_argument("--l", dest="l_talbot", type=int,
-                    help="emit the intensity pattern at this Talbot distance")
-    sp.add_argument("--spread-threshold", type=float)
-
-    sp = sub.add_parser("ghost", help="ghost-factor census of the truncated sum (JSON)")
-    add(sp, "--n", "--l-min", "--l-max", "--output")
-    sp.add_argument("--m-terms", dest="m_terms", type=int, required=True)
-    sp.add_argument("--threshold", type=float)
-
-    sp = sub.add_parser("verify", help="run the named verification suites")
-    sp.add_argument("--suite", dest="suites", nargs="+", choices=sorted(verify.SUITES) + ["all"])
+    add("nslit", "N-slit pattern (CSV) or factor sweep (JSON)", "--n", "--xi-min", "--xi-max",
+        "--step", "--l-max", "--l", "--spread-threshold", "--output")
+    add("ghost", "ghost-factor census of the truncated sum (JSON)", "--n", "--m-terms",
+        "--l-min", "--l-max", "--threshold", "--output")
+    add("verify", "run the named verification suites", "--suite")
     return p
 
 
@@ -531,31 +534,22 @@ _COMMANDS = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a configured command; deterministic for fixed config and seed."""
+    """Execute a configured command; deterministic for fixed config and seed.
+    Every set field is checked against its flag's accepted values first."""
     if cfg.command not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
-    if cfg.n_target is not None and cfg.n_target < 1:
-        raise ConfigError("--n must be a positive integer")
-    if cfg.workers is not None:
-        _at_least("--workers", cfg.workers, 1)
-    if cfg.step <= 0:
-        raise ConfigError("--step must be positive")
-    for flag, value in (("--xi-min", cfg.xi_min), ("--xi-max", cfg.xi_max), ("--step", cfg.step)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite")
-    # a truncated-sum modulus and a relative spread both lie in [0, 1]
-    for flag, value in (("--threshold", cfg.threshold),
-                        ("--spread-threshold", cfg.spread_threshold)):
-        if not 0 < value < 1:
-            raise ConfigError(f"{flag} must lie in (0, 1)")
-    for flag, value in (("--peak-factor", cfg.peak_factor), ("--zero-factor", cfg.zero_factor)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{flag} must be finite and positive")
+    for name, flag in _FLAGS.items():
+        value = getattr(cfg, flag.field)
+        if value is None:
+            if cfg.command in flag.required_by:
+                raise ConfigError(f"{cfg.command} needs {name}")
+        elif flag.values is not None and not flag.values.test(value):
+            raise ConfigError(f"{name} {flag.values.rule}")
     try:
         return _COMMANDS[cfg.command](cfg)
     except factorizer.GridTooLarge as exc:
-        raise ConfigError(f"too many grid points: --step {cfg.step!r} makes {exc.count:.3g} "
-                          "points, which do not fit in memory") from None
+        raise ConfigError(f"too many grid points: --step {cfg.step!r} over {_grid_span(cfg)} "
+                          f"makes {exc.count:.3g} points, which do not fit in memory") from None
 
 
 def _joined_negative_values(argv: Sequence[str]) -> list[str]:

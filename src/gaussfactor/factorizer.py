@@ -26,6 +26,7 @@ from .gausssums import (
     ContinuousSpec,
     WeightProfile,
     _reduced,
+    abs2,
     continuous_sum_grid,
     discrete_sweep,
     reciprocate_complete_sweep,
@@ -187,7 +188,8 @@ def uniform_grid(xi_min: float, xi_max: float, step: float) -> UniformGrid:
     """The UniformGrid from xi_min by step up to xi_max (with 1e-9 steps of
     slack).  A step below the float spacing near the grid makes neighbouring
     points round to the same value; such a grid is rejected, so every grid
-    command gets strictly increasing points."""
+    command gets strictly increasing points.  A point count that overflows
+    to inf is GridTooLarge, as is one past memory."""
     if not all(map(math.isfinite, (xi_min, xi_max, step))):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0:
@@ -196,7 +198,7 @@ def uniform_grid(xi_min: float, xi_max: float, step: float) -> UniformGrid:
         raise ValueError("empty scan range")
     span = (xi_max - xi_min) / step + 1e-9
     if span == math.inf:
-        raise ValueError(f"step {step!r} is too small: the point count overflows to inf")
+        raise GridTooLarge(span)
     return UniformGrid(xi_min, step, int(math.floor(span)) + 1)
 
 
@@ -567,8 +569,7 @@ def factor_lines_discrete(n_target: int, w: WeightProfile) -> FactorReport:
     if n % 4 == 0:
         slopes.append(2.0 / n)
     ls = np.arange(1, n + 1)
-    # Python's abs(v) ** 2 per element: np.abs(v) ** 2 gives other bits
-    measured = np.array([abs(v) ** 2 for v in discrete_sweep(n, ls, w).tolist()])
+    measured = abs2(discrete_sweep(n, ls, w))
     member = np.zeros(n, dtype=bool)
     for s in slopes:
         member |= np.abs(measured - s * ls) < np.maximum(_LINE_ABS_TOL, _LINE_REL_TOL * s * ls)

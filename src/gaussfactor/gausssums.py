@@ -69,6 +69,13 @@ def _check_width(delta_m: float) -> None:
         raise ValueError(f"delta_m {delta_m!r} is too large: its square overflows to inf")
 
 
+def abs2(v) -> np.ndarray:
+    """|v|^2 of each complex in v, with the bits of Python's abs(v) ** 2 (a
+    libm hypot, then a libm pow): np.abs(v) ** 2 and np.hypot(...) ** 2
+    differ from it in the last bit."""
+    return np.float_power(np.hypot(v.real, v.imag), 2.0)
+
+
 @dataclass(frozen=True)
 class WeightProfile:
     """Gaussian weights w_m of width delta_m, truncated to |m| <= m_max.

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gausssums import _SWEEP_PHASORS
+from .gausssums import _SWEEP_PHASORS, abs2
 
 DEFAULT_SPREAD_THRESHOLD = 1e-3
 
@@ -124,9 +124,9 @@ def spike_profile(cfg: NSlitConfig) -> SpikeProfile:
     l = cfg.l_talbot
     positions = tuple(q + 0.5 for q in range(l))
     comb = tuple(l / 2.0 + s for s in range(l))
-    values = green_sum(np.array(positions + comb), cfg).tolist()
-    heights = tuple(abs(v) ** 2 for v in values[:l])
-    top = max(max(heights), max(abs(v) ** 2 for v in values[l:]))
+    intensities = abs2(green_sum(np.array(positions + comb), cfg)).tolist()
+    heights = tuple(intensities[:l])
+    top = max(max(heights), max(intensities[l:]))
     spread = 0.0 if top == 0.0 else (top - min(heights)) / top
     return SpikeProfile(positions=positions, heights=heights, relative_spread=spread)
 

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -854,7 +856,7 @@ class TestInputContracts:
         argv = ["nslit", "--n", "15", "--l", "3", "--xi-min", "0", "--xi-max", "3", "--step", step]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err == "error: --step must be positive\n"
+        assert err == "error: --step must be finite and positive\n"
 
     @pytest.mark.parametrize("argv, err", [
         (["scan", "--n", "33", "--xi-min", "-inf", "--xi-max", "3"],
@@ -867,7 +869,7 @@ class TestInputContracts:
         (["factor", "--n", "30", "--scheme", "even", "--zero-factor", "-1e-3"],
          "error: --zero-factor must be finite and positive\n"),
         (["scan", "--n", "33", "--xi-max", "3", "--step", "-1E-3"],
-         "error: --step must be positive\n"),
+         "error: --step must be finite and positive\n"),
     ])
     def test_negative_values_in_exponent_form_reach_their_check(self, argv, err, capsys):
         # argparse took -1e5, -1e-3 and -inf for flags: "expected one argument"
@@ -1019,8 +1021,9 @@ class TestInputContracts:
          "--threshold must lie in (0, 1)"),
         (["ghost", "--n", "15", "--m-terms", "3", "--threshold", "0"],
          "--threshold must lie in (0, 1)"),
-        (["scan", "--n", "33", "--xi-max", "3", "--step", "0"], "--step must be positive"),
-        (["factor", "--n", "33", "--step", "-1"], "--step must be positive"),
+        (["scan", "--n", "33", "--xi-max", "3", "--step", "0"],
+         "--step must be finite and positive"),
+        (["factor", "--n", "33", "--step", "-1"], "--step must be finite and positive"),
         (["scan", "--n", "33", "--xi-max", "3", "--a", "0"], "--a must be finite and positive"),
         (["scan", "--b", "-2", "--xi-max", "3"], "--b must be finite and positive"),
         (["scan", "--n", "1" + "0" * 400, "--xi-max", "3"],
@@ -1034,12 +1037,15 @@ class TestInputContracts:
         (["factor", "--n", "33", "--dm", "1e-300"],
          "--dm 1e-300 is too small: its square underflows to 0"),
         (["factor", "--n", "33", "--step", "5e-324"],
-         "--step 5e-324 is too small: the point count overflows to inf"),
+         "too many grid points: --step 5e-324 over the scan range of --n 33 makes inf points, "
+         "which do not fit in memory"),
         (["scan", "--n", "33", "--xi-max", "3", "--step", "5e-324"],
-         "--step 5e-324 is too small: the point count overflows to inf"),
+         "too many grid points: --step 5e-324 over --xi-min 0.0 to --xi-max 3.0 makes inf "
+         "points, which do not fit in memory"),
         (["scan", "--n", "33", "--xi-min", "nan", "--xi-max", "3"], "--xi-min must be finite"),
         (["scan", "--n", "33", "--xi-max", "nan"], "--xi-max must be finite"),
-        (["scan", "--n", "33", "--xi-max", "3", "--step", "nan"], "--step must be finite"),
+        (["scan", "--n", "33", "--xi-max", "3", "--step", "nan"],
+         "--step must be finite and positive"),
         (["factor", "--n", "33", "--scheme", "truncated", "--m-terms", "9" * 20],
          "too many terms: --m-terms must be at most 5.76e+17"),
         (["factor", "--n", "33", "--scheme", "truncated", "--m-terms", "10000000000000"],
@@ -1051,16 +1057,26 @@ class TestInputContracts:
         (["nslit", "--n", "33", "--spread-threshold", "2"],
          "--spread-threshold must lie in (0, 1)"),
         (["ghost", "--n", "33", "--m-terms", "3", "--l-min", "9", "--l-max", "3"],
-         "--l-max must be >= 9"),
+         "--l-max must be >= --l-min 9"),
         (["ghost", "--n", "50", "--m-terms", "3", "--l-min", "10"],
-         "--l-max must be >= 10, and its default isqrt(--n) is 7"),
+         "--l-max must be >= --l-min 10, and its default isqrt(--n) is 7"),
+        (["reciprocate", "--n", "15", "--samples", "99", "--l-max", "5", "--format", "json"],
+         "--samples 99 must be below --l-max 5: every sum would be complete"),
+        (["reciprocate", "--n", "15", "--samples", "5", "--l-max", "5"],
+         "--samples 5 must be below --l-max 5: every sum would be complete"),
+        (["reciprocate", "--n", "15", "--samples", "3"],
+         "--samples 3 must be below --l-max, whose default isqrt(--n) is 3: every sum would "
+         "be complete"),
+        (["factor", "--scheme", "reciprocate"], "the following arguments are required: --n"),
+        (["ghost", "--n", "33"], "the following arguments are required: --m-terms"),
     ])
     def test_library_rejections_name_their_flag(self, argv, err, capsys):
         # each used to reach the CLI as the library's message, which names
         # N, A, B, step, threshold, delta_m or workers but no flag (the three
         # --n cases leaked an OverflowError), or as NumPy's own message
-        # (--m-terms), or was accepted with exit 0 (--spread-threshold 2, and
-        # an --l-max below --l-min, which gave an empty census)
+        # (--m-terms), or was accepted with exit 0 (--spread-threshold 2, an
+        # --l-max below --l-min, which gave an empty census, and a --samples
+        # at or above --l-max, which wrote the complete sums)
         rc = cli.main(argv)
         captured = capsys.readouterr()
         assert_one_error_line(rc, captured.out, captured.err)
@@ -1080,6 +1096,78 @@ class TestInputContracts:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "memory" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestFlagTable:
+    """Every flag of the parser comes from cli._FLAGS, and every value of a
+    numeric flag either runs or is rejected naming the flag."""
+
+    # cheap runs of each command; each flag is tried on each base of its
+    # command (the sweep base's --xi-max is read once --l makes a pattern)
+    BASES = {
+        "scan": [["scan", "--n", "33", "--dm", "1", "--xi-min", "2", "--xi-max", "3"]],
+        "factor": [["factor", "--n", "33", "--dm", "1"],
+                   ["factor", "--n", "33", "--scheme", "truncated", "--m-terms", "3",
+                    "--l-max", "5"]],
+        "reciprocate": [["reciprocate", "--n", "15", "--l-max", "5"]],
+        "nslit": [["nslit", "--n", "15", "--l-max", "5", "--xi-max", "3"],
+                  ["nslit", "--n", "15", "--l", "3", "--xi-max", "3"]],
+        "ghost": [["ghost", "--n", "33", "--m-terms", "3", "--l-max", "5"]],
+        "verify": [["verify", "--suite", "ring"]],
+    }
+    VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", str(10**20))
+
+    @staticmethod
+    def parser_flags():
+        """(command, flag, argparse action) for each flag of each command."""
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return [(command, a.option_strings[0], a) for command, sp in sub.choices.items()
+                for a in sp._actions if a.option_strings and a.dest != "help"]
+
+    def test_every_parser_flag_is_in_the_table(self):
+        flags = self.parser_flags()
+        for command, flag, action in flags:
+            entry = cli._FLAGS[flag]
+            assert (action.dest, action.type) == (entry.field, entry.type), flag
+            assert action.required == (command in entry.required_by), (command, flag)
+        assert {f for _, f, _ in flags} == set(cli._FLAGS)
+        assert {c for c, _, _ in flags} == set(self.BASES)
+
+    def test_every_value_runs_or_names_its_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))  # --output nan, ...
+        unclean = []
+        for command, flag, action in self.parser_flags():
+            named = re.compile(re.escape(flag) + r"(?![\w-])")
+            for base in self.BASES[command]:
+                for value in self.VALUES:
+                    argv = [*base, flag, value]
+                    rc = cli.main(argv)
+                    err = capsys.readouterr().err
+                    lines = err.splitlines()
+                    clean = rc == 0 or (rc == 1 and len(lines) == 1
+                                        and lines[0].startswith("error:")
+                                        and named.search(lines[0]) is not None)
+                    if action.type is float and not math.isfinite(float(value)):
+                        clean = clean and rc == 1
+                    if not clean:
+                        unclean.append((argv, rc, err))
+        assert not unclean
+
+    @pytest.mark.parametrize("cfg, err", [
+        (cli.RunConfig("factor"), "factor needs --n"),
+        (cli.RunConfig("ghost", n_target=33), "ghost needs --m-terms"),
+        (cli.RunConfig("scan", n_target=33, xi_max=3.0, step=math.nan),
+         "--step must be finite and positive"),
+        (cli.RunConfig("nslit", n_target=33, spread_threshold=1.0),
+         "--spread-threshold must lie in (0, 1)"),
+        (cli.RunConfig("reciprocate", n_target=15, samples=0), "--samples must be >= 1"),
+        (cli.RunConfig("verify", n_target=0), "--n must be >= 1"),
+    ])
+    def test_run_checks_library_callers_against_the_table(self, cfg, err):
+        with pytest.raises(cli.ConfigError) as info:
+            cli.run(cfg)
+        assert str(info.value) == err
 
 
 def assert_one_error_line(rc, out, err):
@@ -1178,33 +1266,47 @@ class TestUnwritableOrOverflowingRuns:
                 gs.WeightProfile(dm, 5)
         assert gs.WeightProfile(1e150, 5).weights().sum() == 1.0
 
-    @pytest.mark.parametrize("argv", [
-        ["scan", "--n", "33", "--xi-max", "3", "--step", "1e-320"],
-        ["factor", "--n", "33", "--step", "1e-320"],
-        ["nslit", "--n", "15", "--l", "3", "--xi-max", "1", "--step", "1e-320"],
+    @pytest.mark.parametrize("argv, span", [
+        (["scan", "--n", "33", "--xi-max", "3", "--step", "1e-320"],
+         "--xi-min 0.0 to --xi-max 3.0"),
+        (["factor", "--n", "33", "--step", "1e-320"], "the scan range of --n 33"),
+        (["nslit", "--n", "15", "--l", "3", "--xi-max", "1", "--step", "1e-320"],
+         "--xi-min 0.0 to --xi-max 1.0"),
+        # the span overflows, whatever the step
+        (["scan", "--n", "33", "--xi-min", "-1e308", "--xi-max", "1e308", "--step", "1e-320"],
+         "--xi-min -1e+308 to --xi-max 1e+308"),
     ])
-    def test_step_whose_point_count_overflows_rejected(self, argv, capsys):
+    def test_step_whose_point_count_overflows_rejected(self, argv, span, capsys):
         rc = cli.main(argv)
         captured = capsys.readouterr()
         assert_one_error_line(rc, captured.out, captured.err)
-        assert "step 1e-320 is too small" in captured.err
+        assert captured.err == (f"error: too many grid points: --step 1e-320 over {span} makes "
+                                "inf points, which do not fit in memory\n")
 
-    @pytest.mark.parametrize("argv, count", [
-        (["scan", "--n", "33", "--xi-max", "3", "--step", "1e-300"], "3e+300"),
-        (["factor", "--n", "33", "--step", "1e-200"], "3.2e+201"),
-        (["factor", "--n", "34", "--scheme", "even", "--step", "1e-300"], "3.3e+301"),
-        (["nslit", "--n", "15", "--l", "3", "--xi-max", "3", "--step", "1e-300"], "3e+300"),
-        (["factor", "--n", "33", "--step", "1e-13"], "3.2e+14"),
+    @pytest.mark.parametrize("argv, span, count", [
+        (["scan", "--n", "33", "--xi-max", "3", "--step", "1e-300"],
+         "--xi-min 0.0 to --xi-max 3.0", "3e+300"),
+        (["factor", "--n", "33", "--step", "1e-200"], "the scan range of --n 33", "3.2e+201"),
+        (["factor", "--n", "34", "--scheme", "even", "--step", "1e-300"],
+         "the scan range of --n 34", "3.3e+301"),
+        (["nslit", "--n", "15", "--l", "3", "--xi-max", "3", "--step", "1e-300"],
+         "--xi-min 0.0 to --xi-max 3.0", "3e+300"),
+        (["factor", "--n", "33", "--step", "1e-13"], "the scan range of --n 33", "3.2e+14"),
+        # the default step, over a range past any array
+        (["scan", "--n", "33", "--xi-max", "1e300"], "--xi-min 0.0 to --xi-max 1e+300", "1e+302"),
+        (["nslit", "--n", "15", "--l", "3", "--xi-min", "-1e20", "--xi-max", "3"],
+         "--xi-min -1e+20 to --xi-max 3.0", "1e+22"),
     ])
-    def test_grid_past_memory_or_any_array_names_step(self, argv, count, capsys):
+    def test_grid_past_memory_or_any_array_names_step(self, argv, span, count, capsys):
         # NumPy refused these with "Maximum allowed dimension exceeded" and
-        # "Unable to allocate 2.27 PiB for an array with shape ..."
+        # "Unable to allocate 2.27 PiB for an array with shape ..."; the
+        # message named --step alone, also where the range made the count
         rc = cli.main(argv)
         captured = capsys.readouterr()
         assert_one_error_line(rc, captured.out, captured.err)
-        step = argv[argv.index("--step") + 1]
-        assert captured.err == (f"error: too many grid points: --step {step} makes {count} "
-                                "points, which do not fit in memory\n")
+        step = argv[argv.index("--step") + 1] if "--step" in argv else "0.01"
+        assert captured.err == (f"error: too many grid points: --step {step} over {span} makes "
+                                f"{count} points, which do not fit in memory\n")
 
     @pytest.mark.parametrize("argv", [
         ["factor", "--n", "33"],

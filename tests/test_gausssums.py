@@ -985,3 +985,33 @@ class TestPackageExports:
             assert not isinstance(getattr(gaussfactor, name), types.ModuleType), name
         assert {"discrete_sweep", "reciprocate_complete_sweep",
                 "reciprocate_truncated_sweep"} <= set(gaussfactor.__all__)
+
+
+class TestAbs2:
+    """abs2 has the bits of Python's abs(v) ** 2, which the CSV and JSON
+    samples, the lines scheme and the N-slit spike heights were built from
+    one element at a time."""
+
+    @staticmethod
+    def python_abs2(values: np.ndarray) -> np.ndarray:
+        return np.array([abs(v) ** 2 for v in values.tolist()])
+
+    def test_bits_of_the_python_expression_on_seeded_values(self):
+        rng = np.random.default_rng(27)
+        size = 60_000
+        # magnitudes from subnormal to 1e150 (abs(v) ** 2 raises past 1e154)
+        scale = 10.0 ** rng.uniform(-320, 150, size)
+        v = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale
+        edge = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, math.inf, -math.inf, math.nan])
+        pairs = np.empty((len(edge), len(edge)), dtype=complex)
+        pairs.real, pairs.imag = edge[:, None], edge[None, :]
+        v = np.concatenate([v, pairs.ravel()])
+        got, expect = gs.abs2(v), self.python_abs2(v)
+        nan = np.isnan(expect)
+        assert (np.isnan(got) == nan).all()
+        assert bits(got[~nan]).tolist() == bits(expect[~nan]).tolist()
+
+    def test_bits_of_the_python_expression_on_a_scan(self):
+        xis = np.linspace(2.0, 32.0, 5_001)
+        v = gs.continuous_sum_grid(xis, SPEC33, W10)
+        assert bits(gs.abs2(v)).tolist() == bits(self.python_abs2(v)).tolist()
