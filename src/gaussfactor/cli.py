@@ -199,8 +199,9 @@ def _l_max(cfg: RunConfig, low: int = 1, first: int = 1, low_flag: str = "") -> 
 
 class _Records(NamedTuple):
     """A table: a list of records that all have `keys`, given as blocks of
-    columns (one sequence of values per key, all of one length), so it is
-    written one block at a time."""
+    whole columns (one NumPy array or sequence of values per key, all of
+    one length).  The writer, not the command, cuts each block into chunks
+    of rows, so a command hands over its columns at any length."""
 
     keys: tuple[str, ...]
     blocks: Iterable[Sequence[Sequence]]
@@ -227,13 +228,15 @@ def _emit(cfg: RunConfig, doc: dict, fmt: str | None = None) -> None:
         raise ConfigError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
 
 
-def _block_rows(fmt: str) -> int:
-    return _CSV_BLOCK_ROWS if fmt == "csv" else _JSON_BLOCK_RECORDS
-
-
-def _row_slices(count: int, size: int) -> Iterator[slice]:
-    """Consecutive slices of `size` rows covering `count` rows."""
-    return (slice(start, start + size) for start in range(0, count, size))
+def _row_chunks(blocks: Iterable[Sequence[Sequence]], size: int) -> Iterator[tuple[Sequence, ...]]:
+    """The rows of each block, `size` at a time, as a tuple of column slices
+    (an array's through .tolist()).  No block is held once its last chunk is
+    made, so none is kept while the next one is evaluated."""
+    for columns in blocks:
+        for start in range(0, min(map(len, columns), default=0), size):
+            chunk = (c[start:start + size] for c in columns)
+            yield tuple(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk)
+        del columns
 
 
 def _csv_chunks(doc: dict) -> Iterator[str]:
@@ -241,13 +244,11 @@ def _csv_chunks(doc: dict) -> Iterator[str]:
     rows of each block."""
     records = next(v for v in doc.values() if isinstance(v, _Records))
     yield ",".join(records.keys) + "\n"
-    # map keeps no block once its text is made, so none is held while the
-    # next one is evaluated
-    yield from map(_csv_block, records.blocks)
+    yield from map(_csv_block, _row_chunks(records.blocks, _CSV_BLOCK_ROWS))
 
 
 def _csv_block(columns: Sequence[Sequence]) -> str:
-    """One block's rows: one %-format of its row template, %.12g for a
+    """One chunk's rows: one %-format of its row template, %.12g for a
     column of floats and %s for any other.  A table's columns each hold one
     kind of value, so a column's first value gives its kind."""
     row = ",".join("%.12g" if isinstance(c[0], float) else "%s" for c in columns) + "\n"
@@ -259,7 +260,7 @@ _RECORDS_MARK = "\x00records"
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_BOOLS = ("false", "true")
 # the name of each class code of a FactorReport, an index into _CLASSES
-_CLASS_NAMES = tuple(c.value for c in factorizer._CLASSES)
+_CLASS_NAMES = np.array([c.value for c in factorizer._CLASSES], dtype=object)
 
 
 def _json_column(values: Sequence) -> Iterable[str]:
@@ -286,7 +287,7 @@ def _json_chunks(doc: dict) -> Iterator[str]:
 
     A doc without a _Records value is one chunk.  Otherwise json.dumps
     writes everything but the records, around a mark in their place.  Each
-    block of records is then one %-format of its row template, with its
+    chunk of records is then one %-format of its row template, with its
     values formatted a column at a time, so the records are never held as
     text (or as dicts) all at once.
     """
@@ -302,46 +303,26 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     row = "\n    {" + ",".join(f"\n      {k}: %s" for k in keys) + "\n    }"
     yield head + "["
     sep = ""
-    for columns in records.blocks:
-        if columns and len(columns[0]):
-            cells = itertools.chain.from_iterable(zip(*map(_json_column, columns)))
-            yield sep + ",".join([row] * len(columns[0])) % tuple(cells)
-            sep = ","
+    for columns in _row_chunks(records.blocks, _JSON_BLOCK_RECORDS):
+        cells = itertools.chain.from_iterable(zip(*map(_json_column, columns)))
+        yield sep + ",".join([row] * len(columns[0])) % tuple(cells)
+        sep = ","
     yield ("\n  ]" if sep else "]") + tail + "\n"
 
 
-def _column_blocks(rows: Sequence[tuple], size: int) -> Iterator[tuple]:
-    """The rows in blocks of `size`, each block as a tuple of columns."""
-    return (tuple(zip(*rows[b])) for b in _row_slices(len(rows), size))
-
-
-def _sample_columns(xis: np.ndarray, values: np.ndarray, size: int) -> Iterator[tuple[list, ...]]:
-    """The columns xi, re, im and |v|^2 of one block of samples, `size` rows
-    at a time."""
-    for b in _row_slices(len(xis), size):
-        v = values[b]
-        yield xis[b].tolist(), v.real.tolist(), v.imag.tolist(), abs2(v).tolist()
-
-
-def _samples_doc(n_label: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-                 fmt: str) -> dict:
+def _samples_doc(n_label: int, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
     """The samples of a scan, pattern or series from its (xis, values)
-    blocks, chunked for fmt; no block is held once its last record is
-    written."""
-    per_block = partial(_sample_columns, size=_block_rows(fmt))
-    columns = itertools.chain.from_iterable(itertools.starmap(per_block, blocks))
-    samples = _Records(("xi", "re", "im", "abs2"), columns)
-    return {"n": n_label, "unit_c": 1.0, "samples": samples}
+    blocks, as the columns xi, re, im and |v|^2; starmap, unlike a generator
+    expression, keeps no block once its columns are made."""
+    columns = itertools.starmap(lambda xis, v: (xis, v.real, v.imag, abs2(v)), blocks)
+    return {"n": n_label, "unit_c": 1.0, "samples": _Records(("xi", "re", "im", "abs2"), columns)}
 
 
-def _report_doc(report: factorizer.FactorReport, fmt: str) -> dict:
-    """The report in the layout of FactorReport.to_json_dict, its columns
-    read in blocks chunked for fmt."""
-    columns = ((report.ls[b].tolist(), report.measured[b].tolist(), report.predicted[b].tolist(),
-                list(map(_CLASS_NAMES.__getitem__, report.codes[b].tolist())))
-               for b in _row_slices(len(report.ls), _block_rows(fmt)))
+def _report_doc(report: factorizer.FactorReport) -> dict:
+    """The report in the layout of FactorReport.to_json_dict."""
+    columns = (report.ls, report.measured, report.predicted, _CLASS_NAMES[report.codes])
     return {"n": report.n_target, "scheme": report.scheme, "params": report.params,
-            "candidates": _Records(("l", "measured", "predicted", "class"), columns),
+            "candidates": _Records(("l", "measured", "predicted", "class"), [columns]),
             "factors": sorted(report.verified_factors)}
 
 
@@ -382,7 +363,7 @@ def _emit_grid(cfg: RunConfig, evaluate: Callable[[np.ndarray], np.ndarray],
     # The first block is evaluated before the header is written or the
     # --output file made, so an evaluation error leaves no output behind.
     blocks = itertools.chain([next(blocks)], blocks)
-    _emit(cfg, _samples_doc(n_label, blocks, cfg.format))
+    _emit(cfg, _samples_doc(n_label, blocks))
 
 
 def _cmd_factor(cfg: RunConfig) -> int:
@@ -421,7 +402,7 @@ def _cmd_factor(cfg: RunConfig) -> int:
         report = factorizer.factor_truncated(n, l_max, cfg.m_terms, cfg.threshold)
     else:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    _emit(cfg, _report_doc(report, cfg.format))
+    _emit(cfg, _report_doc(report))
     return 0
 
 
@@ -440,12 +421,10 @@ def _cmd_reciprocate(cfg: RunConfig) -> int:
     else:
         values = reciprocate_complete_sweep(cfg.n_target, ls)
     if cfg.format == "json":
-        columns = ((ls[b].tolist(), values[b].real.tolist(), values[b].imag.tolist(),
-                    np.hypot(values[b].real, values[b].imag).tolist())
-                   for b in _row_slices(len(ls), _JSON_BLOCK_RECORDS))
-        _emit(cfg, {"n": cfg.n_target, "samples": _Records(("l", "re", "im", "abs"), columns)})
+        columns = ls, values.real, values.imag, np.hypot(values.real, values.imag)
+        _emit(cfg, {"n": cfg.n_target, "samples": _Records(("l", "re", "im", "abs"), [columns])})
     else:
-        _emit(cfg, _samples_doc(cfg.n_target, [(ls.astype(float), values)], "csv"))
+        _emit(cfg, _samples_doc(cfg.n_target, [(ls.astype(float), values)]))
     return 0
 
 
@@ -461,8 +440,7 @@ def _cmd_nslit(cfg: RunConfig) -> int:
     rows = nslit.nslit_factor_test(cfg.n_target, _l_max(cfg), cfg.spread_threshold)
     doc = {
         "n": cfg.n_target,
-        "rows": _Records(("l", "flag", "spread", "divides"),
-                         _column_blocks(rows, _JSON_BLOCK_RECORDS)),
+        "rows": _Records(("l", "flag", "spread", "divides"), [tuple(zip(*rows))]),
         "factors": [r.l for r in rows if r.is_factor_flag and r.divides],
     }
     _emit(cfg, doc, "json")
@@ -550,6 +528,10 @@ def run(cfg: RunConfig) -> int:
     except factorizer.GridTooLarge as exc:
         raise ConfigError(f"too many grid points: --step {cfg.step!r} over {_grid_span(cfg)} "
                           f"makes {exc.count:.3g} points, which do not fit in memory") from None
+    except factorizer.GridRepeats:
+        raise ConfigError(f"xi grid must be strictly increasing: --step {cfg.step!r} over "
+                          f"{_grid_span(cfg)} is below the spacing of floats near its "
+                          "points") from None
 
 
 def _joined_negative_values(argv: Sequence[str]) -> list[str]:

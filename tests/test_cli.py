@@ -11,6 +11,7 @@ import warnings
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -105,8 +106,8 @@ class TestCsvStreaming:
         assert capsys.readouterr().out.encode() == expect
 
     def test_empty_series_is_header_only(self):
-        for blocks in ([([], [])], []):
-            doc = cli._samples_doc(0, blocks, "csv")
+        for blocks in ([(np.zeros(0), np.zeros(0, complex))], []):
+            doc = cli._samples_doc(0, blocks)
             assert "".join(cli._csv_chunks(doc)) == joined_csv([], [])
 
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
@@ -126,7 +127,12 @@ class TestCsvStreaming:
         expect = joined_csv(xis, values)
         assert expect.splitlines()[2] == "-0,-0,0,0"
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
-        assert "".join(cli._csv_chunks(cli._samples_doc(0, [(xis, values)], "csv"))) == expect
+        # one block of whole columns, as arrays and as lists, which the
+        # writer alone cuts into chunks of rows
+        assert "".join(cli._csv_chunks(cli._samples_doc(0, [(xis, values)]))) == expect
+        columns = [c.tolist() for c in (xis, values.real, values.imag, gs.abs2(values))]
+        doc = {"n": 0, "samples": cli._Records(("xi", "re", "im", "abs2"), [columns])}
+        assert "".join(cli._csv_chunks(doc)) == expect
 
     def test_reciprocate_csv_bytes(self, tmp_path):
         args = ["reciprocate", "--n", "1911", "--l-max", "60"]
@@ -169,7 +175,7 @@ class TestCsvStreaming:
         cfg = cli.RunConfig(command="scan", output_path=str(tmp_path / "big.csv"))
         tracemalloc.start()
         try:
-            cli._emit(cfg, cli._samples_doc(0, [(xis, values)], "csv"))
+            cli._emit(cfg, cli._samples_doc(0, [(xis, values)]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -237,6 +243,21 @@ NONFINITE_REPORT = report_of(
     [3])
 
 
+def as_array(column: list) -> np.ndarray:
+    """The column as a command would hand it over: a float64, bool or int64
+    array when every value fits one, else an object array."""
+    kinds = set(map(type, column))
+    if kinds <= {float, np.float64}:
+        dtype = float
+    elif kinds == {bool}:
+        dtype = bool
+    elif kinds == {int} and all(-(2**63) <= v < 2**63 for v in column):
+        dtype = np.int64
+    else:
+        dtype = object
+    return np.array(column, dtype=dtype)
+
+
 class TestJsonStreaming:
     @settings(max_examples=300, deadline=None)
     @given(record_columns())
@@ -245,10 +266,20 @@ class TestJsonStreaming:
         records = [dict(zip(keys, row)) for row in zip(*columns)]
         expect = json.dumps({"n": 7, "records": records, "after": [1.5, None]}, indent=2) + "\n"
         count = len(columns[0])
-        for size in (1, 2, 3, 256):
-            blocks = [tuple(c[b] for c in columns) for b in cli._row_slices(count, size)]
+
+        def written(blocks):
             doc = {"n": 7, "records": cli._Records(tuple(keys), blocks), "after": [1.5, None]}
-            assert "".join(cli._json_chunks(doc)) == expect
+            return "".join(cli._json_chunks(doc))
+
+        for size in (1, 2, 3, 256):  # blocks of `size` rows
+            blocks = [tuple(c[s:s + size] for c in columns) for s in range(0, count, size)]
+            assert written(blocks) == expect
+        # one block of whole columns, as lists and as arrays, which the
+        # writer alone cuts into chunks of rows
+        for size in (1, 3, count + 1):
+            with mock.patch.object(cli, "_JSON_BLOCK_RECORDS", size):
+                assert written([columns]) == expect
+                assert written([tuple(map(as_array, columns))]) == expect
 
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
     def test_edge_values_give_the_json_dumps_bytes(self, monkeypatch, block_rows):
@@ -256,7 +287,7 @@ class TestJsonStreaming:
         expect = joined_json_series(series)
         assert "NaN" in expect and "-Infinity" in expect and "-0.0" in expect
         monkeypatch.setattr(cli, "_JSON_BLOCK_RECORDS", block_rows)
-        doc = cli._samples_doc(1001, [(EDGE_XIS, EDGE_VALUES)], "json")
+        doc = cli._samples_doc(1001, [(EDGE_XIS, EDGE_VALUES)])
         assert "".join(cli._json_chunks(doc)) == expect
 
     @pytest.mark.parametrize("block_rows", [1, 7, 4096])
@@ -276,7 +307,7 @@ class TestJsonStreaming:
     def test_empty_scan_json(self):
         series = SimpleNamespace(n_label=9, unit_c=1.0, xis=np.zeros(0), values=np.zeros(0, complex))
         for blocks in ([(series.xis, series.values)], []):
-            doc = cli._samples_doc(9, blocks, "json")
+            doc = cli._samples_doc(9, blocks)
             assert "".join(cli._json_chunks(doc)) == joined_json_series(series)
 
     @pytest.mark.parametrize("block_rows", [1, 2, 4096])
@@ -294,7 +325,7 @@ class TestJsonStreaming:
         monkeypatch.setattr(cli, "_JSON_BLOCK_RECORDS", block_rows)
         for report in reports:
             expect = json.dumps(report.to_json_dict(), indent=2) + "\n"
-            assert "".join(cli._json_chunks(cli._report_doc(report, "json"))) == expect
+            assert "".join(cli._json_chunks(cli._report_doc(report))) == expect
 
     def test_reciprocate_json_bytes(self, tmp_path):
         ls = np.arange(1, 61)
@@ -312,7 +343,7 @@ class TestJsonStreaming:
         cfg = cli.RunConfig(command="scan", output_path=str(tmp_path / "big.json"), format="json")
         tracemalloc.start()
         try:
-            cli._emit(cfg, cli._samples_doc(1001, [(xis, series.values)], "json"))
+            cli._emit(cfg, cli._samples_doc(1001, [(xis, series.values)]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -435,8 +466,8 @@ class TestStreamedScan:
         return captured.err
 
     @pytest.mark.parametrize("emit", [
-        lambda blocks: cli._csv_chunks(cli._samples_doc(9, blocks, "csv")),
-        lambda blocks: cli._json_chunks(cli._samples_doc(9, blocks, "json")),
+        lambda blocks: cli._csv_chunks(cli._samples_doc(9, blocks)),
+        lambda blocks: cli._json_chunks(cli._samples_doc(9, blocks)),
     ], ids=["csv", "json"])
     def test_no_block_outlives_its_last_row(self, emit):
         # each block is made only once every earlier one has been released
@@ -477,9 +508,11 @@ class TestStreamedScan:
     def test_factor_scan_memory_grows_only_with_its_candidates(self):
         # Gathered whole, the N=9001 scan (900,001 points) rose 20.7 MB more
         # than the N=3001 one; classified block by block it rises 1.1-1.8 MB
-        # more.  Only the report grows with N: its N - 2 candidates, whose
-        # classification and list peak at about 2.8 MB under tracemalloc
-        # (read here from a two-points-a-unit series of the same N).
+        # more.  Only the classification of its N - 2 candidates grows with
+        # N, so the bound is the tracemalloc peak of report_from_series alone
+        # on a two-points-a-unit series of the same N: about 2.63 MB, nearly
+        # all the classifier's temporaries, while the report it returns holds
+        # about 0.235 MB (test_factor_report_holds_only_its_columns).
         small = fresh_hwm_rise_kb(["factor", "--n", "3001", "--dm", "4"])
         large = fresh_hwm_rise_kb(["factor", "--n", "9001", "--dm", "4"])
         xis = np.arange(0.0, 9002.0, 0.5)
@@ -487,11 +520,12 @@ class TestStreamedScan:
         series = factorizer.ScanSeries(1.0, xis, values, 9001)
         tracemalloc.start()
         try:
-            assert len(factorizer.report_from_series(series, "continuous_odd").candidates) == 8999
-            _, report_bytes = tracemalloc.get_traced_memory()
+            report = factorizer.report_from_series(series, "continuous_odd")
+            _, classify_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (large - small) * 1024 <= report_bytes
+        assert len(report.ls) == 8999
+        assert (large - small) * 1024 <= classify_peak
 
     def test_factor_report_holds_only_its_columns(self):
         # The report of 8,999 candidates held 1.52 MB (168 bytes each) as
@@ -579,7 +613,7 @@ class TestReportCsv:
         ]
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
         for report in reports:
-            doc = cli._report_doc(report, "csv")
+            doc = cli._report_doc(report)
             assert "".join(cli._csv_chunks(doc)) == joined_report_csv(report)
 
 
@@ -1067,6 +1101,16 @@ class TestInputContracts:
         (["reciprocate", "--n", "15", "--samples", "3"],
          "--samples 3 must be below --l-max, whose default isqrt(--n) is 3: every sum would "
          "be complete"),
+        (["scan", "--n", "33", "--xi-min", "1e18", "--xi-max", "1.000000000000001e18",
+          "--step", "1"],
+         "xi grid must be strictly increasing: --step 1.0 over --xi-min 1e+18 to --xi-max "
+         "1.000000000000001e+18 is below the spacing of floats near its points"),
+        (LATE_REPEAT_SCAN,
+         "xi grid must be strictly increasing: --step 1.0 over --xi-min 9007199254640992.0 to "
+         "--xi-max 9007199254840992.0 is below the spacing of floats near its points"),
+        (["nslit", "--n", "15", "--l", "3", *LATE_REPEAT_GRID],
+         "xi grid must be strictly increasing: --step 1.0 over --xi-min 9007199254640992.0 to "
+         "--xi-max 9007199254840992.0 is below the spacing of floats near its points"),
         (["factor", "--scheme", "reciprocate"], "the following arguments are required: --n"),
         (["ghost", "--n", "33"], "the following arguments are required: --m-terms"),
     ])
