@@ -181,44 +181,49 @@ def _reduced(x, b) -> np.ndarray:
     return np.asarray(np.asarray(x, dtype=object) % b, dtype=ba.dtype)
 
 
-def _phase_exp(residues, modulus, sign: float = 1.0) -> np.ndarray:
-    """exp(sign 2 pi i residues / modulus), elementwise over broadcast arrays:
+def _phase_exp(residues, modulus) -> np.ndarray:
+    """exp(2 pi i residues / modulus), elementwise over broadcast arrays:
     cos and sin written into the two halves of one complex array.
 
     Each element takes the same operations whatever the shape, so a phasor
     is bitwise the same in a sweep as in a one-argument sum.  For turns
-    t = residues / modulus, the argument of np.exp(sign * 2j * np.pi * t) is
-    +0 + i sign TWO_PI t, with a +0 (not -0) imaginary part at t = 0, so
-    this gives its bits as long as NumPy's sin/cos loops agree with its
-    complex exp;
-    TestPhaseExpBitwise checks that (and TestKernelBitwise for _real_sums).
+    t = residues / modulus, the argument of np.exp(2j * np.pi * t) is
+    +0 + i TWO_PI t, so this gives its bits as long as NumPy's sin/cos loops
+    agree with its complex exp; TestPhaseExpBitwise checks that (and
+    TestKernelBitwise for _real_sums).
     """
     y = np.asarray(residues, dtype=float) / np.asarray(modulus, dtype=float)
-    y *= sign * TWO_PI
-    if sign < 0:
-        y += 0.0  # -0 becomes +0
+    y *= TWO_PI
     out = np.empty(y.shape, dtype=complex)
     np.cos(y, out=out.real)
     np.sin(y, out=out.imag)
     return out
 
 
+def _conjugate(v: np.ndarray) -> np.ndarray:
+    """v conjugated in place: the sums at exp(-2 pi i t) from the kernels'
+    sums at exp(+2 pi i t), bit for bit.  cos is even and sin odd in every
+    bit, and negation commutes with each rounding of a row's sum, so only a
+    zero needs care: its imaginary part is 0.0 - (+0) = +0, as the -2 pi i
+    terms sum to, where np.conjugate would give -0."""
+    np.subtract(0.0, v.imag, out=v.imag)
+    return v
+
+
 # Tables serve a modulus shared by many rows, one modulus at a time (G(a, b)
 # over many a, a run of rows of one modulus in _period_sums, the lines sweep,
 # the wtilde and ring moduli), so a few cached tables give every hit and a
-# caller's large modulus is not kept alive for long.  Tables of both signs
-# share the slots (a run of reciprocate rows takes a sign -1 table); a +1
-# table is always keyed (n,), so it is built once.  A row whose modulus is
+# caller's large modulus is not kept alive for long.  A row whose modulus is
 # its own (most of the reciprocate sweep, G(l, 4N) over many N) makes its
 # own phasors and builds no table.
 _TABLE_CACHE = 4
 
 
 @lru_cache(maxsize=_TABLE_CACHE)
-def _root_table(n: int, sign: float = 1.0) -> np.ndarray:
-    """Read-only table of the n-th roots of unity exp(sign 2 pi i k / n), k in
+def _root_table(n: int) -> np.ndarray:
+    """Read-only table of the n-th roots of unity exp(2 pi i k / n), k in
     [0, n), each entry the bits _phase_exp gives for its residue k."""
-    table = _phase_exp(np.arange(n), n, sign)
+    table = _phase_exp(np.arange(n), n)
     table.flags.writeable = False
     return table
 
@@ -339,28 +344,28 @@ def _blocks(sizes: Sequence[int]) -> Iterator[slice]:
         yield slice(start, len(sizes))
 
 
-def _quad_sums(m, coeffs, moduli, sign: float = 1.0, weights=None, layout=None) -> np.ndarray:
-    """Row sums sum_j weights[j] exp(sign 2 pi i m_j^2 c / n), one per residue
+def _quad_sums(m, coeffs, moduli, weights=None, layout=None) -> np.ndarray:
+    """Row sums sum_j weights[j] exp(2 pi i m_j^2 c / n), one per residue
     coefficient c in coeffs, with one modulus n per row or one shared by all.
 
     With a layout, each row sums the terms row[layout] instead: a term
     computed once stands for every position of the row that repeats it.
     Each row is summed on its own (the pairwise order of a 1-D sum),
     _SWEEP_PHASORS summed terms at a time.  With a shared modulus and at
-    least n phasors to make, they are gathered from _root_table(n, sign)
+    least n phasors to make, they are gathered from _root_table(n)
     (the bits exponentiating each residue gives).
     """
     shared = np.ndim(moduli) == 0
     table = None
     if shared and moduli <= min(_INT64_SAFE_MODULUS, len(coeffs) * len(m)):
-        table = _root_table(moduli) if sign > 0 else _root_table(moduli, sign)
+        table = _root_table(moduli)
     out = np.empty(len(coeffs), dtype=complex)
     rows = max(1, _SWEEP_PHASORS // (len(m) if layout is None else len(layout)))
     for start in range(0, len(coeffs), rows):
         block = slice(start, start + rows)
         b = moduli if shared else moduli[block, None]
         res = _quad_residues(m, coeffs[block, None], b)
-        terms = _phase_exp(res, b, sign) if table is None else table[res]
+        terms = _phase_exp(res, b) if table is None else table[res]
         if weights is not None:
             terms *= weights
         if layout is not None:
@@ -375,8 +380,8 @@ def _period_terms(b):
     return np.where(b % 4 == 0, b // 4, b // 2) + 1
 
 
-def _period_sums(coeffs, moduli, sign: float = 1.0) -> np.ndarray:
-    """Complete sums sum_{m=0}^{b-1} exp(sign 2 pi i m^2 c / b), one per
+def _period_sums(coeffs, moduli) -> np.ndarray:
+    """Complete sums sum_{m=0}^{b-1} exp(2 pi i m^2 c / b), one per
     residue coefficient c in coeffs, with one modulus b per row or one
     shared by all.
 
@@ -388,7 +393,7 @@ def _period_sums(coeffs, moduli, sign: float = 1.0) -> np.ndarray:
     and it is summed on its own, so every sum keeps the bits of the pairwise
     sum over its b terms.  A modulus shared by the whole call or by at least
     _SHARED_ROWS rows lays its rows out as 2-D _quad_sums blocks (phasors
-    from _root_table(b, sign) when there are enough); the other rows are
+    from _root_table(b) when there are enough); the other rows are
     exponentiated _SWEEP_PHASORS computed terms at a time and laid out one
     by one.
     """
@@ -396,8 +401,7 @@ def _period_sums(coeffs, moduli, sign: float = 1.0) -> np.ndarray:
         b = int(moduli)
         p = b // 2 if b % 4 == 0 else b
         m = np.arange(b) % p
-        return _quad_sums(np.arange(_period_terms(b)), coeffs, b, sign,
-                          layout=np.minimum(m, p - m))
+        return _quad_sums(np.arange(_period_terms(b)), coeffs, b, layout=np.minimum(m, p - m))
     out = np.empty(len(moduli), dtype=complex)
     order = np.argsort(moduli, kind="stable")
     values, firsts, counts = np.unique(moduli[order], return_index=True, return_counts=True)
@@ -405,7 +409,7 @@ def _period_sums(coeffs, moduli, sign: float = 1.0) -> np.ndarray:
     for b, first, count in zip(values[many].tolist(), firsts[many].tolist(),
                                counts[many].tolist()):
         rows = order[first:first + count]
-        out[rows] = _period_sums(coeffs[rows], b, sign)
+        out[rows] = _period_sums(coeffs[rows], b)
     rows = order[~np.repeat(many, counts)]
     terms = _period_terms(moduli[rows]).astype(np.int64)
     for block in _blocks(terms.tolist()):
@@ -413,7 +417,7 @@ def _period_sums(coeffs, moduli, sign: float = 1.0) -> np.ndarray:
         starts = np.cumsum(k) - k
         flat = np.repeat(b, k)
         m = np.arange(len(flat)) - np.repeat(starts, k)
-        q = _phase_exp(_quad_residues(m, np.repeat(coeffs[at], k), flat), flat, sign)
+        q = _phase_exp(_quad_residues(m, np.repeat(coeffs[at], k), flat), flat)
         row_buf = np.empty(int(b.max()), dtype=complex)
         for i, l, a, h in zip(at.tolist(), b.tolist(), starts.tolist(), k.tolist()):
             p = l // 2 if l % 4 == 0 else l
@@ -494,12 +498,13 @@ def wtilde_b_sweep(a, c, r: int, b_values=None) -> np.ndarray:
 
 def reciprocate_truncated_sweep(n_target: int, ls, m_terms: int) -> np.ndarray:
     """Truncated reciprocate sums (1/M) sum_{m=0}^{M-1} exp(-2 pi i m^2 N / l),
-    M = m_terms, for every l in ls: one _quad_sums row of M phasors per l."""
+    M = m_terms, for every l in ls: the _conjugate of one _quad_sums row of
+    M phasors per l."""
     ls = _trial_arguments(ls)
     if m_terms < 1:
         raise ValueError("m_terms must be >= 1")
     coeffs = _reduced(n_target, ls)
-    return _quad_sums(np.arange(m_terms), coeffs, ls, sign=-1.0) / m_terms
+    return _conjugate(_quad_sums(np.arange(m_terms), coeffs, ls)) / m_terms
 
 
 def reciprocate_complete(n_target: int, l: int) -> complex:
@@ -509,13 +514,13 @@ def reciprocate_complete(n_target: int, l: int) -> complex:
 
 def reciprocate_complete_sweep(n_target, ls) -> np.ndarray:
     """reciprocate_complete(n_target, l) for every l in ls, bitwise the same:
-    one _period_sums row of l terms per l, of which only l // 2 + 1
-    (l // 4 + 1 when 4 | l) are exponentiated.
+    the _conjugate of one _period_sums row of l terms per l, of which only
+    l // 2 + 1 (l // 4 + 1 when 4 | l) are exponentiated.
 
     n_target may be an integer array with one N per l.
     """
     ls = _trial_arguments(ls)
-    return _period_sums(_reduced(n_target, ls), ls, sign=-1.0) / ls.astype(float)
+    return _conjugate(_period_sums(_reduced(n_target, ls), ls)) / ls.astype(float)
 
 
 def monte_carlo_sum(n_target: int, l: int, sample_count: int, seed: int) -> complex:
@@ -530,7 +535,7 @@ def monte_carlo_sum(n_target: int, l: int, sample_count: int, seed: int) -> comp
     if not 1 <= sample_count <= l:
         raise ValueError("sample_count must be in [1, l]")
     picks = sorted(random.Random(seed).sample(range(l), sample_count))
-    row = _quad_sums(np.array(picks), np.array([n_target % l]), l, sign=-1.0)
+    row = _conjugate(_quad_sums(np.array(picks), np.array([n_target % l]), l))
     return complex(row[0] / sample_count)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -544,6 +545,16 @@ class TestStreamedScan:
         assert held <= 40 * 8999
 
 
+def child_env() -> dict:
+    """os.environ for a child interpreter that imports this source tree and
+    has no output directory set."""
+    src = os.path.dirname(os.path.dirname(gs.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop(cli.OUTDIR_ENV, None)
+    return env
+
+
 def fresh_hwm_rise_kb(argv: list[str]) -> int:
     """How far one cli.main(argv) run, written to /dev/null, raises the peak
     RSS (VmHWM) above its post-import level, in KB.  A fresh interpreter
@@ -560,12 +571,8 @@ def fresh_hwm_rise_kb(argv: list[str]) -> int:
         "rc = cli.main(sys.argv[1:] + ['--output', '/dev/null'])\n"
         "print(rc, hwm_kb() - before)\n"
     )
-    src = os.path.dirname(os.path.dirname(gs.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop(cli.OUTDIR_ENV, None)
-    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                         text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=child_env(),
+                         capture_output=True, text=True, check=True)
     rc, rise_kb = map(int, run.stdout.split())
     assert rc == 0
     return rise_kb
@@ -703,6 +710,19 @@ class TestReciprocateCommand:
         assert a == b
         _, c = run_to_file(tmp_path, args[:-1] + ["4"], "m3.csv")
         assert a != c
+
+    def test_no_negative_zero(self, tmp_path):
+        # the sums are conjugated +2 pi i sums; l = 1, 3, 5, 13 and 15 have
+        # a zero imaginary part, which prints as 0, never as -0
+        args = ["reciprocate", "--n", "15", "--l-max", "15"]
+        _, data = run_to_file(tmp_path, args, "r.csv")
+        cells = [cell for line in data.decode().splitlines()[1:] for cell in line.split(",")]
+        assert cells.count("0") >= 5
+        assert not [cell for cell in cells if float(cell) == 0 and cell.startswith("-")]
+        _, data = run_to_file(tmp_path, args + ["--format", "json"], "r.json")
+        values = [v for rec in json.loads(data)["samples"] for v in rec.values()]
+        assert values.count(0.0) >= 5
+        assert not [v for v in values if v == 0 and math.copysign(1.0, v) < 0]
 
 
 class TestNslitCommand:
@@ -1377,3 +1397,29 @@ class TestUnwritableOrOverflowingRuns:
         err = proc.stderr.read().decode()
         assert_one_error_line(proc.wait(timeout=120), "", err)
         assert "Exception ignored" not in err
+
+
+# NumPy's x86-64 dispatch without its AVX512 loops, as on an AVX2-only CPU
+AVX2_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the dispatch levels named are x86-64 ones")
+class TestDispatchLevels:
+    """The integer-argument family prints the same bytes whichever SIMD
+    loops NumPy dispatches: exact residues, then float64 cos/sin and row
+    sums.  NPY_DISABLE_CPU_FEATURES is set for the child process only."""
+
+    @pytest.mark.parametrize("argv", [
+        ["reciprocate", "--n", "1911", "--l-max", "300", "--format", "json"],
+        ["factor", "--scheme", "reciprocate", "--format", "json", "--n", "985725",
+         "--l-max", "992"],
+    ], ids=["reciprocate", "factor-reciprocate"])
+    def test_avx2_dispatch_gives_the_same_bytes(self, argv):
+        env = child_env()
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        outs = [subprocess.run([sys.executable, "-m", "gaussfactor.cli", *argv], env=child,
+                               capture_output=True, check=True).stdout
+                for child in (env, dict(env, NPY_DISABLE_CPU_FEATURES=AVX2_DISPATCH))]
+        assert outs[0]
+        assert outs[0] == outs[1]

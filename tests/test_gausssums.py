@@ -318,18 +318,24 @@ class TestKernelBitwise:
         assert int(run.stdout) < 20_000
 
 
+def signed(v, sign):
+    """The kernels' +2 pi i sums v as sums at sign 2 pi i: conjugated (with
+    _conjugate, as the reciprocate sweeps do) for sign -1."""
+    return gs._conjugate(v) if sign < 0 else v
+
+
 class TestPhaseExpBitwise:
     """Every integer-argument phasor comes from _phase_exp's cos/sin writer;
-    it must carry the bits of the complex exponential it replaced, for both
-    signs.  At residue 0 with sign -1 the complex product gives the argument
-    a +0 imaginary part, which the writer reproduces by adding +0.0; without
-    that step the phasor there has a -0 imaginary part."""
+    it must carry the bits of the complex exponential it replaced, and its
+    _conjugate the bits of the exponential at -2 pi i.  At residue 0 the
+    complex product gives that argument a +0 imaginary part, which
+    _conjugate keeps by writing 0.0 - v.imag; np.conjugate gives -0 there."""
 
     @staticmethod
     def differing_words(moduli, sign) -> int:
         n = np.repeat(moduli, moduli)
         k = np.arange(len(n)) - np.repeat(np.cumsum(moduli) - moduli, moduli)
-        got = gs._phase_exp(k, n, sign)
+        got = signed(gs._phase_exp(k, n), sign)
         ref = np.exp(sign * 2j * np.pi * (k / n))
         return int(np.count_nonzero(bits(got) != bits(ref)))
 
@@ -562,14 +568,15 @@ class TestWtildeTables:
             gs._root_table(14)[0] = 0.0
 
     def test_one_cache_entry_per_table(self):
-        # the +1 table a shared-modulus sweep gathers from is the one the
-        # wtilde and ring callers ask for; the sign -1 table is a second one
+        # the table a shared-modulus sweep gathers from is the one the
+        # wtilde and ring callers ask for, and the reciprocate rows of that
+        # modulus (conjugated after the sum) gather from it too
         gs._root_table.cache_clear()
         gs.standard_gauss(np.arange(1, 40), 13)
         gs._root_table(13)
         gs.reciprocate_complete_sweep(5, [13] * gs._SHARED_ROWS)
         info = gs._root_table.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
         gs._root_table.cache_clear()
 
 
@@ -600,6 +607,20 @@ class TestReciprocate:
     def test_rejects_zero_l(self):
         with pytest.raises(ValueError):
             gs.reciprocate_truncated_sweep(15, [0], 3)
+
+    def test_zero_imaginary_parts_are_positive(self):
+        # the -2 pi i sums are conjugated +2 pi i sums; a zero imaginary part
+        # (every term at a divisor l, and the cancelling terms of l = 13)
+        # must stay +0 as the -2 pi i terms sum to, not the -0 that
+        # np.conjugate would give
+        ls = range(1, 16)
+        sums = [gs.reciprocate_complete_sweep(15, ls),
+                np.array([gs.monte_carlo_sum(15, l, l, seed=5) for l in ls])]
+        sums += [gs.reciprocate_truncated_sweep(15, ls, m) for m in (1, 2, 3, 7, 15)]
+        im = np.concatenate(sums).imag
+        zeros = im[im == 0]
+        assert zeros.size >= 20
+        assert not np.signbit(zeros).any()
 
 
 class TestMonteCarlo:
@@ -887,7 +908,7 @@ class TestPeriodSums:
     def test_shared_modulus(self, b, cs, sign, block):
         coeffs = np.array([c % b for c in cs], dtype=np.int64)
         with mock.patch.object(gs, "_SWEEP_PHASORS", block):
-            got = gs._period_sums(coeffs, b, sign)
+            got = signed(gs._period_sums(coeffs, b), sign)
         expect = np.array([full_row_sum(c % b, b, sign) for c in cs], dtype=complex)
         assert np.array_equal(bits(got), bits(expect))
 
@@ -902,7 +923,7 @@ class TestPeriodSums:
         moduli = np.array([b for _, b in rows], dtype=np.int64)
         coeffs = np.array([c % b for c, b in rows], dtype=np.int64)
         with mock.patch.multiple(gs, _SWEEP_PHASORS=block, _SHARED_ROWS=shared_rows):
-            got = gs._period_sums(coeffs, moduli, sign)
+            got = signed(gs._period_sums(coeffs, moduli), sign)
         expect = np.array([full_row_sum(c % b, b, sign) for c, b in rows], dtype=complex)
         assert np.array_equal(bits(got), bits(expect))
 
@@ -912,7 +933,7 @@ class TestPeriodSums:
         # below it one int64 residue, above it the two-step one; the
         # reference's two steps are exact while b^2 < 2^63
         c = np.array([1, b - 1], dtype=np.int64)
-        got = gs._period_sums(c, np.full(2, b), -1.0)
+        got = gs._conjugate(gs._period_sums(c, np.full(2, b)))
         m = np.arange(b, dtype=np.int64)
         for i, ci in enumerate(c.tolist()):
             res = (m * m % b) * ci % b
