@@ -94,14 +94,15 @@ class RunConfig:
     format: str = "csv"
 
     def weight_profile(self) -> WeightProfile:
-        try:  # before ceil(4 * dm), which overflows first
+        try:  # before for_width's ceil(4 * dm), which overflows first
             _check_width(self.delta_m)
         except ValueError as exc:  # "delta_m <dm> is too small: ...", or too large
             raise ConfigError("--dm" + str(exc).removeprefix("delta_m")) from None
-        m_max = self.m_terms if self.m_terms is not None else math.ceil(4 * self.delta_m)
-        _check_fits(2 * m_max + 1, "terms", "2 * M + 1",
+        w = (WeightProfile.for_width(self.delta_m) if self.m_terms is None
+             else WeightProfile(delta_m=self.delta_m, m_max=self.m_terms))
+        _check_fits(2 * w.m_max + 1, "terms", "2 * M + 1",
                     ", where M is --m-terms (default ceil(4 * --dm))")
-        return WeightProfile(delta_m=self.delta_m, m_max=m_max)
+        return w
 
 
 class _Values(NamedTuple):
@@ -437,11 +438,13 @@ def _cmd_nslit(cfg: RunConfig) -> int:
         return 0
     if cfg.n_target % 2 == 0:
         raise ConfigError("the nslit factor sweep needs an odd --n")
-    rows = nslit.nslit_factor_test(cfg.n_target, _l_max(cfg), cfg.spread_threshold)
+    report = nslit.nslit_factor_test(cfg.n_target, _l_max(cfg), cfg.spread_threshold)
+    columns = (report.ls, report.codes != factorizer._NONFACTOR, report.measured,
+               factorizer._divides(cfg.n_target, report.ls))
     doc = {
         "n": cfg.n_target,
-        "rows": _Records(("l", "flag", "spread", "divides"), [tuple(zip(*rows))]),
-        "factors": [r.l for r in rows if r.is_factor_flag and r.divides],
+        "rows": _Records(("l", "flag", "spread", "divides"), [columns]),
+        "factors": report.verified_factors,
     }
     _emit(cfg, doc, "json")
     return 0
@@ -449,14 +452,14 @@ def _cmd_nslit(cfg: RunConfig) -> int:
 
 def _cmd_ghost(cfg: RunConfig) -> int:
     _check_fits(cfg.m_terms, "terms", "--m-terms")
-    census = factorizer.ghost_census(cfg.n_target, cfg.m_terms, cfg.threshold, cfg.l_min,
+    ghosts = factorizer.ghost_census(cfg.n_target, cfg.m_terms, cfg.threshold, cfg.l_min,
                                      _l_max(cfg, cfg.l_min, cfg.l_min, "--l-min"))
     doc = {
         "n": cfg.n_target,
         "m_terms": cfg.m_terms,
         "threshold": cfg.threshold,
-        "ghosts": census.ghosts,
-        "count": census.count,
+        "ghosts": ghosts,
+        "count": len(ghosts),
     }
     _emit(cfg, doc, "json")
     return 0

@@ -428,6 +428,11 @@ def _flag_codes(n_target: int, ls: np.ndarray) -> np.ndarray:
     return np.select([residues == 0, np.gcd(ls, residues) > 1], [_FACTOR, _MULTIPLE], _GHOST)
 
 
+def _unsound(codes: np.ndarray) -> np.ndarray:
+    """Flags on a non-divisor: GHOST or MULTIPLE_OF_FACTOR codes."""
+    return (codes == _GHOST) | (codes == _MULTIPLE)
+
+
 def _classify(n_target: int, scheme: str, ls: np.ndarray, measured: np.ndarray,
               predicted: np.ndarray, codes: np.ndarray, params: dict) -> FactorReport:
     """The report of a scheme's rule: one element of measured, predicted and
@@ -665,21 +670,15 @@ def pocket_rescale(master: ScanSeries, n_prime: int) -> ScanSeries:
     )
 
 
-@dataclass(frozen=True)
-class GhostCensus:
-    ghosts: list[int]
-    count: int
-
-
 def ghost_census(
     n_target: int,
     m_terms: int,
     threshold: float = DEFAULT_GHOST_THRESHOLD,
     l_min: int = 2,
     l_max: int | None = None,
-) -> GhostCensus:
-    """Non-divisors l in [l_min, l_max] whose truncated sum modulus exceeds
-    the threshold.  Default range is 2..floor(sqrt(N))."""
+) -> list[int]:
+    """The non-divisors l in [l_min, l_max], ascending, whose truncated sum
+    modulus exceeds the threshold.  Default range is 2..floor(sqrt(N))."""
     _check_threshold(threshold)
     if l_min < 1:
         raise ValueError("l_min must be >= 1")
@@ -687,5 +686,4 @@ def ghost_census(
         l_max = math.isqrt(n_target)
     ls = np.arange(l_min, l_max + 1)
     _, codes = _truncated_rule(n_target, ls, m_terms, threshold)
-    ghosts = ls[(codes == _GHOST) | (codes == _MULTIPLE)].tolist()
-    return GhostCensus(ghosts=ghosts, count=len(ghosts))
+    return ls[_unsound(codes)].tolist()

@@ -12,10 +12,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from .factorizer import _FACTOR, _NONFACTOR, FactorReport, _classify, _flag_codes
 from .gausssums import _SWEEP_PHASORS, abs2
 
 DEFAULT_SPREAD_THRESHOLD = 1e-3
@@ -42,13 +42,6 @@ class SpikeProfile:
     positions: tuple[float, ...]
     heights: tuple[float, ...]
     relative_spread: float
-
-
-class SlitTestRow(NamedTuple):
-    l: int
-    is_factor_flag: bool
-    relative_spread: float
-    divides: bool
 
 
 def green_sum(xi, cfg: NSlitConfig):
@@ -135,16 +128,19 @@ def nslit_factor_test(
     n_slits: int,
     l_max: int,
     spread_threshold: float = DEFAULT_SPREAD_THRESHOLD,
-) -> list[SlitTestRow]:
-    """Sweep trial distances l in [2, l_max], flagging l whose spike heights
-    are equal within spread_threshold; the divides column is the ground truth.
+) -> FactorReport:
+    """Sweep trial distances l in [2, l_max] into the one driver's report:
+    an l is flagged when the relative spread of its spike heights is below
+    spread_threshold.  measured is each l's spread; predicted is 0 at
+    divisors and NaN elsewhere, where no closed form is known.
     """
     if n_slits % 2 == 0:
         raise ValueError("equal-spike factor test requires an odd slit count")
-    rows = []
-    for l in range(2, l_max + 1):
-        spread = spike_profile(NSlitConfig(n_slits, l)).relative_spread
-        rows.append(
-            SlitTestRow(l, spread < spread_threshold, spread, n_slits % l == 0)
-        )
-    return rows
+    ls = np.arange(2, l_max + 1)
+    spreads = np.array([spike_profile(NSlitConfig(n_slits, l)).relative_spread
+                        for l in ls.tolist()], dtype=float)
+    flag = _flag_codes(n_slits, ls)
+    predicted = np.where(flag == _FACTOR, 0.0, np.nan)
+    codes = np.where(spreads < spread_threshold, flag, _NONFACTOR)
+    return _classify(n_slits, "nslit", ls, spreads, predicted, codes,
+                     {"spread_threshold": spread_threshold})

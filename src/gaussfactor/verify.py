@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform, decomposition, gausssums, nslit
+from . import closedform, decomposition, factorizer, gausssums, nslit
 from .gausssums import ContinuousSpec, WeightProfile
 from .numtheory import is_prime
 
@@ -200,9 +200,9 @@ def check_nslit(failures: list[str], worst: _Worst) -> None:
         if worst.over(abs(direct - related), 1e-9):
             failures.append(f"green decomposition mismatch at (N={n}, l={l}, xi={xi:.3f})")
     for n in range(3, 202, 2):
-        for row in nslit.nslit_factor_test(n, math.isqrt(n)):
-            if row.is_factor_flag and not row.divides:
-                failures.append(f"unsound slit flag: N={n}, l={row.l}")
+        report = nslit.nslit_factor_test(n, math.isqrt(n))
+        for l in report.ls[factorizer._unsound(report.codes)].tolist():
+            failures.append(f"unsound slit flag: N={n}, l={l}")
 
 
 @_suite

@@ -249,9 +249,10 @@ def test_criterion_11_nslit():
     assert spike_profile(NSlitConfig(15, 5)).relative_spread < 1e-6
     assert spike_profile(NSlitConfig(15, 4)).relative_spread > 0.05
     for n in range(3, 202, 2):
-        for row in nslit_factor_test(n, math.isqrt(n)):
-            if row.is_factor_flag:
-                assert row.divides, (n, row.l)
+        report = nslit_factor_test(n, math.isqrt(n))
+        for c in report.candidates:
+            if c.classification is not Classification.NONFACTOR:
+                assert n % c.l == 0, (n, c.l)
     print("\nACCEPTANCE 11 PASS: equal-spike criterion exact and sound to N = 201")
 
 

@@ -745,10 +745,12 @@ class TestNslitCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_is_json_whatever_the_format(self, tmp_path, fmt):
-        rows = nslit.nslit_factor_test(15, 7)
+        # the expected rows from spike_profile itself, not from the sweep
+        spreads = {l: nslit.spike_profile(nslit.NSlitConfig(15, l)).relative_spread
+                   for l in range(2, 8)}
         doc = {"n": 15,
-               "rows": [{"l": r.l, "flag": r.is_factor_flag, "spread": r.relative_spread,
-                         "divides": r.divides} for r in rows],
+               "rows": [{"l": l, "flag": s < nslit.DEFAULT_SPREAD_THRESHOLD, "spread": s,
+                         "divides": 15 % l == 0} for l, s in spreads.items()],
                "factors": [3, 5]}
         out = tmp_path / "n.out"
         cfg = cli.RunConfig("nslit", n_target=15, l_max=7, format=fmt, output_path=str(out))
@@ -769,9 +771,9 @@ class TestGhostCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_json_whatever_the_format(self, tmp_path, fmt):
-        census = factorizer.ghost_census(100001, 10, 0.7, 2, 316)
-        doc = {"n": 100001, "m_terms": 10, "threshold": 0.7, "ghosts": census.ghosts,
-               "count": census.count}
+        ghosts = factorizer.ghost_census(100001, 10, 0.7, 2, 316)
+        doc = {"n": 100001, "m_terms": 10, "threshold": 0.7, "ghosts": ghosts,
+               "count": len(ghosts)}
         out = tmp_path / "g.out"
         cfg = cli.RunConfig("ghost", n_target=100001, m_terms=10, threshold=0.7, format=fmt,
                             output_path=str(out))
@@ -1408,13 +1410,19 @@ AVX2_DISPATCH = "X86_V4 AVX512_ICL AVX512_SPR"
 class TestDispatchLevels:
     """The integer-argument family prints the same bytes whichever SIMD
     loops NumPy dispatches: exact residues, then float64 cos/sin and row
-    sums.  NPY_DISABLE_CPU_FEATURES is set for the child process only."""
+    sums.  So does the N-slit sweep, whose spreads come from float64
+    complex exp and row sums.  NPY_DISABLE_CPU_FEATURES is set for the
+    child process only."""
 
     @pytest.mark.parametrize("argv", [
         ["reciprocate", "--n", "1911", "--l-max", "300", "--format", "json"],
         ["factor", "--scheme", "reciprocate", "--format", "json", "--n", "985725",
          "--l-max", "992"],
-    ], ids=["reciprocate", "factor-reciprocate"])
+        ["nslit", "--n", "201", "--l-max", "14"],
+        ["ghost", "--n", "100001", "--m-terms", "20"],
+        ["factor", "--scheme", "truncated", "--format", "json", "--n", "777777",
+         "--m-terms", "20", "--l-max", "707"],
+    ], ids=["reciprocate", "factor-reciprocate", "nslit", "ghost", "factor-truncated"])
     def test_avx2_dispatch_gives_the_same_bytes(self, argv):
         env = child_env()
         env.pop("NPY_DISABLE_CPU_FEATURES", None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaussfactor import nslit
+from gaussfactor.factorizer import _NONFACTOR, Classification
 from gaussfactor.gausssums import _SWEEP_PHASORS
 
 
@@ -125,17 +126,42 @@ class TestSpikeProfile:
                 assert abs(abs(nslit._w_slit(q + 0.5, l, l)) ** 2 - 1.0) < 1e-10
 
 
+def flagged(report) -> list[int]:
+    """The trial distances the sweep flags: every class but NONFACTOR."""
+    return report.ls[report.codes != _NONFACTOR].tolist()
+
+
 class TestFactorTest:
     def test_examples(self):
-        assert [r.l for r in nslit.nslit_factor_test(15, 7) if r.is_factor_flag] == [3, 5]
-        assert [r.l for r in nslit.nslit_factor_test(9, 8) if r.is_factor_flag] == [3]
-        assert not any(r.is_factor_flag for r in nslit.nslit_factor_test(7, 6))
+        assert flagged(nslit.nslit_factor_test(15, 7)) == [3, 5]
+        assert flagged(nslit.nslit_factor_test(9, 8)) == [3]
+        assert flagged(nslit.nslit_factor_test(7, 6)) == []
+        assert len(nslit.nslit_factor_test(3, 1).ls) == 0
 
     def test_soundness_sweep(self):
         for n in range(3, 100, 2):
-            for row in nslit.nslit_factor_test(n, math.isqrt(n)):
-                if row.is_factor_flag:
-                    assert row.divides, (n, row)
+            for l in flagged(nslit.nslit_factor_test(n, math.isqrt(n))):
+                assert n % l == 0, (n, l)
+
+    def test_unsound_flags_at_20001_are_ghosts(self):
+        # 20001 = 3 * 59 * 113: l = 5, 7 and 25 share no factor with it, yet
+        # their spike heights agree to within the default threshold 1e-3
+        report = nslit.nslit_factor_test(20001, 25)
+        assert (report.scheme, report.params) == ("nslit", {"spread_threshold": 1e-3})
+        assert report.ls.tolist() == list(range(2, 26))
+        classes = {c.l: c.classification for c in report.candidates}
+        assert classes[3] is Classification.FACTOR
+        assert {l: classes[l] for l in (5, 7, 25)} == dict.fromkeys((5, 7, 25),
+                                                                      Classification.GHOST)
+        assert flagged(report) == [3, 5, 7, 25]
+        assert report.verified_factors == [3]
+        spreads = dict(zip(report.ls.tolist(), report.measured.tolist()))
+        assert [round(spreads[l], 5) for l in (5, 7, 25)] == [0.0004, 0.00058, 0.001]
+        for l, spread, predicted in zip(report.ls.tolist(), report.measured.tolist(),
+                                        report.predicted.tolist()):
+            want = nslit.spike_profile(nslit.NSlitConfig(20001, l)).relative_spread
+            assert spread.hex() == want.hex(), l
+            assert predicted == 0.0 if l == 3 else math.isnan(predicted), (l, predicted)
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):
